@@ -20,6 +20,8 @@ from .errors import (
     EmptyPackingError,
     IllConditionedError,
     InfeasibleError,
+    OutsideDomainError,
+    OverlapError,
     ParseError,
 )
 
@@ -280,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EmptyPackingError, InfeasibleError) as exc:
+    except (
+        ParseError, EmptyPackingError, InfeasibleError, OverlapError, OutsideDomainError
+    ) as exc:
         _emit_error(exc)
         return 2
     except DtnError as exc:

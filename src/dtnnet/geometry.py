@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import Voronoi, cKDTree
 
 from .errors import (
     DegenerateAngleError,
@@ -23,15 +24,6 @@ from .errors import (
     OverlapError,
     ParseError,
 )
-
-# Witness search along clipped Voronoi bisectors.
-BISECTOR_SAMPLES = 1024
-BISECTOR_REFINEMENTS = 3
-
-# Angular sweep for the boundary classification.
-SWEEP_SAMPLES = 4096
-SWEEP_ANGLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -89,6 +81,21 @@ class ScaleReport:
     warnings: tuple[str, ...] = field(default=())
 
 
+def _pair_gaps(packing: Packing, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Disk pairs (i < j) and their gaps, covering every gap below ``reach``.
+
+    A KD-tree lists the center pairs within 2 R_max + reach; the 0.1 % margin
+    keeps pairs at exactly that distance despite rounding in the tree.
+    """
+    centers = packing.centers()
+    radii = packing.radii()
+    tree = cKDTree(centers)
+    pairs = tree.query_pairs(1.001 * (2.0 * radii.max() + reach), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+    return pairs, d - radii[i] - radii[j]
+
+
 def validate_packing(packing: Packing) -> Packing:
     """Check the packing invariants; return the packing unchanged."""
     if packing.n == 0:
@@ -96,117 +103,55 @@ def validate_packing(packing: Packing) -> Packing:
     if not (packing.L > 0 and math.isfinite(packing.L)):
         raise ParseError(f"domain radius must be positive and finite, got {packing.L}")
     centers = packing.centers()
-    radii = packing.radii()
     norms = np.hypot(centers[:, 0], centers[:, 1])
-    for i in range(packing.n):
-        if norms[i] + radii[i] >= packing.L:
-            raise OutsideDomainError(i)
-    for i in range(packing.n):
-        for j in range(i + 1, packing.n):
-            d = math.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
-            if d <= radii[i] + radii[j]:
-                raise OverlapError(i, j)
+    outside = np.nonzero(norms + packing.radii() >= packing.L)[0]
+    if outside.size:
+        raise OutsideDomainError(int(outside[0]))
+    pairs, gaps = _pair_gaps(packing, 0.0)
+    touching = pairs[gaps <= 0.0].tolist()
+    if touching:
+        raise OverlapError(*min(map(tuple, touching)))
     return packing
 
 
-def _bisector_witness(centers: np.ndarray, L: float, i: int, j: int) -> bool:
-    """True iff the Voronoi cells of centers i and j share a 1D edge.
+def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Voronoi structure of the centers inside the domain disk.
 
-    Searches the perpendicular bisector of (x_i, x_j), clipped to the domain
-    disk, for a point strictly closer to x_i and x_j than to every other
-    center. Samples plus a few bisection refinements at sign changes.
+    Returns the neighbor pairs (i < j), whose shared Voronoi edge meets the
+    open disk |x| < L, and a mask of the boundary disks, whose cell reaches
+    |x| = L. Four far sites at radius 4L bound every real cell and make
+    collinear input full-dimensional; their bisectors with any center lie
+    beyond |x| = 1.5L, so they change nothing inside the domain. Qhull merges
+    cocircular centers, so zero-length edges never appear as ridges.
     """
-    n = centers.shape[0]
-    if n == 2:
-        return True
-    mid = 0.5 * (centers[i] + centers[j])
-    d = centers[j] - centers[i]
-    t = np.array([-d[1], d[0]])
-    t = t / np.hypot(t[0], t[1])
-    # |mid + s t| <= L  <=>  s^2 + 2 s (mid.t) + |mid|^2 - L^2 <= 0
-    b = float(mid @ t)
-    c = float(mid @ mid) - L * L
-    disc = b * b - c
-    if disc <= 0.0:
-        return False
-    s_lo, s_hi = -b - math.sqrt(disc), -b + math.sqrt(disc)
-
-    others = np.array([k for k in range(n) if k != i and k != j])
-
-    def margin(s: np.ndarray) -> np.ndarray:
-        z = mid[None, :] + s[:, None] * t[None, :]
-        d_i = np.hypot(z[:, 0] - centers[i, 0], z[:, 1] - centers[i, 1])
-        diff = z[:, None, :] - centers[others][None, :, :]
-        d_other = np.min(np.hypot(diff[:, :, 0], diff[:, :, 1]), axis=1)
-        return d_other - d_i
-
-    s = np.linspace(s_lo, s_hi, BISECTOR_SAMPLES)
-    f = margin(s)
-    if np.any(f > 0.0):
-        return True
-    # Refine around sign changes in case a thin positive stretch was missed.
-    sign_change = np.nonzero(np.diff(np.sign(f)) != 0)[0]
-    for idx in sign_change:
-        lo, hi = s[idx], s[idx + 1]
-        for _ in range(BISECTOR_REFINEMENTS):
-            m = 0.5 * (lo + hi)
-            fm = float(margin(np.array([m]))[0])
-            if fm > 0.0:
-                return True
-            if fm * f[idx] > 0.0:
-                lo = m
-            else:
-                hi = m
-    return False
+    n, L = packing.n, packing.L
+    far = 4.0 * L * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    vor = Voronoi(np.vstack([packing.centers(), far]))
+    sites = vor.ridge_points
+    ridges = np.asarray(vor.ridge_vertices)  # -1 only on far-far ridges
+    a, b = vor.vertices[ridges[:, 0]], vor.vertices[ridges[:, 1]]
+    outside = np.hypot(*vor.vertices.T) > L
+    # A convex cell around a center inside the disk meets |x| = L iff one of
+    # its vertices lies outside, and each vertex ends one of its ridges.
+    beyond = (ridges < 0).any(axis=1) | outside[ridges].any(axis=1)
+    boundary = np.zeros(n + len(far), dtype=bool)
+    boundary[sites[beyond].ravel()] = True
+    # Closest point to the origin on each ridge segment a + t (b - a).
+    ab = b - a
+    t = -(a * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300)
+    closest = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    near = np.hypot(*closest.T) < L
+    real = (sites < n).all(axis=1)
+    return np.sort(sites[real & near], axis=1), boundary[:n]
 
 
 def compute_adjacency(packing: Packing) -> tuple[frozenset[int], ...]:
     """Voronoi neighbor sets of the inclusion centers, clipped to the domain."""
-    centers = packing.centers()
-    n = packing.n
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _bisector_witness(centers, packing.L, i, j):
-                neighbors[i].add(j)
-                neighbors[j].add(i)
+    neighbors: list[set[int]] = [set() for _ in range(packing.n)]
+    for i, j in _clipped_voronoi(packing)[0].tolist():
+        neighbors[i].add(j)
+        neighbors[j].add(i)
     return tuple(frozenset(s) for s in neighbors)
-
-
-def _nearest_center(centers: np.ndarray, theta: float, L: float) -> int:
-    p = np.array([L * math.cos(theta), L * math.sin(theta)])
-    d = np.hypot(centers[:, 0] - p[0], centers[:, 1] - p[1])
-    return int(np.argmin(d))
-
-
-def _boundary_labels(centers: np.ndarray, L: float) -> set[int]:
-    """Indices whose Voronoi cell meets the outer circle, by angular sweep."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, SWEEP_SAMPLES, endpoint=False)
-    pts = L * np.column_stack([np.cos(thetas), np.sin(thetas)])
-    diff = pts[:, None, :] - centers[None, :, :]
-    labels = np.argmin(np.hypot(diff[:, :, 0], diff[:, :, 1]), axis=1)
-    found = set(int(v) for v in np.unique(labels))
-    # Bisect every label switchover; any label seen at a midpoint counts too.
-    for k in range(SWEEP_SAMPLES):
-        a, b = thetas[k], thetas[(k + 1) % SWEEP_SAMPLES]
-        if k == SWEEP_SAMPLES - 1:
-            b = 2.0 * math.pi
-        la, lb = labels[k], labels[(k + 1) % SWEEP_SAMPLES]
-        if la == lb:
-            continue
-        while b - a > SWEEP_ANGLE_TOL:
-            m = 0.5 * (a + b)
-            lm = _nearest_center(centers, m, L)
-            found.add(lm)
-            if lm == la:
-                a = m
-            elif lm == lb:
-                b = m
-            else:
-                # A third cell appears inside the interval: split both halves.
-                b = m
-                lb = lm
-    return found
 
 
 def classify_boundary(
@@ -216,7 +161,7 @@ def classify_boundary(
     centers = packing.centers()
     radii = packing.radii()
     L = packing.L
-    boundary = _boundary_labels(centers, L)
+    boundary = set(np.nonzero(_clipped_voronoi(packing)[1])[0].tolist())
 
     def angle_of(idx: int) -> float:
         x, y = centers[idx]

@@ -19,7 +19,7 @@ import scipy.integrate
 
 from .asymptotics import FourierPotential
 from .errors import DomainError, IllConditionedError
-from .geometry import Packing
+from .geometry import Packing, _pair_gaps
 
 CONDITION_LIMIT = 1e14
 GAP_GUARD = 1e-3  # refuse solves below delta_min / R_min = 1e-3
@@ -111,17 +111,17 @@ def _normal_derivative_on_gamma(
 
 
 def _min_gap_ratio(packing: Packing) -> float:
+    """delta_min / R_min over the boundary gaps and the pairs near the guard.
+
+    Pairs beyond the reach of the KD-tree query have gaps above
+    GAP_GUARD * R_min, so the comparison with GAP_GUARD is exact.
+    """
     centers = packing.centers()
     radii = packing.radii()
-    norms = np.hypot(centers[:, 0], centers[:, 1])
-    gaps = list(packing.L - norms - radii)
-    for i in range(packing.n):
-        for j in range(i + 1, packing.n):
-            d = math.hypot(
-                centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1]
-            )
-            gaps.append(d - radii[i] - radii[j])
-    return min(gaps) / radii.min()
+    r_min = radii.min()
+    boundary = packing.L - np.hypot(centers[:, 0], centers[:, 1]) - radii
+    _, pair_gaps = _pair_gaps(packing, GAP_GUARD * r_min)
+    return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
 def solve_dirichlet(

@@ -89,6 +89,20 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "disks, kind",
+        [
+            ([{"x": -0.1, "y": 0.0, "r": 0.1}, {"x": 0.1, "y": 0.0, "r": 0.1}], "OverlapError"),
+            ([{"x": 0.95, "y": 0.0, "r": 0.1}], "OutsideDomainError"),
+        ],
+        ids=["overlap", "outside"],
+    )
+    def test_invalid_packing_exit_2(self, tmp_path, capsys, disks, kind):
+        path = write_packing(tmp_path, "invalid.json", {"L": 1.0, "inclusions": disks})
+        code, _, err = run(capsys, "analyze", "--packing", path, "--cos", "1=1")
+        assert code == 2
+        assert json.loads(err)["error"] == kind
+
     def test_missing_potential_exit_2(self, ring_file, capsys):
         code, _, err = run(capsys, "analyze", "--packing", ring_file)
         assert code == 2

@@ -50,6 +50,20 @@ def grid_adjacency(packing, grid=400):
     return pairs
 
 
+ORACLE_CASES = {
+    **{
+        str(seed): random_packing(n=12, disk_radius=0.06, delta_min=0.02, L=1.0, seed=seed)
+        for seed in (1, 2, 3, 4)
+    },
+    # Disks 2 and 8 share a Voronoi edge only about 8e-5 long.
+    "n30-seed1": random_packing(n=30, disk_radius=0.05, delta_min=0.01, L=1.0, seed=1),
+    # Cocircular centers: diagonal pairs share only a Voronoi vertex.
+    "square3x3": Packing(
+        1.0, tuple(Disk(0.25 * i, 0.25 * j, 0.1) for i in (-1, 0, 1) for j in (-1, 0, 1))
+    ),
+}
+
+
 class TestValidatePacking:
     def test_two_disks_small_gap_valid(self):
         p = Packing(10.0, (Disk(-1.005, 0, 1), Disk(1.005, 0, 1)))
@@ -104,9 +118,9 @@ class TestAdjacency:
         got = {(i, j) for i in range(4) for j in ns[i] if i < j}
         assert got == expected
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_matches_grid_oracle_random(self, seed):
-        p = random_packing(n=12, disk_radius=0.06, delta_min=0.02, L=1.0, seed=seed)
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_grid_oracle_random(self, case):
+        p = ORACLE_CASES[case]
         ns = compute_adjacency(p)
         got = {(i, j) for i in range(p.n) for j in ns[i] if i < j}
         assert got == grid_adjacency(p, grid=500)

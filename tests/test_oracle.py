@@ -161,6 +161,20 @@ class TestGuards:
         with pytest.raises(IllConditionedError):
             solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
 
+    def test_tight_pair_other_than_first_refused(self):
+        # Only disks 1 and 2 are closer than GAP_GUARD * R_min.
+        p = Packing(10.0, (
+            Disk(-4.0, 0.0, 1.0), Disk(-1.00005, 0.0, 1.0), Disk(1.00005, 0.0, 1.0),
+            Disk(4.0, 0.0, 1.0),
+        ))
+        with pytest.raises(IllConditionedError):
+            solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
+
+    def test_tight_boundary_gap_refused(self):
+        p = Packing(1.0, (Disk(0.89995, 0.0, 0.1),))
+        with pytest.raises(IllConditionedError):
+            solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
+
     def test_truncation_below_max_frequency(self):
         with pytest.raises(ValueError):
             solve_dirichlet(EMPTY, FourierPotential.single_cos(5), M=3)
