@@ -128,56 +128,57 @@ def reference_energy(psi: FourierPotential) -> float:
     )
 
 
+def _poly(x: np.ndarray) -> np.ndarray:
+    """sqrt(x / pi) Li_{1/2}(e^{-x}) elementwise, with its limit 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    nonzero = x != 0.0  # negative x reaches polylog_half, which rejects it
+    out[nonzero] = np.sqrt(x[nonzero] / math.pi) * polylog_half(x[nonzero])
+    return out
+
+
+def _resonance_table(analysis: GeometryAnalysis, sigmas, ks) -> np.ndarray:
+    """R[i, m]: anomalous energy of mode ks[m] in the gap behind boundary
+    inclusion i, with gap conductivity sigmas[i]; zero at k = 0."""
+    k = np.asarray(ks, dtype=float)
+    x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
+    damp = np.exp(-2.0 * k * _damping_rates(analysis)[:, None])
+    return 0.25 * np.reshape(sigmas, (-1, 1)) * (_poly(x) - damp)
+
+
 def resonance_single(
     i: int, k: int, analysis: GeometryAnalysis, sigma_i: float
 ) -> float:
     """Anomalous energy of mode k in the gap behind boundary inclusion i."""
     if k < 0:
         raise DomainError(f"frequency must be nonnegative, got {k}")
-    if k == 0:
-        return 0.0  # limit of the 0*inf product; constant modes carry none
-    L = analysis.packing.L
-    delta = float(analysis.boundary_gaps[i])
-    R_i = analysis.packing.inclusions[i].r
-    x = 2.0 * k * delta / L
-    poly = math.sqrt(x / math.pi) * polylog_half(x)
-    damp = math.exp(-2.0 * k * math.sqrt(2.0 * R_i * delta) / L)
-    return 0.25 * sigma_i * (poly - damp)
+    return float(_resonance_table(analysis, sigma_i, [k])[i, 0])
 
 
 def resonance_mode(k: int, analysis: GeometryAnalysis, network: Network) -> float:
-    return sum(
-        resonance_single(i, k, analysis, float(network.boundary_sigmas[i]))
-        for i in range(analysis.boundary_count)
-    )
+    return float(np.sum(_resonance_table(analysis, network.boundary_sigmas, [k])))
 
 
 def resonance_general(
     psi: FourierPotential, analysis: GeometryAnalysis, network: Network
 ) -> float:
     """Resonance of a general potential: damped double sum over mode pairs."""
-    n_b = analysis.boundary_count
     K = psi.K
     mu = _damping_rates(analysis)
     theta = analysis.boundary_angles
     ac, as_ = psi.cos_coeffs, psi.sin_coeffs
     k = np.arange(K + 1)
+    r = _resonance_table(analysis, network.boundary_sigmas, k)
     km_min = np.minimum.outer(k, k)
     km_diff = np.subtract.outer(k, k).astype(float)
     cc = np.outer(ac, ac) + np.outer(as_, as_)
     sc = np.outer(as_, ac) - np.outer(ac, as_)
     total = 0.0
-    for i in range(n_b):
-        r_i = np.array(
-            [
-                resonance_single(i, int(kk), analysis, float(network.boundary_sigmas[i]))
-                for kk in range(K + 1)
-            ]
-        )
+    for i in range(analysis.boundary_count):
         damp = np.exp(-np.abs(km_diff) * mu[i])
         ang = km_diff * theta[i]
         total += float(
-            np.sum(damp * r_i[km_min] * (cc * np.cos(ang) + sc * np.sin(ang)))
+            np.sum(damp * r[i, km_min] * (cc * np.cos(ang) + sc * np.sin(ang)))
         )
     return total
 
@@ -190,9 +191,8 @@ def characteristic_scales(analysis: GeometryAnalysis) -> tuple[float, float]:
     return delta_char, r_char
 
 
-def regime_classify(k: int, analysis: GeometryAnalysis) -> ModeRegime:
-    delta_char, r_char = characteristic_scales(analysis)
-    L = analysis.packing.L
+def _classify(k: int, scales: tuple[float, float], L: float) -> ModeRegime:
+    delta_char, r_char = scales
     eps = k * delta_char / L
     eta = k * r_char / L
     if eps >= 1.0:
@@ -202,6 +202,10 @@ def regime_classify(k: int, analysis: GeometryAnalysis) -> ModeRegime:
     else:
         regime = 3
     return ModeRegime(k=k, epsilon=eps, eta=eta, regime=regime)
+
+
+def regime_classify(k: int, analysis: GeometryAnalysis) -> ModeRegime:
+    return _classify(k, characteristic_scales(analysis), analysis.packing.L)
 
 
 def total_energy(
@@ -220,8 +224,9 @@ def total_energy(
     else:
         e_net = net_energy(network, boundary_excitation(psi, analysis))
         r_res = resonance_general(psi, analysis, network)
+        scales = characteristic_scales(analysis)
         per_mode = tuple(
-            regime_classify(int(k), analysis) for k in range(psi.K + 1)
+            _classify(k, scales, analysis.packing.L) for k in range(psi.K + 1)
         )
     total = e_net + e_ref + r_res
     return EnergyBreakdown(
@@ -272,14 +277,6 @@ def regime_estimate(
     return RegimeEstimate(regime=info, approx_total=approx, description=desc)
 
 
-def _poly_term(k: int, delta: float, L: float) -> float:
-    """sqrt(2 k delta / (L pi)) Li_{1/2}(e^{-2 k delta / L}); limit 1 at k = 0."""
-    if k == 0:
-        return 1.0
-    x = 2.0 * k * delta / L
-    return math.sqrt(x / math.pi) * polylog_half(x)
-
-
 def boundary_layer_energy(
     U_gamma: np.ndarray, k: int, analysis: GeometryAnalysis, network: Network
 ) -> float:
@@ -288,16 +285,12 @@ def boundary_layer_energy(
     n_b = analysis.boundary_count
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}")
-    L = analysis.packing.L
-    mu = _damping_rates(analysis)
-    kappa = k * mu
+    kappa = k * _damping_rates(analysis)
     target = np.cos(k * analysis.boundary_angles) * np.exp(-kappa)
     sig = network.boundary_sigmas
     quad = 0.5 * float(np.sum(sig * (U_gamma - target) ** 2))
-    lin = 0.25 * sum(
-        sig[i] * (_poly_term(k, float(analysis.boundary_gaps[i]), L) - math.exp(-kappa[i]))
-        for i in range(n_b)
-    )
+    x = 2.0 * k * analysis.boundary_gaps / analysis.packing.L
+    lin = 0.25 * float(sig @ (_poly(x) - np.exp(-kappa)))
     return 0.5 * k * math.pi + quad + lin
 
 

@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
         psi = asymptotics.FourierPotential.single_cos(k)
         bd = asymptotics.total_energy(psi, analysis, net)
         if analysis is not None:
-            info = asymptotics.regime_classify(k, analysis)
+            info = bd.per_mode[k]
             eps, eta, regime = info.epsilon, info.eta, info.regime
         else:
             eps, eta, regime = 0.0, 0.0, 2

@@ -10,9 +10,11 @@ Voronoi cell reaches the outer boundary. All indices are 0-based; after
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -114,6 +116,7 @@ def validate_packing(packing: Packing) -> Packing:
     return packing
 
 
+@lru_cache(maxsize=1)
 def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     """Exact Voronoi structure of the centers inside the domain disk.
 
@@ -122,11 +125,22 @@ def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     |x| = L. Four far sites at radius 4L bound every real cell and make
     collinear input full-dimensional; their bisectors with any center lie
     beyond |x| = 1.5L, so they change nothing inside the domain. Qhull merges
-    cocircular centers, so zero-length edges never appear as ridges.
+    cocircular centers, so zero-length edges never appear as ridges. The last
+    result is cached for ``classify_boundary``; do not modify it.
     """
     n, L = packing.n, packing.L
+    centers = packing.centers()
     far = 4.0 * L * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    vor = Voronoi(np.vstack([packing.centers(), far]))
+    vor = Voronoi(np.vstack([centers, far]))
+    # Qhull also merges centers closer than about 1e-8 L into one cell.
+    _, first, inverse = np.unique(vor.point_region[:n], return_index=True, return_inverse=True)
+    merged = np.nonzero(first[inverse] != np.arange(n))[0]
+    if merged.size:
+        i, j = int(first[inverse[merged[0]]]), int(merged[0])
+        raise OverlapError(i, j, message=(
+            f"inclusions {i} and {j} are {np.hypot(*(centers[i] - centers[j])):.3g} apart, "
+            f"too close for the Voronoi diagram to separate at L = {L:.3g}"
+        ))
     sites = vor.ridge_points
     ridges = np.asarray(vor.ridge_vertices)  # -1 only on far-far ridges
     a, b = vor.vertices[ridges[:, 0]], vor.vertices[ridges[:, 1]]
@@ -179,24 +193,22 @@ def classify_boundary(
 
     interior = [i for i in range(packing.n) if i not in boundary]
     order = b_sorted + interior  # new index -> old index
-    inv = {old: new for new, old in enumerate(order)}
+    inv = np.empty(packing.n, dtype=np.intp)
+    inv[order] = np.arange(packing.n)
 
     new_packing = Packing(L=L, inclusions=tuple(packing.inclusions[o] for o in order))
     new_neighbors = tuple(
-        frozenset(inv[j] for j in neighbor_sets[o]) for o in order
+        frozenset(inv[list(neighbor_sets[o])].tolist()) for o in order
     )
-    gap_widths: dict[tuple[int, int], float] = {}
+    # Every neighbor pair (i < j) in the new numbering, sorted.
+    i = np.repeat(inv, [len(s) for s in neighbor_sets])
+    j = inv[np.fromiter(itertools.chain.from_iterable(neighbor_sets), np.intp, i.size)]
+    i, j = np.unique(np.column_stack([i, j])[i < j], axis=0).T
     new_centers = new_packing.centers()
     new_radii = new_packing.radii()
-    for i in range(new_packing.n):
-        for j in new_neighbors[i]:
-            if j <= i:
-                continue
-            d = math.hypot(
-                new_centers[i, 0] - new_centers[j, 0],
-                new_centers[i, 1] - new_centers[j, 1],
-            )
-            gap_widths[(i, j)] = d - new_radii[i] - new_radii[j]
+    d = np.hypot(new_centers[i, 0] - new_centers[j, 0], new_centers[i, 1] - new_centers[j, 1])
+    gaps = d - new_radii[i] - new_radii[j]
+    gap_widths = dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
 
     n_b = len(b_sorted)
     b_norm = np.hypot(new_centers[:n_b, 0], new_centers[:n_b, 1])

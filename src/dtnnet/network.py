@@ -11,12 +11,13 @@ follow the square-root gap law; the discrete energy is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from .errors import FloatingComponentError, ModeError, SingularSystemError
 from .geometry import GeometryAnalysis
@@ -36,6 +37,30 @@ class Network:
     def n(self) -> int:
         return self.interior_nodes.shape[0]
 
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """End points (i, j) of the gap edges as index arrays."""
+        ij = np.array(self.gap_edges, dtype=np.intp).reshape(-1, 2)
+        return ij[:, 0], ij[:, 1]
+
+    @cached_property
+    def _kirchhoff(self) -> tuple[scipy.sparse.csc_matrix, scipy.sparse.linalg.SuperLU]:
+        """Reduced Kirchhoff matrix and its LU factors, built on first use.
+
+        A failed connectivity check is not cached, so every solve on a
+        disconnected network raises.
+        """
+        A = _kirchhoff_matrix(self, with_boundary=True)
+        if not _grounded(A, self.boundary_count):
+            raise SingularSystemError(
+                "network has inclusion components with no path to a boundary node"
+            )
+        return A, scipy.sparse.linalg.splu(A)
+
+    def __getstate__(self) -> dict:
+        # SuperLU factors cannot be pickled; a copy refactors on first use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class KirchhoffSolution:
@@ -47,9 +72,11 @@ class KirchhoffSolution:
 def build_network(analysis: GeometryAnalysis, mode: str = "identical") -> Network:
     """Edge conductivities from the gap widths.
 
-    identical:    sigma_ij = pi sqrt(R/delta_ij),  sigma_i = pi sqrt(2R/delta_i)
-    generalized:  sigma_ij = pi sqrt(2 R_i R_j / (delta_ij (R_i + R_j))),
-                  sigma_i  = pi sqrt(2 R_i / delta_i)
+    sigma_ij = pi sqrt(2 R_i R_j / (delta_ij (R_i + R_j))),  sigma_i = pi sqrt(2 R_i / delta_i)
+
+    ``identical`` is this law at equal radii (sigma_ij = pi sqrt(R/delta_ij))
+    and only adds the check that the radii are equal; ``generalized`` allows
+    any radii.
     """
     if mode not in ("identical", "generalized"):
         raise ModeError(f"unknown mode {mode!r}")
@@ -59,66 +86,43 @@ def build_network(analysis: GeometryAnalysis, mode: str = "identical") -> Networ
         if spread > 1e-12 * radii.max():
             raise ModeError("identical mode requires equal radii")
     edges = sorted(analysis.gap_widths)
-    sigmas = np.empty(len(edges))
-    for e, (i, j) in enumerate(edges):
-        delta = analysis.gap_widths[(i, j)]
-        if mode == "identical":
-            sigmas[e] = math.pi * math.sqrt(radii[i] / delta)
-        else:
-            sigmas[e] = math.pi * math.sqrt(
-                2.0 * radii[i] * radii[j] / (delta * (radii[i] + radii[j]))
-            )
+    delta = np.array([analysis.gap_widths[e] for e in edges])
+    r_i, r_j = radii[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
     n_b = analysis.boundary_count
-    # Both modes share the boundary law; identical radii make them coincide.
-    b_sigmas = math.pi * np.sqrt(2.0 * radii[:n_b] / analysis.boundary_gaps)
     return Network(
         interior_nodes=analysis.packing.centers(),
         boundary_nodes=analysis.boundary_nodes,
         boundary_count=n_b,
         gap_edges=tuple(edges),
-        gap_sigmas=sigmas,
-        boundary_sigmas=b_sigmas,
+        gap_sigmas=math.pi * np.sqrt(2.0 * r_i * r_j / (delta * (r_i + r_j))),
+        boundary_sigmas=math.pi * np.sqrt(2.0 * radii[:n_b] / analysis.boundary_gaps),
         boundary_angles=analysis.boundary_angles,
     )
 
 
-def _component_labels(network: Network) -> np.ndarray:
-    n = network.n
-    if network.gap_edges:
-        rows = [i for i, _ in network.gap_edges]
-        cols = [j for _, j in network.gap_edges]
-        adj = scipy.sparse.coo_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-        )
-    else:
-        adj = scipy.sparse.coo_matrix((n, n))
-    _, labels = scipy.sparse.csgraph.connected_components(adj, directed=False)
-    return labels
+def _kirchhoff_matrix(network: Network, with_boundary: bool) -> scipy.sparse.csc_matrix:
+    """Gap Laplacian over the inclusion potentials, plus diag(sigma_b) on the
+    boundary inclusions when ``with_boundary``. CSC conversion sums the
+    duplicate diagonal entries."""
+    i, j = network._ends
+    s = network.gap_sigmas
+    b = np.arange(network.boundary_count if with_boundary else 0)
+    rows = np.concatenate([i, j, i, j, b])
+    cols = np.concatenate([i, j, j, i, b])
+    vals = np.concatenate([s, s, -s, -s, network.boundary_sigmas[b]])
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
+
+
+def _grounded(A: scipy.sparse.spmatrix, n_fixed: int) -> bool:
+    """Whether every connected component of A's graph holds one of the first
+    ``n_fixed`` nodes."""
+    _, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
+    return bool(np.isin(labels, labels[:n_fixed]).all())
 
 
 def check_connected(network: Network) -> None:
-    """Every inclusion component must reach a boundary edge."""
-    labels = _component_labels(network)
-    grounded = set(labels[: network.boundary_count])
-    if set(labels) - grounded:
-        raise SingularSystemError(
-            "network has inclusion components with no path to a boundary node"
-        )
-
-
-def _assemble(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced system over inclusion potentials and the boundary coupling."""
-    n = network.n
-    A = np.zeros((n, n))
-    for (i, j), s in zip(network.gap_edges, network.gap_sigmas):
-        A[i, i] += s
-        A[j, j] += s
-        A[i, j] -= s
-        A[j, i] -= s
-    diag_b = np.zeros(n)
-    diag_b[: network.boundary_count] = network.boundary_sigmas
-    A[np.diag_indices(n)] += diag_b
-    return A, diag_b
+    """Every inclusion component must reach a boundary edge (checked on first factorization)."""
+    _ = network._kirchhoff
 
 
 def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
@@ -127,12 +131,10 @@ def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
         raise ValueError(
             f"psi must have length {network.boundary_count}, got shape {psi.shape}"
         )
-    check_connected(network)
-    A, _ = _assemble(network)
+    A, lu = network._kirchhoff
     b = np.zeros(network.n)
     b[: network.boundary_count] = network.boundary_sigmas * psi
-    cho = scipy.linalg.cho_factor(A)
-    U = scipy.linalg.cho_solve(cho, b)
+    U = lu.solve(b)
     residual = float(np.linalg.norm(A @ U - b))
     energy = net_energy_at(network, psi, U)
     return KirchhoffSolution(U=U, energy=energy, residual_norm=residual)
@@ -140,12 +142,10 @@ def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
 
 def net_energy_at(network: Network, psi: np.ndarray, U: np.ndarray) -> float:
     """Discrete energy at given inclusion potentials (no minimization)."""
-    e = 0.5 * float(
-        np.sum(network.boundary_sigmas * (U[: network.boundary_count] - psi) ** 2)
-    )
-    for (i, j), s in zip(network.gap_edges, network.gap_sigmas):
-        e += 0.5 * s * (U[i] - U[j]) ** 2
-    return e
+    i, j = network._ends
+    d_b = U[: network.boundary_count] - psi
+    d = U[i] - U[j]
+    return 0.5 * float(network.boundary_sigmas @ (d_b * d_b) + network.gap_sigmas @ (d * d))
 
 
 def net_energy(network: Network, psi: np.ndarray) -> float:
@@ -153,16 +153,15 @@ def net_energy(network: Network, psi: np.ndarray) -> float:
 
 
 def dtn_matrix(network: Network) -> np.ndarray:
-    """Schur complement of the full network Laplacian onto the boundary nodes."""
-    check_connected(network)
-    A, _ = _assemble(network)
-    n_b = network.boundary_count
-    # Coupling block: boundary node i connects only to inclusion i.
-    C = np.zeros((n_b, network.n))
-    C[np.arange(n_b), np.arange(n_b)] = network.boundary_sigmas
-    cho = scipy.linalg.cho_factor(A)
-    X = scipy.linalg.cho_solve(cho, C.T)
-    return np.diag(network.boundary_sigmas) - C @ X
+    """Schur complement of the full network Laplacian onto the boundary nodes.
+
+    Boundary node i couples only to inclusion i, so the coupling block is
+    diag(sigma_b) padded with zeros, and one multi-column solve gives it.
+    """
+    _, lu = network._kirchhoff
+    sig = network.boundary_sigmas
+    X = lu.solve(np.eye(network.n, network.boundary_count) * sig)
+    return np.diag(sig) - sig[:, None] * X[: network.boundary_count]
 
 
 def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
@@ -171,30 +170,16 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
     n_b = network.boundary_count
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
-    n = network.n
-    n_int = n - n_b
-    if n_int == 0:
-        e = 0.0
-        for (i, j), s in zip(network.gap_edges, network.gap_sigmas):
-            e += 0.5 * s * (U_gamma[i] - U_gamma[j]) ** 2
-        return e
-    labels = _component_labels(network)
-    fixed = set(labels[:n_b])
-    if set(labels[n_b:]) - fixed:
+    Lg = _kirchhoff_matrix(network, with_boundary=False)
+    if not _grounded(Lg, n_b):
         raise FloatingComponentError(
             "interior inclusions with no gap path to a boundary inclusion"
         )
-    Lg = np.zeros((n, n))
-    for (i, j), s in zip(network.gap_edges, network.gap_sigmas):
-        Lg[i, i] += s
-        Lg[j, j] += s
-        Lg[i, j] -= s
-        Lg[j, i] -= s
-    A_ii = Lg[n_b:, n_b:]
-    A_ib = Lg[n_b:, :n_b]
-    U_int = scipy.linalg.solve(A_ii, -A_ib @ U_gamma, assume_a="pos")
-    U = np.concatenate([U_gamma, U_int])
-    return 0.5 * float(U @ (Lg @ U))
+    U = np.concatenate([U_gamma, np.zeros(network.n - n_b)])
+    if network.n > n_b:
+        A_ii = Lg[n_b:, n_b:]
+        U[n_b:] = scipy.sparse.linalg.splu(A_ii).solve(-(Lg[n_b:, :n_b] @ U_gamma))
+    return net_energy_at(network, U_gamma, U)  # the boundary edges carry no energy
 
 
 def network_to_dict(network: Network) -> dict:

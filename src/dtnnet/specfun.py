@@ -81,28 +81,33 @@ def compute_zeta_constants() -> ZetaConstants:
     return zc
 
 
-def _polylog_half_series(x: float) -> float:
-    """Direct series sum_{n>=1} e^{-n x} / sqrt(n), truncated at 1e-17."""
-    n_max = max(8, int(math.ceil(-math.log(SERIES_TERM_CUTOFF) / x)) + 1)
-    n = np.arange(1, n_max + 1, dtype=float)
-    return float(np.sum(np.exp(-n * x) / np.sqrt(n)))
+def _polylog_half_series(x: np.ndarray) -> np.ndarray:
+    """Direct series sum_{n>=1} e^{-n x} / sqrt(n), truncated at 1e-17 for the
+    smallest x; past its own cutoff an element's terms are below 1e-17 e^{-x}."""
+    n_max = max(8, int(math.ceil(-math.log(SERIES_TERM_CUTOFF) / x.min(initial=np.inf))) + 1)
+    total = np.zeros_like(x)
+    for n in range(1, n_max + 1):
+        total += np.exp(-n * x) / math.sqrt(n)
+    return total
 
 
-def _polylog_half_expansion(x: float) -> float:
+def _polylog_half_expansion(x: np.ndarray) -> np.ndarray:
     zc = compute_zeta_constants()
-    total = math.sqrt(math.pi / x)
-    term = 1.0  # (-x)^j / j!
+    total = np.sqrt(math.pi / x)
+    term = np.ones_like(x)  # (-x)^j / j!
     for j in range(EXPANSION_ORDER + 1):
         total += zc.zeta_half_minus_j[j] * term
         term *= -x / (j + 1)
     return total
 
 
-def polylog_half(x: float) -> float:
-    """Li_{1/2}(e^{-x}) for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
+def polylog_half(x):
+    """Li_{1/2}(e^{-x}) for x > 0, elementwise; a float for scalar input."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError(f"polylog_half needs a positive finite argument, got {x!r}")
-    x = float(x)
-    if x >= CROSSOVER:
-        return _polylog_half_series(x)
-    return _polylog_half_expansion(x)
+    out = np.empty_like(arr)
+    series = arr >= CROSSOVER
+    out[series] = _polylog_half_series(arr[series])
+    out[~series] = _polylog_half_expansion(arr[~series])
+    return float(out) if out.ndim == 0 else out

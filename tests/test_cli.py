@@ -20,6 +20,12 @@ def write_packing(tmp_path, name, obj):
     return str(path)
 
 
+# Nine disjoint disks whose centers lie 1e-9 apart, closer than Qhull separates.
+MERGED_CLUSTER = [
+    {"x": 0.3 + 1e-9 * i, "y": 0.3 + 1e-9 * j, "r": 1e-10} for i in range(3) for j in range(3)
+] + [{"x": -0.5, "y": 0.0, "r": 0.1}]
+
+
 @pytest.fixture
 def ring_file(tmp_path, capsys):
     path = str(tmp_path / "ring.json")
@@ -94,8 +100,9 @@ class TestAnalyze:
         [
             ([{"x": -0.1, "y": 0.0, "r": 0.1}, {"x": 0.1, "y": 0.0, "r": 0.1}], "OverlapError"),
             ([{"x": 0.95, "y": 0.0, "r": 0.1}], "OutsideDomainError"),
+            (MERGED_CLUSTER, "OverlapError"),
         ],
-        ids=["overlap", "outside"],
+        ids=["overlap", "outside", "merged-centers"],
     )
     def test_invalid_packing_exit_2(self, tmp_path, capsys, disks, kind):
         path = write_packing(tmp_path, "invalid.json", {"L": 1.0, "inclusions": disks})

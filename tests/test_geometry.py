@@ -83,6 +83,17 @@ class TestValidatePacking:
         with pytest.raises(EmptyPackingError):
             validate_packing(Packing(1.0, ()))
 
+    def test_merged_centers_rejected(self):
+        # The disks are disjoint, but Qhull merges centers 1e-9 apart at L = 1.
+        cluster = tuple(
+            Disk(0.3 + 1e-9 * i, 0.3 + 1e-9 * j, 1e-10) for i in range(3) for j in range(3)
+        )
+        p = Packing(1.0, cluster + (Disk(-0.5, 0.0, 0.1),))
+        with pytest.raises(OverlapError) as exc:
+            analyze(p)
+        assert (exc.value.i, exc.value.j) == (1, 2)
+        assert "Voronoi" in str(exc.value)
+
 
 class TestAdjacency:
     def test_two_disks_always_neighbors(self):

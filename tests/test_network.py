@@ -1,8 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from dtnnet.asymptotics import FourierPotential, total_energy
 from dtnnet.errors import FloatingComponentError, ModeError, SingularSystemError
 from dtnnet.generators import random_packing
 from dtnnet.geometry import Disk, Packing, analyze
@@ -206,13 +209,40 @@ class TestConnectivity:
         net = handmade_chain(with_interior_edges=False)
         with pytest.raises(SingularSystemError):
             check_connected(net)
+        for _ in range(2):  # every solve raises, not only the first
+            with pytest.raises(SingularSystemError):
+                solve_kirchhoff(net, np.array([1.0, 0.0]))
         with pytest.raises(SingularSystemError):
-            solve_kirchhoff(net, np.array([1.0, 0.0]))
+            dtn_matrix(net)
 
     def test_bad_psi_length(self):
         net = handmade_chain()
         with pytest.raises(ValueError):
             solve_kirchhoff(net, np.zeros(3))
+
+
+class TestFactorization:
+    def test_one_factorization_per_network(self, ring8, monkeypatch):
+        calls = []
+        real = scipy.sparse.linalg.splu
+
+        def spy(A, *args, **kwargs):
+            calls.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        a = analyze(ring8)
+        net = build_network(a, mode="identical")
+        for k in range(1, 21):
+            total_energy(FourierPotential.single_cos(k), a, net)
+        dtn_matrix(net)
+        assert calls == [(net.n, net.n)]
+
+    def test_solved_network_pickles(self, ring8):
+        net = build_network(analyze(ring8), mode="identical")
+        lam = dtn_matrix(net)
+        copy = pickle.loads(pickle.dumps(net))
+        assert np.array_equal(dtn_matrix(copy), lam)
 
 
 class TestSerialization:

@@ -64,6 +64,20 @@ class TestPolylogHalf:
             with pytest.raises(DomainError):
                 polylog_half(bad)
 
+    def test_array_matches_scalar_calls(self):
+        xs = np.concatenate([np.logspace(-4, math.log10(50.0), 60), [0.5 - 1e-13, 0.5, 0.5 + 1e-13]])
+        vals = polylog_half(xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        scalar = np.array([polylog_half(float(x)) for x in xs])
+        assert isinstance(polylog_half(float(xs[0])), float)
+        assert np.all(np.abs(vals - scalar) <= 1e-15 * np.abs(scalar))
+        assert np.array_equal(polylog_half(xs.reshape(7, 9)), vals.reshape(7, 9))
+
+    def test_array_rejects_any_bad_element(self):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                polylog_half(np.array([0.1, 2.0, bad, 30.0]))
+
     def test_monotone_decreasing(self):
         xs = np.logspace(-4, 1.5, 200)
         vals = [polylog_half(float(x)) for x in xs]
