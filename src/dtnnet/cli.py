@@ -188,6 +188,7 @@ def _validate_one(path: str, psi, mode: str, M: int, delta_max_edge) -> dict:
         q_oracle = 2.0 * sol.energy
         entry["quad_form_oracle"] = q_oracle
         entry["oracle_residual"] = sol.boundary_residual
+        entry["oracle_condition"] = sol.condition
         if q_oracle != 0.0:
             entry["relative_difference"] = abs(breakdown.quad_form - q_oracle) / abs(q_oracle)
         else:

@@ -6,13 +6,16 @@ harmonics carry zero net flux through any circle enclosing their center,
 so the conservation condition on each inclusion holds identically and no
 logarithmic terms are needed. The boundary conditions (given trace on the
 outer circle, unknown constants on the inclusion circles) are enforced by
-oversampled least-squares collocation.
+oversampled least-squares collocation, solved once per (packing, M) for
+every outer-trace mode; boundary data up to frequency M combine them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -45,69 +48,87 @@ class SpectralSolution:
         return _evaluate_field(self, zc)
 
 
-def _basis_columns(
-    zc: np.ndarray, packing: Packing, M: int
-) -> np.ndarray:
+def _powers(w: np.ndarray, M: int):
+    """Yield w^1..w^M, each the previous power times w, as a per-point loop would.
+
+    np.cumprod runs complex products through a kernel that can differ in the
+    last bit, and holding all M powers at once would need M times the memory.
+    """
+    p = w
+    for _ in range(M):
+        yield p
+        p = p * w
+
+
+def _basis_columns(zc: np.ndarray, packing: Packing, M: int) -> np.ndarray:
     """Collocation matrix block for the harmonic basis (no U columns)."""
     npts = zc.shape[0]
-    L = packing.L
-    n = packing.n
-    cols = np.empty((npts, (2 * M + 1) + 2 * M * n))
-    q = zc / L
-    powers = np.empty((npts, M + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    for m in range(1, M + 1):
-        powers[:, m] = powers[:, m - 1] * q
-    cols[:, : M + 1] = powers.real
-    cols[:, M + 1 : 2 * M + 1] = powers[:, 1:].imag
-    off = 2 * M + 1
-    for i, disk in enumerate(packing.inclusions):
-        w = disk.r / (zc - (disk.x + 1j * disk.y))
-        p = w.copy()
-        for m in range(M):
-            cols[:, off + 2 * i * M + m] = p.real
-            cols[:, off + (2 * i + 1) * M + m] = -p.imag
-            p = p * w
+    cols = np.empty((npts, (2 * M + 1) + 2 * M * packing.n))
+    cols[:, 0] = 1.0
+    inc = cols[:, 2 * M + 1 :].reshape(npts, packing.n, 2, M)  # a view: (cos, sin) per disk
+    w = packing.radii() / (zc[:, None] - packing.centers() @ np.array([1.0, 1j]))
+    for m, (q, p) in enumerate(zip(_powers(zc / packing.L, M), _powers(w, M))):
+        cols[:, 1 + m] = q.real
+        cols[:, M + 1 + m] = q.imag
+        inc[:, :, 0, m] = p.real
+        inc[:, :, 1, m] = -p.imag
     return cols
 
 
 def _evaluate_field(sol: SpectralSolution, zc: np.ndarray) -> np.ndarray:
-    shape = zc.shape
-    flat = zc.reshape(-1)
-    cols = _basis_columns(flat, sol.packing, sol.M)
-    coeffs = _pack_coeffs(sol)
-    return (cols @ coeffs).reshape(shape)
+    coeffs = np.concatenate([sol.domain_cos, sol.domain_sin,
+                             np.stack([sol.inclusion_cos, sol.inclusion_sin], 1).ravel()])
+    return (_basis_columns(zc.reshape(-1), sol.packing, sol.M) @ coeffs).reshape(zc.shape)
 
 
-def _pack_coeffs(sol: SpectralSolution) -> np.ndarray:
-    parts = [sol.domain_cos, sol.domain_sin]
-    for i in range(sol.packing.n):
-        parts.append(sol.inclusion_cos[i])
-        parts.append(sol.inclusion_sin[i])
-    return np.concatenate(parts)
+def _modes(theta: np.ndarray, M: int) -> np.ndarray:
+    """The outer-trace modes cos 0..M, sin 1..M sampled at theta."""
+    arg = np.multiply.outer(theta, np.arange(M + 1))
+    return np.hstack([np.cos(arg), np.sin(arg[:, 1:])])
 
 
-def _normal_derivative_on_gamma(
-    sol: SpectralSolution, theta: np.ndarray
-) -> np.ndarray:
-    """Radial derivative of the potential on the outer circle."""
-    L = sol.packing.L
-    zc = L * np.exp(1j * theta)
+def _mode_vector(psi: FourierPotential, M: int) -> np.ndarray:
+    """Coefficients of psi on the modes of ``_modes``."""
+    c = np.zeros(2 * M + 1)
+    c[: psi.K + 1] = psi.cos_coeffs
+    c[M + 1 : M + 1 + psi.K] = psi.sin_coeffs[1:]
+    return c
+
+
+def _flux_table(packing: Packing, coeffs: np.ndarray, M: int, n_q: int) -> np.ndarray:
+    """Radial derivative on the outer circle at n_q nodes of each mode's solution."""
+    L = packing.L
+    theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
     nhat = np.exp(1j * theta)
-    m = np.arange(1, sol.M + 1)
-    # Domain harmonics: d/dn Re/Im (z/L)^m = (m/L) cos/sin(m theta).
+    m = np.arange(1, M + 1)
     arg = np.multiply.outer(theta, m)
-    out = (np.cos(arg) * (m / L)) @ sol.domain_cos[1:]
-    out += (np.sin(arg) * (m / L)) @ sol.domain_sin
-    # Inclusion harmonics via the holomorphic derivative.
-    for i, disk in enumerate(sol.packing.inclusions):
-        w = zc - (disk.x + 1j * disk.y)
-        for mm in range(1, sol.M + 1):
-            fprime = -mm * disk.r**mm * w ** (-mm - 1)
-            fn = fprime * nhat
-            out += sol.inclusion_cos[i, mm - 1] * fn.real
-            out += sol.inclusion_sin[i, mm - 1] * (-fn.imag)
-    return out
+    D = np.zeros((n_q, (2 * M + 1) + 2 * M * packing.n))
+    # Domain harmonics: d/dn Re/Im (z/L)^m = (m/L) cos/sin(m theta).
+    D[:, 1 : M + 1] = np.cos(arg) * (m / L)
+    D[:, M + 1 : 2 * M + 1] = np.sin(arg) * (m / L)
+    # Inclusion harmonics: d/dz (R/(z - x))^m = -m (R/(z - x))^m / (z - x).
+    d = L * nhat[:, None] - packing.centers() @ np.array([1.0, 1j])
+    inc = D[:, 2 * M + 1 :].reshape(n_q, packing.n, 2, M)
+    n_over_d = nhat[:, None] / d
+    for k, p in enumerate(_powers(packing.radii() / d, M)):
+        fn = -(k + 1) * p * n_over_d
+        inc[:, :, 0, k] = fn.real
+        inc[:, :, 1, k] = -fn.imag
+    return D @ coeffs[: D.shape[1]]
+
+
+def _circle_points(packing: Packing, t_outer: np.ndarray, t_inner: np.ndarray):
+    """Points at angles t_outer on the outer circle, then t_inner on each inclusion."""
+    yield packing.L * np.exp(1j * t_outer)
+    for disk in packing.inclusions:
+        yield (disk.x + 1j * disk.y) + disk.r * np.exp(1j * t_inner)
+
+
+class _Operator(NamedTuple):
+    coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
+    residual: np.ndarray  # (check points, 2M+1): collocation error of each mode
+    flux: np.ndarray  # (max(8M, 64), 2M+1): flux table of each mode
+    condition: float
 
 
 def _min_gap_ratio(packing: Packing) -> float:
@@ -124,98 +145,87 @@ def _min_gap_ratio(packing: Packing) -> float:
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
-def solve_dirichlet(
-    packing: Packing, psi: FourierPotential, M: int
-) -> SpectralSolution:
-    """Least-squares collocation solve of the composite Dirichlet problem."""
-    if M < psi.K:
-        raise ValueError(f"truncation M = {M} is below the max frequency K = {psi.K}")
+@lru_cache(maxsize=1)
+def _operator(packing: Packing, M: int) -> _Operator:
+    """Collocation solve of every outer-trace mode: one least-squares call.
+
+    The matrix is freed before returning; only O(2M+1) columns per unknown
+    and per check point are kept, read-only. A refusal raises, so it is not
+    cached and a refused packing is refused on every call.
+    """
     n = packing.n
     if n > 0 and _min_gap_ratio(packing) < GAP_GUARD:
         raise IllConditionedError(
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
         )
-    L = packing.L
     n_per = 4 * M
     n_basis = (2 * M + 1) + 2 * M * n
     n_unknown = n_basis + n
-    rows = n_per * (n + 1)
-    A = np.zeros((rows, n_unknown))
-    b = np.zeros(rows)
+    n_chk = 8 * M
+    # The kept tables come before the matrix, so that the matrix and the
+    # solver's workspace lie above them on the heap and can be released.
+    X = np.empty((n_unknown, 2 * M + 1))
+    residual = np.empty((n_chk * (n + 1), 2 * M + 1))
+    flux = np.empty((max(8 * M, 64), 2 * M + 1))
+    A = np.zeros((n_per * (n + 1), n_unknown))
+    B = np.zeros((n_per * (n + 1), 2 * M + 1))
+    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
+    # Offset avoids symmetric aliasing against the outer-circle points.
+    for i, z in enumerate(_circle_points(packing, t, t + math.pi / n_per)):
+        A[i * n_per : (i + 1) * n_per, :n_basis] = _basis_columns(z, packing, M)
+    A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
+    B[:n_per] = _modes(t, M)
 
-    theta_g = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    zg = L * np.exp(1j * theta_g)
-    A[:n_per, :n_basis] = _basis_columns(zg, packing, M)
-    b[:n_per] = psi.evaluate(theta_g)
-
-    for i, disk in enumerate(packing.inclusions):
-        # Offset avoids symmetric aliasing against the outer-circle points.
-        phi = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False) + math.pi / n_per
-        zi = (disk.x + 1j * disk.y) + disk.r * np.exp(1j * phi)
-        r0 = n_per * (i + 1)
-        A[r0 : r0 + n_per, :n_basis] = _basis_columns(zi, packing, M)
-        A[r0 : r0 + n_per, n_basis + i] = -1.0
-
-    coeffs, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
+    X[...], _, rank, sv = np.linalg.lstsq(A, B, rcond=None)
+    del A, B
     if sv[0] > 0 and (rank < n_unknown or sv[0] / sv[-1] > CONDITION_LIMIT):
         raise IllConditionedError(
             f"collocation system condition estimate {sv[0] / sv[-1]:.3g} exceeds "
             f"{CONDITION_LIMIT:.0e}"
         )
-    cond = float(sv[0] / sv[-1])
 
-    dc = coeffs[: M + 1]
-    ds = coeffs[M + 1 : 2 * M + 1]
-    inc_c = np.empty((n, M))
-    inc_s = np.empty((n, M))
-    off = 2 * M + 1
-    for i in range(n):
-        inc_c[i] = coeffs[off + 2 * i * M : off + (2 * i + 1) * M]
-        inc_s[i] = coeffs[off + (2 * i + 1) * M : off + (2 * i + 2) * M]
-    U = coeffs[n_basis:]
+    # Residual on denser, shifted check points: the trace error on the outer
+    # circle, then the deviation from the constant U_i on each inclusion.
+    t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
+    t_outer = t + 0.5 * math.pi / n_chk
+    targets = [_modes(t_outer, M), *X[n_basis:]]
+    for i, (z, y) in enumerate(zip(_circle_points(packing, t_outer, t), targets)):
+        residual[i * n_chk : (i + 1) * n_chk] = _basis_columns(z, packing, M) @ X[:n_basis] - y
+    flux[...] = _flux_table(packing, X, M, len(flux))
+    for a in (X, residual, flux):
+        a.flags.writeable = False
+    return _Operator(X, residual, flux, float(sv[0] / sv[-1]))
 
-    sol = SpectralSolution(
-        packing=packing,
-        M=M,
-        domain_cos=dc,
-        domain_sin=ds,
-        inclusion_cos=inc_c,
-        inclusion_sin=inc_s,
-        U=U,
-        energy=0.0,
-        boundary_residual=0.0,
-        condition=cond,
-    )
 
-    # Residual on denser, shifted check points.
-    n_chk = 8 * M
-    theta_c = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False) + 0.5 * math.pi / n_chk
-    resid = float(
-        np.max(np.abs(_evaluate_field(sol, L * np.exp(1j * theta_c)) - psi.evaluate(theta_c)))
-    )
-    for i, disk in enumerate(packing.inclusions):
-        phi = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
-        zi = (disk.x + 1j * disk.y) + disk.r * np.exp(1j * phi)
-        resid = max(resid, float(np.max(np.abs(_evaluate_field(sol, zi) - U[i]))))
+def _boundary_flux(packing: Packing, M: int, K: int) -> tuple[_Operator, np.ndarray, np.ndarray]:
+    """The operator, the nodes of the max(8M, 8(K+1), 64)-point rule, their flux table.
 
+    Only K = M needs more nodes than the cached table; that table is built per call.
+    """
+    if M < K:
+        raise ValueError(f"truncation M = {M} is below the max frequency K = {K}")
+    op = _operator(packing, M)
+    n_q = max(8 * M, 8 * (K + 1), 64)
+    flux = op.flux if n_q == op.flux.shape[0] else _flux_table(packing, op.coeffs, M, n_q)
+    return op, np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False), flux
+
+
+def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> SpectralSolution:
+    """Least-squares collocation solve of the composite Dirichlet problem."""
+    op, theta_q, flux = _boundary_flux(packing, M, psi.K)
+    c = _mode_vector(psi, M)
+    n_basis = (2 * M + 1) + 2 * M * packing.n
+    coeffs = op.coeffs @ c
+    inc = coeffs[2 * M + 1 : n_basis].reshape(packing.n, 2, M)
     # Energy from the boundary flux integral, periodic trapezoid rule.
-    n_q = max(8 * M, 8 * (psi.K + 1), 64)
-    theta_q = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
-    dn = _normal_derivative_on_gamma(sol, theta_q)
-    energy = 0.5 * L * (2.0 * math.pi / n_q) * float(np.sum(psi.evaluate(theta_q) * dn))
-
+    dn = flux @ c
+    energy = 0.5 * packing.L * (2.0 * math.pi / len(theta_q)) * float(
+        np.sum(psi.evaluate(theta_q) * dn))
     return SpectralSolution(
-        packing=packing,
-        M=M,
-        domain_cos=dc,
-        domain_sin=ds,
-        inclusion_cos=inc_c,
-        inclusion_sin=inc_s,
-        U=U,
-        energy=energy,
-        boundary_residual=resid,
-        condition=cond,
+        packing=packing, M=M, domain_cos=coeffs[: M + 1], domain_sin=coeffs[M + 1 : 2 * M + 1],
+        inclusion_cos=inc[:, 0], inclusion_sin=inc[:, 1], U=coeffs[n_basis:], energy=energy,
+        boundary_residual=float(np.max(np.abs(op.residual @ c))), condition=op.condition,
     )
 
 
@@ -227,23 +237,12 @@ def quad_form_oracle(packing: Packing, psi: FourierPotential, M: int) -> float:
 def cross_form_oracle(
     packing: Packing, psi_a: FourierPotential, psi_b: FourierPotential, M: int
 ) -> float:
-    """Off-diagonal DtN form by polarization of the quadratic forms."""
-    K = max(psi_a.K, psi_b.K)
-
-    def pad(p: FourierPotential) -> tuple[np.ndarray, np.ndarray]:
-        c = np.zeros(K + 1)
-        s = np.zeros(K + 1)
-        c[: p.K + 1] = p.cos_coeffs
-        s[: p.K + 1] = p.sin_coeffs
-        return c, s
-
-    ca, sa = pad(psi_a)
-    cb, sb = pad(psi_b)
-    combined = FourierPotential(ca + cb, sa + sb)
-    q_ab = quad_form_oracle(packing, combined, M)
-    q_a = quad_form_oracle(packing, psi_a, M)
-    q_b = quad_form_oracle(packing, psi_b, M)
-    return 0.5 * (q_ab - q_a - q_b)
+    """Off-diagonal DtN form: the symmetrized flux of each solution against the other."""
+    _, theta_q, flux = _boundary_flux(packing, M, max(psi_a.K, psi_b.K))
+    dn_a = flux @ _mode_vector(psi_a, M)
+    dn_b = flux @ _mode_vector(psi_b, M)
+    return (0.5 * packing.L * (2.0 * math.pi / len(theta_q))
+            * float(psi_a.evaluate(theta_q) @ dn_b + psi_b.evaluate(theta_q) @ dn_a))
 
 
 def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:

@@ -180,6 +180,8 @@ class TestValidate:
         assert code == 0
         entry = json.loads(out)["results"][0]
         assert entry["relative_difference"] <= 1e-8
+        assert math.isfinite(entry["oracle_condition"])
+        assert entry["oracle_condition"] >= 1.0
 
     def test_guarded_geometry_refuses_oracle(self, tmp_path, capsys):
         path = write_packing(
@@ -195,6 +197,7 @@ class TestValidate:
         entry = json.loads(out)["results"][0]
         assert "oracle_refused" in entry
         assert "quad_form_asymptotic" in entry
+        assert "oracle_condition" not in entry
 
     def test_oracle_m_below_frequency_exit_2(self, empty_file, capsys):
         code, _, err = run(capsys, "validate", "--packing", empty_file,

@@ -7,6 +7,7 @@ from dtnnet.asymptotics import FourierPotential
 from dtnnet.errors import DomainError, IllConditionedError
 from dtnnet.generators import ring_packing
 from dtnnet.geometry import Disk, Packing
+from dtnnet import oracle
 from dtnnet.oracle import (
     cross_form_oracle,
     gap_energy_quadrature,
@@ -76,6 +77,88 @@ class TestCrossForm:
         a = FourierPotential.single_cos(3)
         q = quad_form_oracle(p, a, M=16)
         assert cross_form_oracle(p, a, a, M=16) == pytest.approx(q, rel=1e-8)
+
+
+def reference_basis_columns(zc, packing, M):
+    """The collocation columns built one (disk, power) at a time."""
+    cols = np.empty((zc.shape[0], (2 * M + 1) + 2 * M * packing.n))
+    q = zc / packing.L
+    powers = np.empty((zc.shape[0], M + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    for m in range(1, M + 1):
+        powers[:, m] = powers[:, m - 1] * q
+    cols[:, : M + 1] = powers.real
+    cols[:, M + 1 : 2 * M + 1] = powers[:, 1:].imag
+    off = 2 * M + 1
+    for i, disk in enumerate(packing.inclusions):
+        w = disk.r / (zc - (disk.x + 1j * disk.y))
+        p = w.copy()
+        for m in range(M):
+            cols[:, off + 2 * i * M + m] = p.real
+            cols[:, off + (2 * i + 1) * M + m] = -p.imag
+            p = p * w
+    return cols
+
+
+class TestOperatorReuse:
+    RING = ring_packing(8, 0.85, 0.1, 1.0)
+    MIXED = FourierPotential(np.array([0.3, 1.0, -0.5, 0.0, 0.25]),
+                             np.array([0.0, 0.7, 0.0, -0.4, 0.1]))
+
+    def test_one_lstsq_per_packing_and_truncation(self, monkeypatch):
+        shapes = []
+        real = np.linalg.lstsq
+
+        def spy(A, b, **kwargs):
+            shapes.append(A.shape)
+            return real(A, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        oracle._operator.cache_clear()
+        p, M, n = self.RING, 16, self.RING.n
+        for k in (1, 2, 4):
+            solve_dirichlet(p, FourierPotential.single_cos(k), M)
+        quad_form_oracle(p, self.MIXED, M)
+        cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
+        assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
+        solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
+        assert len(shapes) == 2
+
+    def test_solutions_do_not_share_state(self):
+        psi = FourierPotential.single_cos(2)
+        sol = solve_dirichlet(self.RING, psi, 16)
+        U, dc = sol.U.copy(), sol.domain_cos.copy()
+        for arr in (sol.U, sol.domain_cos):
+            try:
+                arr[:] = 123.0
+            except ValueError:
+                pass
+        again = solve_dirichlet(self.RING, psi, 16)
+        assert np.array_equal(again.U, U)
+        assert np.array_equal(again.domain_cos, dc)
+
+    def test_superposition(self):
+        a, b = self.MIXED, FourierPotential.single_cos(3)
+        c = np.zeros(5)
+        c[: b.K + 1] = b.cos_coeffs
+        both = FourierPotential(a.cos_coeffs + c, a.sin_coeffs)
+        q_sum = quad_form_oracle(self.RING, both, 16)
+        q_split = (quad_form_oracle(self.RING, a, 16) + quad_form_oracle(self.RING, b, 16)
+                   + 2.0 * cross_form_oracle(self.RING, a, b, 16))
+        assert q_split == pytest.approx(q_sum, rel=1e-10)
+
+    def test_top_frequency_uses_its_own_rule(self):
+        # K = M needs 8(M + 1) quadrature nodes; the cross form follows suit.
+        psi = FourierPotential.single_cos(12)
+        q = quad_form_oracle(self.RING, psi, 12)
+        assert cross_form_oracle(self.RING, psi, psi, 12) == pytest.approx(q, rel=1e-12)
+
+    def test_basis_columns_match_reference_loop(self):
+        M = 12
+        t = np.linspace(0.0, 2.0 * math.pi, 4 * M, endpoint=False)
+        zc = np.concatenate([np.exp(1j * t), 0.5 * np.exp(1j * (t + 0.1))])
+        assert np.array_equal(oracle._basis_columns(zc, self.RING, M),
+                              reference_basis_columns(zc, self.RING, M))
 
 
 class TestGapQuadrature:
@@ -158,8 +241,9 @@ class TestConvergence:
 class TestGuards:
     def test_tight_gap_refused(self):
         p = Packing(10.0, (Disk(-1.00005, 0.0, 1.0), Disk(1.00005, 0.0, 1.0)))
-        with pytest.raises(IllConditionedError):
-            solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(IllConditionedError):
+                solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
 
     def test_tight_pair_other_than_first_refused(self):
         # Only disks 1 and 2 are closer than GAP_GUARD * R_min.
