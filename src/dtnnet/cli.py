@@ -200,9 +200,9 @@ def _validate_one(path: str, psi, mode: str, M: int, delta_max_edge) -> dict:
 
 def cmd_validate(args) -> int:
     psi = _build_potential(args)
-    if args.oracle_m < psi.K:
+    if args.oracle_m < max(psi.K, 1):
         raise ParseError(
-            f"--oracle-m {args.oracle_m} is below the max potential frequency {psi.K}"
+            f"--oracle-m {args.oracle_m} is below 1 or the max potential frequency {psi.K}"
         )
     entries = [
         _validate_one(p, psi, args.mode, args.oracle_m, args.delta_max_edge)

@@ -10,11 +10,9 @@ Voronoi cell reaches the outer boundary. All indices are 0-based; after
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -116,7 +114,6 @@ def validate_packing(packing: Packing) -> Packing:
     return packing
 
 
-@lru_cache(maxsize=1)
 def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     """Exact Voronoi structure of the centers inside the domain disk.
 
@@ -125,8 +122,7 @@ def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     |x| = L. Four far sites at radius 4L bound every real cell and make
     collinear input full-dimensional; their bisectors with any center lie
     beyond |x| = 1.5L, so they change nothing inside the domain. Qhull merges
-    cocircular centers, so zero-length edges never appear as ridges. The last
-    result is cached for ``classify_boundary``; do not modify it.
+    cocircular centers, so zero-length edges never appear as ridges.
     """
     n, L = packing.n, packing.L
     centers = packing.centers()
@@ -159,100 +155,73 @@ def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(sites[real & near], axis=1), boundary[:n]
 
 
-def compute_adjacency(packing: Packing) -> tuple[frozenset[int], ...]:
-    """Voronoi neighbor sets of the inclusion centers, clipped to the domain."""
-    neighbors: list[set[int]] = [set() for _ in range(packing.n)]
-    for i, j in _clipped_voronoi(packing)[0].tolist():
+def _neighbor_sets(n: int, pairs) -> tuple[frozenset[int], ...]:
+    """Neighbor sets of n disks from an iterable of pairs (i, j)."""
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
         neighbors[i].add(j)
         neighbors[j].add(i)
     return tuple(frozenset(s) for s in neighbors)
 
 
-def classify_boundary(
-    packing: Packing, neighbor_sets: tuple[frozenset[int], ...]
-) -> GeometryAnalysis:
+def compute_adjacency(packing: Packing) -> tuple[frozenset[int], ...]:
+    """Voronoi neighbor sets of the inclusion centers, clipped to the domain."""
+    return _neighbor_sets(packing.n, _clipped_voronoi(packing)[0].tolist())
+
+
+def classify_boundary(packing: Packing) -> GeometryAnalysis:
     """Identify boundary inclusions and renumber everything boundary-first."""
-    centers = packing.centers()
-    radii = packing.radii()
-    L = packing.L
-    boundary = set(np.nonzero(_clipped_voronoi(packing)[1])[0].tolist())
-
-    def angle_of(idx: int) -> float:
-        x, y = centers[idx]
-        if x == 0.0 and y == 0.0:
-            return 0.0  # disk centered at the origin: conventional angle
-        return math.atan2(y, x) % (2.0 * math.pi)
-
-    b_sorted = sorted(boundary, key=angle_of)
-    angles = [angle_of(i) for i in b_sorted]
-    for a, b in zip(angles, angles[1:]):
-        if a == b:
-            raise DegenerateAngleError(
-                f"two boundary inclusions share the angle {a}; ordering undefined"
-            )
-
-    interior = [i for i in range(packing.n) if i not in boundary]
-    order = b_sorted + interior  # new index -> old index
+    pairs, boundary = _clipped_voronoi(packing)
+    b_old = np.nonzero(boundary)[0]
+    # math.atan2, as np.arctan2 may differ in the last bit; a disk centered at
+    # the origin gets angle 0 by convention.
+    angles = np.array([math.atan2(y, x) % (2.0 * math.pi) if x or y else 0.0
+                       for x, y in packing.centers()[b_old].tolist()])
+    by_angle = np.argsort(angles, kind="stable")
+    angles = angles[by_angle]
+    tied = np.nonzero(np.diff(angles) == 0.0)[0]
+    if tied.size:
+        raise DegenerateAngleError(f"two boundary inclusions share the angle "
+                                   f"{float(angles[tied[0]])}; ordering undefined")
+    order = np.concatenate([b_old[by_angle], np.nonzero(~boundary)[0]])  # new -> old
     inv = np.empty(packing.n, dtype=np.intp)
     inv[order] = np.arange(packing.n)
+    new_packing = replace(packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
+    # Every neighbor pair (i < j) in the new numbering, in lexicographic order.
+    i, j = np.unique(np.sort(inv[pairs], axis=1), axis=0).T
+    centers = new_packing.centers()
+    radii = new_packing.radii()
+    d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+    gap_widths = dict(zip(zip(i.tolist(), j.tolist()), (d - radii[i] - radii[j]).tolist()))
 
-    new_packing = Packing(L=L, inclusions=tuple(packing.inclusions[o] for o in order))
-    new_neighbors = tuple(
-        frozenset(inv[list(neighbor_sets[o])].tolist()) for o in order
-    )
-    # Every neighbor pair (i < j) in the new numbering, sorted.
-    i = np.repeat(inv, [len(s) for s in neighbor_sets])
-    j = inv[np.fromiter(itertools.chain.from_iterable(neighbor_sets), np.intp, i.size)]
-    i, j = np.unique(np.column_stack([i, j])[i < j], axis=0).T
-    new_centers = new_packing.centers()
-    new_radii = new_packing.radii()
-    d = np.hypot(new_centers[i, 0] - new_centers[j, 0], new_centers[i, 1] - new_centers[j, 1])
-    gaps = d - new_radii[i] - new_radii[j]
-    gap_widths = dict(zip(zip(i.tolist(), j.tolist()), gaps.tolist()))
-
-    n_b = len(b_sorted)
-    b_norm = np.hypot(new_centers[:n_b, 0], new_centers[:n_b, 1])
-    boundary_gaps = L - b_norm - new_radii[:n_b]
-    boundary_angles = np.array(angles)
-    boundary_nodes = L * np.column_stack(
-        [np.cos(boundary_angles), np.sin(boundary_angles)]
-    )
+    n_b, L = b_old.size, packing.L
+    boundary_gaps = L - np.hypot(centers[:n_b, 0], centers[:n_b, 1]) - radii[:n_b]
     return GeometryAnalysis(
         packing=new_packing,
-        neighbor_sets=new_neighbors,
+        neighbor_sets=_neighbor_sets(packing.n, gap_widths),
         gap_widths=gap_widths,
         boundary_count=n_b,
         boundary_gaps=boundary_gaps,
-        boundary_angles=boundary_angles,
-        boundary_nodes=boundary_nodes,
+        boundary_angles=angles,
+        boundary_nodes=L * np.column_stack([np.cos(angles), np.sin(angles)]),
     )
 
 
 def analyze(packing: Packing, delta_max_edge: float | None = None) -> GeometryAnalysis:
-    """Validate, compute adjacency, classify the boundary.
+    """Validate the packing and classify its boundary.
 
     ``delta_max_edge`` optionally drops gap edges wider than the given
     threshold (the conductivity of such edges is small anyway).
     """
+    if delta_max_edge is not None and not 0.0 < delta_max_edge < math.inf:
+        raise ParseError(f"delta_max_edge must be positive and finite, got {delta_max_edge}")
     validate_packing(packing)
-    neighbors = compute_adjacency(packing)
-    analysis = classify_boundary(packing, neighbors)
-    if delta_max_edge is not None:
-        kept = {k: v for k, v in analysis.gap_widths.items() if v <= delta_max_edge}
-        sets = [set() for _ in range(analysis.packing.n)]
-        for (i, j) in kept:
-            sets[i].add(j)
-            sets[j].add(i)
-        analysis = GeometryAnalysis(
-            packing=analysis.packing,
-            neighbor_sets=tuple(frozenset(s) for s in sets),
-            gap_widths=kept,
-            boundary_count=analysis.boundary_count,
-            boundary_gaps=analysis.boundary_gaps,
-            boundary_angles=analysis.boundary_angles,
-            boundary_nodes=analysis.boundary_nodes,
-        )
-    return analysis
+    analysis = classify_boundary(packing)
+    if delta_max_edge is None:
+        return analysis
+    kept = {k: v for k, v in analysis.gap_widths.items() if v <= delta_max_edge}
+    return replace(analysis, gap_widths=kept,
+                   neighbor_sets=_neighbor_sets(analysis.packing.n, kept))
 
 
 def scale_report(analysis: GeometryAnalysis) -> ScaleReport:

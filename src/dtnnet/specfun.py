@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError
 
@@ -31,51 +32,11 @@ class ZetaConstants:
     zeta_half_minus_j: tuple[float, ...]  # zeta(1/2 - j) for j = 0..8
 
 
-def _eta_alternating(s: float, terms: int = 64) -> float:
-    """Dirichlet eta via the Euler transform of the alternating series."""
-    row = [(n + 1.0) ** (-s) for n in range(terms)]
-    total = 0.0
-    for k in range(terms):
-        total += row[0] / 2.0 ** (k + 1)
-        row = [row[m] - row[m + 1] for m in range(len(row) - 1)]
-        if not row:
-            break
-    return total
-
-
-def _zeta_via_eta(s: float) -> float:
-    return _eta_alternating(s) / (1.0 - 2.0 ** (1.0 - s))
-
-
-def _zeta_reflected(s: float) -> float:
-    """zeta(s) for s < 0 from the functional equation and zeta(1-s)."""
-    return (
-        2.0**s
-        * math.pi ** (s - 1.0)
-        * math.sin(0.5 * math.pi * s)
-        * math.gamma(1.0 - s)
-        * _zeta_via_eta(1.0 - s)
-    )
-
-
 @lru_cache(maxsize=1)
 def compute_zeta_constants() -> ZetaConstants:
-    """zeta(1/2 - j) for j = 0..8, accurate to better than 1e-12.
-
-    The eta relation is used directly at s = 1/2; for negative s the
-    alternating series loses digits to cancellation in doubles, so those
-    values go through the functional equation instead (the eta series then
-    only runs at s = 1/2 + j where it is benign).
-    """
-    values = []
-    for j in range(EXPANSION_ORDER + 1):
-        s = 0.5 - j
-        values.append(_zeta_via_eta(s) if s > 0 else _zeta_reflected(s))
-    zc = ZetaConstants(
-        zeta_half=values[0],
-        zeta_minus_half=values[1],
-        zeta_half_minus_j=tuple(values),
-    )
+    """zeta(1/2 - j) for j = 0..8 from ``scipy.special.zeta``, within 2e-15 relative."""
+    values = scipy.special.zeta(0.5 - np.arange(EXPANSION_ORDER + 1)).tolist()
+    zc = ZetaConstants(values[0], values[1], tuple(values))
     assert zc.zeta_half < 0.0
     assert zc.zeta_minus_half < 0.0
     return zc

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from dtnnet.cli import main
+from dtnnet.geometry import analyze, load_packing
 
 
 def run(capsys, *argv):
@@ -126,6 +127,21 @@ class TestAnalyze:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_delta_max_edge_keeping_every_gap_changes_nothing(self, ring_file, capsys):
+        widest = max(analyze(load_packing(ring_file)).gap_widths.values())
+        args = ["analyze", "--packing", ring_file, "--cos", "2=1", "--sin", "3=0.5"]
+        code, plain, _ = run(capsys, *args)
+        assert code == 0
+        code, cut, _ = run(capsys, *args, "--delta-max-edge", repr(widest))
+        assert code == 0
+        assert cut == plain
+
+    def test_delta_max_edge_nan_exit_2(self, ring_file, capsys):
+        code, _, err = run(capsys, "analyze", "--packing", ring_file, "--cos", "1=1",
+                           "--delta-max-edge", "nan")
+        assert code == 2
+        assert json.loads(err)["error"] == "ParseError"
+
 
 class TestDtn:
     def test_matrix_shape_and_symmetry(self, ring_file, capsys):
@@ -202,6 +218,12 @@ class TestValidate:
     def test_oracle_m_below_frequency_exit_2(self, empty_file, capsys):
         code, _, err = run(capsys, "validate", "--packing", empty_file,
                            "--cos", "9=1", "--oracle-m", "4")
+        assert code == 2
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_oracle_m_zero_exit_2(self, ring_file, capsys):
+        code, _, err = run(capsys, "validate", "--packing", ring_file,
+                           "--cos", "0=1", "--oracle-m", "0")
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dtnnet import geometry
 from dtnnet.errors import (
     DegenerateAngleError,
     EmptyPackingError,
@@ -173,6 +174,53 @@ class TestClassifyBoundary:
         p = Packing(1.0, (Disk(0.5, 0.0, 0.05), Disk(0.8, 0.0, 0.05)))
         with pytest.raises(DegenerateAngleError):
             analyze(p)
+
+
+class TestOnePass:
+    def test_one_voronoi_per_analyze(self, monkeypatch):
+        built = []
+        real = geometry.Voronoi
+
+        def spy(points, *args, **kwargs):
+            built.append(len(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "Voronoi", spy)
+        p = ORACLE_CASES["n30-seed1"]
+        first = analyze(p)
+        assert built == [p.n + 4]
+        second = analyze(p)  # the same packing again: no hidden cache
+        assert built == [p.n + 4] * 2
+        assert second.gap_widths == first.gap_widths
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_renumbered_neighbors_match_adjacency(self, case):
+        p = ORACLE_CASES[case]
+        a = analyze(p)
+        old = [p.inclusions.index(disk) for disk in a.packing.inclusions]
+        mapped = [frozenset()] * p.n
+        for new, ns in enumerate(a.neighbor_sets):
+            mapped[old[new]] = frozenset(old[j] for j in ns)
+        assert tuple(mapped) == compute_adjacency(p)
+
+
+class TestDeltaMaxEdge:
+    def test_filters_gaps_and_neighbors(self):
+        p = random_packing(n=30, disk_radius=0.05, delta_min=0.01, L=1.0, seed=2)
+        full = analyze(p)
+        cut = float(np.median(list(full.gap_widths.values())))
+        a = analyze(p, delta_max_edge=cut)
+        expected = {k: v for k, v in full.gap_widths.items() if v <= cut}
+        assert 0 < len(expected) < len(full.gap_widths)
+        assert a.gap_widths == expected
+        assert {(i, j) for i in range(p.n) for j in a.neighbor_sets[i] if i < j} == set(expected)
+        assert a.packing == full.packing
+        assert np.array_equal(a.boundary_angles, full.boundary_angles)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.01, float("inf")])
+    def test_rejects_non_positive_or_non_finite(self, ring8, bad):
+        with pytest.raises(ParseError):
+            analyze(ring8, delta_max_edge=bad)
 
 
 class TestScaleReport:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import equal_gap_ring
 
 from dtnnet.asymptotics import FourierPotential
 from dtnnet.errors import DomainError, IllConditionedError
@@ -148,10 +149,21 @@ class TestOperatorReuse:
         assert q_split == pytest.approx(q_sum, rel=1e-10)
 
     def test_top_frequency_uses_its_own_rule(self):
-        # K = M needs 8(M + 1) quadrature nodes; the cross form follows suit.
+        # K = M is integrated by the same 16M-node rule as lower frequencies.
         psi = FourierPotential.single_cos(12)
         q = quad_form_oracle(self.RING, psi, 12)
         assert cross_form_oracle(self.RING, psi, psi, 12) == pytest.approx(q, rel=1e-12)
+
+    def test_flux_rule_does_not_alias_on_symmetric_ring(self):
+        # 8M nodes put this energy 7e-5 relative off the converged value.
+        p, M = equal_gap_ring(16, 0.02), 48
+        psi = FourierPotential.single_cos(1)
+        n_q = 32 * M
+        theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
+        flux = oracle._flux_table(p, oracle._operator(p, M).coeffs, M, n_q)
+        reference = 0.5 * p.L * (2.0 * math.pi / n_q) * float(
+            psi.evaluate(theta) @ (flux @ oracle._mode_vector(psi, M)))
+        assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
 
     def test_basis_columns_match_reference_loop(self):
         M = 12
@@ -262,6 +274,13 @@ class TestGuards:
     def test_truncation_below_max_frequency(self):
         with pytest.raises(ValueError):
             solve_dirichlet(EMPTY, FourierPotential.single_cos(5), M=3)
+
+    def test_truncation_zero_rejected(self):
+        const = FourierPotential(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError):
+            solve_dirichlet(EMPTY, const, M=0)
+        with pytest.raises(ValueError):
+            cross_form_oracle(EMPTY, const, const, M=0)
 
     def test_condition_reported(self):
         p = ring_packing(4, 0.6, 0.1, 1.0)
