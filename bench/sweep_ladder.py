@@ -1,0 +1,115 @@
+"""Time `dtnnet sweep --k-from 1 --k-to 100` in process on the grid ladder.
+
+    PYTHONPATH=src python bench/sweep_ladder.py --label change
+    PYTHONPATH=<other checkout>/src python bench/sweep_ladder.py --label parent
+
+Each run times ``dtnnet.cli.main`` on the hexagonal grids of 61, 265, 1789
+and 7291 disks (L = 1, gap/R = 0.2): the first call, then five more, and
+records their median and minimum. Every call loads the packing,
+runs the geometry, builds the network and writes the CSV, as the command
+line does. The result is merged into ``--out`` under ``--label``, so two
+checkouts measured one after the other share one file. It records the
+thread variables, the Python, numpy and scipy versions, and the git commit
+of the dtnnet that was imported (with a hash of its sources, since a
+working tree can differ from its commit).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import tempfile
+import time
+
+import dtnnet
+from dtnnet import cli, generators, geometry
+
+LADDER = {61: (0.1, 0.02), 265: (0.05, 0.01), 1789: (0.02, 0.004), 7291: (0.01, 0.002)}
+REPEATS = 5
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _git(src: str, *args: str) -> str:
+    try:
+        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def _source(pkg_dir: str) -> dict:
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(pkg_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg_dir, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return {
+        "commit": _git(pkg_dir, "rev-parse", "HEAD"),
+        "dirty": _git(pkg_dir, "status", "--porcelain", "--", ".") not in ("", "unknown"),
+        "sources_sha256": digest.hexdigest(),
+    }
+
+
+def time_grid(n: int, workdir: str) -> dict:
+    packing = generators.grid_packing(*LADDER[n])
+    assert packing.n == n, (packing.n, n)
+    path = os.path.join(workdir, f"grid{n}.json")
+    geometry.save_packing(packing, path)
+    argv = ["sweep", "--packing", path, "--k-from", "1", "--k-to", "100",
+            "--out", os.path.join(workdir, f"grid{n}.csv")]
+    times = []
+    for _ in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"sweep failed on the {n}-disk grid")
+        times.append(time.perf_counter() - t0)
+    return {
+        "n": n,
+        "n_b": geometry.analyze(packing).boundary_count,
+        "first_call_s": times[0],
+        "median_s": statistics.median(times[1:]),
+        "min_s": min(times[1:]),
+        "repeats": REPEATS,
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", default="BENCH_sweep.json")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as workdir:
+        grids = [time_grid(n, workdir) for n in LADDER]
+    run = {
+        "source": _source(os.path.dirname(dtnnet.__file__)),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+        "grids": grids,
+    }
+    doc = {"command": "dtnnet sweep --k-from 1 --k-to 100 (in process)", "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = run
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for g in grids:
+        print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
+              f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s")
+
+
+if __name__ == "__main__":
+    main()

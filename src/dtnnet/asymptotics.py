@@ -19,6 +19,7 @@ from .geometry import GeometryAnalysis
 from .network import (
     Network,
     interior_gap_energy,
+    kirchhoff_response,
     net_energy,
     solve_kirchhoff,
 )
@@ -49,10 +50,7 @@ class FourierPotential:
         return self.cos_coeffs.shape[0] - 1
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.K + 1)
-        arg = np.multiply.outer(theta, k)
-        return np.cos(arg) @ self.cos_coeffs + np.sin(arg) @ self.sin_coeffs
+        return _modes(np.asarray(theta, dtype=float), self.K) @ _mode_vector(self, self.K)
 
     @staticmethod
     def single_cos(k: int, amplitude: float = 1.0) -> "FourierPotential":
@@ -67,6 +65,30 @@ class FourierPotential:
         s = np.zeros(k + 1)
         s[k] = amplitude
         return FourierPotential(np.zeros(k + 1), s)
+
+
+def _modes(theta: np.ndarray, K: int) -> np.ndarray:
+    """The modes cos 0..K, sin 1..K sampled at theta (last axis): the order of
+    every (2K+1)-vector and (2K+1)^2 matrix of the package."""
+    arg = np.multiply.outer(theta, np.arange(K + 1))
+    return np.concatenate([np.cos(arg), np.sin(arg[..., 1:])], axis=-1)
+
+
+def _slots(K: int, M: int) -> np.ndarray:
+    """Positions of the modes of ``_modes(theta, K)`` among those of ``_modes(theta, M)``."""
+    return np.concatenate([np.arange(K + 1), np.arange(M + 1, M + 1 + K)])
+
+
+def _mode_vector(psi: FourierPotential, K: int) -> np.ndarray:
+    """Coefficients of psi on the modes of ``_modes(theta, K)``, K >= psi.K."""
+    c = np.zeros(2 * K + 1)
+    c[_slots(psi.K, K)] = np.concatenate([psi.cos_coeffs, psi.sin_coeffs[1:]])
+    return c
+
+
+def _frequencies(K: int) -> np.ndarray:
+    """The frequency k of each mode of ``_modes(theta, K)``."""
+    return np.concatenate([np.arange(K + 1.0), np.arange(1.0, K + 1.0)])
 
 
 @dataclass(frozen=True)
@@ -107,17 +129,19 @@ def _damping_rates(analysis: GeometryAnalysis) -> np.ndarray:
     return np.sqrt(2.0 * radii * analysis.boundary_gaps) / analysis.packing.L
 
 
+def _damping(analysis: GeometryAnalysis, ks: np.ndarray) -> np.ndarray:
+    """e^{-k mu_i} (N_b, len(ks)): the damping of frequency k at boundary inclusion i."""
+    return np.exp(-np.multiply.outer(_damping_rates(analysis), ks))
+
+
+def _excitation_matrix(analysis: GeometryAnalysis, K: int) -> np.ndarray:
+    """B (N_b, 2K+1): the damped boundary-node potentials of each mode."""
+    return _modes(analysis.boundary_angles, K) * _damping(analysis, _frequencies(K))
+
+
 def boundary_excitation(psi: FourierPotential, analysis: GeometryAnalysis) -> np.ndarray:
-    """Damped boundary-node potentials Psi_i driving the network."""
-    mu = _damping_rates(analysis)
-    theta = analysis.boundary_angles
-    k = np.arange(psi.K + 1)
-    damp = np.exp(-np.multiply.outer(mu, k.astype(float)))  # (N_b, K+1)
-    arg = np.multiply.outer(theta, k)
-    modes = (
-        np.cos(arg) * psi.cos_coeffs[None, :] + np.sin(arg) * psi.sin_coeffs[None, :]
-    )
-    return np.sum(modes * damp, axis=1)
+    """Damped boundary-node potentials Psi = B c driving the network."""
+    return _excitation_matrix(analysis, psi.K) @ _mode_vector(psi, psi.K)
 
 
 def reference_energy(psi: FourierPotential) -> float:
@@ -159,28 +183,74 @@ def resonance_mode(k: int, analysis: GeometryAnalysis, network: Network) -> floa
     return float(np.sum(_resonance_table(analysis, network.boundary_sigmas, [k])))
 
 
-def resonance_general(
-    psi: FourierPotential, analysis: GeometryAnalysis, network: Network
-) -> float:
-    """Resonance of a general potential: damped double sum over mode pairs."""
-    K = psi.K
-    mu = _damping_rates(analysis)
-    theta = analysis.boundary_angles
-    ac, as_ = psi.cos_coeffs, psi.sin_coeffs
+def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> np.ndarray:
+    """R (2K+1, 2K+1): the resonance of psi is c^T R c.
+
+    Mode k of psi is Re((a_k - i b_k) e^{ik theta}), so boundary inclusion i
+    adds W_i e^{i(k-m) theta_i}, W_i(k, m) = e^{-|k-m| mu_i} r_i(min(k, m)),
+    whose real part C fills the cos-cos and sin-sin blocks and whose
+    imaginary part S the cross blocks.
+    """
     k = np.arange(K + 1)
     r = _resonance_table(analysis, network.boundary_sigmas, k)
     km_min = np.minimum.outer(k, k)
     km_diff = np.subtract.outer(k, k).astype(float)
-    cc = np.outer(ac, ac) + np.outer(as_, as_)
-    sc = np.outer(as_, ac) - np.outer(ac, as_)
-    total = 0.0
-    for i in range(analysis.boundary_count):
-        damp = np.exp(-np.abs(km_diff) * mu[i])
-        ang = km_diff * theta[i]
-        total += float(
-            np.sum(damp * r[i, km_min] * (cc * np.cos(ang) + sc * np.sin(ang)))
-        )
-    return total
+    C, S = np.zeros((2, K + 1, K + 1))
+    for i, (mu, theta) in enumerate(zip(_damping_rates(analysis), analysis.boundary_angles)):
+        W = np.exp(-np.abs(km_diff) * mu) * r[i, km_min]
+        C += W * np.cos(km_diff * theta)
+        S += W * np.sin(km_diff * theta)
+    return np.block([[C, -S[:, 1:]], [S[1:], C[1:, 1:]]])
+
+
+def resonance_general(
+    psi: FourierPotential, analysis: GeometryAnalysis, network: Network
+) -> float:
+    """Resonance of a general potential: damped double sum over mode pairs."""
+    c = _mode_vector(psi, psi.K)
+    return float(c @ _resonance_matrix(analysis, network, psi.K) @ c)
+
+
+def dtn_asymptotic(
+    K: int, analysis: GeometryAnalysis | None, network: Network | None
+) -> np.ndarray:
+    """Lambda_asym on the modes cos 0..K, sin 1..K: c^T Lambda_asym c is the
+    asymptotic quad_form 2 (E_net + E_ref + R_res) of psi = c."""
+    lam = np.diag(math.pi * _frequencies(K))
+    if analysis is not None and network is not None:
+        D = kirchhoff_response(network, _excitation_matrix(analysis, K))[1]
+        lam += D.T @ D + 2.0 * _resonance_matrix(analysis, network, K)
+    return lam
+
+
+_SWEEP_BLOCK = 128  # frequencies per network solve, so memory stays O((n + E) * 128)
+
+
+def cosine_sweep(
+    ks: np.ndarray, analysis: GeometryAnalysis | None, network: Network | None
+) -> list[tuple]:
+    """Rows (k, epsilon, eta, regime, E_net, E_ref, R_res, total, quad_form) of
+    the single modes cos(k theta), k in ks: the diagonal of Lambda_asym, from
+    one multi-column network solve per block of the cosine columns of B and
+    the column sums of the resonance table."""
+    ks = np.asarray(ks)
+    e_ref = 0.5 * math.pi * ks
+    e_net, r_res = np.zeros((2, len(ks)))
+    if analysis is None or network is None:
+        modes = [ModeRegime(int(k), 0.0, 0.0, 2) for k in ks]
+    else:
+        for lo in range(0, len(ks), _SWEEP_BLOCK):
+            kb = ks[lo : lo + _SWEEP_BLOCK]
+            B = np.cos(np.multiply.outer(analysis.boundary_angles, kb)) * _damping(analysis, kb)
+            D = kirchhoff_response(network, B)[1]
+            e_net[lo : lo + len(kb)] = 0.5 * np.einsum("ij,ij->j", D, D)
+            r_res[lo : lo + len(kb)] = _resonance_table(
+                analysis, network.boundary_sigmas, kb).sum(axis=0)
+        scales = characteristic_scales(analysis)
+        modes = [_classify(int(k), scales, analysis.packing.L) for k in ks]
+    total = e_net + e_ref + r_res
+    return [(m.k, m.epsilon, m.eta, m.regime, *map(float, row))
+            for m, *row in zip(modes, e_net, e_ref, r_res, total, 2.0 * total)]
 
 
 def characteristic_scales(analysis: GeometryAnalysis) -> tuple[float, float]:

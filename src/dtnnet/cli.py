@@ -141,19 +141,8 @@ def cmd_dtn(args) -> int:
 def cmd_sweep(args) -> int:
     if args.k_to < args.k_from or args.k_from < 0:
         raise ParseError(f"bad sweep range [{args.k_from}, {args.k_to}]")
-    packing, analysis, net = _load_geometry(args.packing, args.mode, args.delta_max_edge)
-    rows = []
-    for k in range(args.k_from, args.k_to + 1):
-        psi = asymptotics.FourierPotential.single_cos(k)
-        bd = asymptotics.total_energy(psi, analysis, net)
-        if analysis is not None:
-            info = bd.per_mode[k]
-            eps, eta, regime = info.epsilon, info.eta, info.regime
-        else:
-            eps, eta, regime = 0.0, 0.0, 2
-        rows.append(
-            [k, eps, eta, regime, bd.E_net, bd.E_ref, bd.R_res, bd.total, bd.quad_form]
-        )
+    _, analysis, net = _load_geometry(args.packing, args.mode, args.delta_max_edge)
+    rows = asymptotics.cosine_sweep(np.arange(args.k_from, args.k_to + 1), analysis, net)
     header = [
         "k", "epsilon", "eta", "regime",
         "E_net", "E_ref", "R_res", "total", "quad_form",
@@ -173,6 +162,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _relative(err: float, scale: float) -> float:
+    return err / scale if scale != 0.0 else err
+
+
 def _validate_one(path: str, psi, mode: str, M: int, delta_max_edge) -> dict:
     packing, analysis, net = _load_geometry(path, mode, delta_max_edge)
     breakdown = asymptotics.total_energy(psi, analysis, net)
@@ -189,10 +182,14 @@ def _validate_one(path: str, psi, mode: str, M: int, delta_max_edge) -> dict:
         entry["quad_form_oracle"] = q_oracle
         entry["oracle_residual"] = sol.boundary_residual
         entry["oracle_condition"] = sol.condition
-        if q_oracle != 0.0:
-            entry["relative_difference"] = abs(breakdown.quad_form - q_oracle) / abs(q_oracle)
-        else:
-            entry["relative_difference"] = abs(breakdown.quad_form - q_oracle)
+        entry["relative_difference"] = _relative(abs(breakdown.quad_form - q_oracle),
+                                                 abs(q_oracle))
+        # Lambda_asym - Lambda_oracle on the modes 0..K of psi.
+        lam_oracle = oracle.dtn_oracle(packing, psi.K, M)
+        err = asymptotics.dtn_asymptotic(psi.K, analysis, net) - lam_oracle
+        entry["dtn_error"] = _relative(float(np.linalg.norm(err)),
+                                       float(np.linalg.norm(lam_oracle)))
+        entry["dtn_error_offdiag"] = float(np.max(np.abs(err - np.diag(np.diag(err)))))
     except IllConditionedError as exc:
         entry["oracle_refused"] = str(exc)
     return entry

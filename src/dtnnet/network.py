@@ -50,7 +50,7 @@ class Network:
         A failed connectivity check is not cached, so every solve on a
         disconnected network raises.
         """
-        A = _kirchhoff_matrix(self, with_boundary=True)
+        A = _kirchhoff_matrix(self)
         if not _grounded(A, self.boundary_count):
             raise SingularSystemError(
                 "network has inclusion components with no path to a boundary node"
@@ -100,16 +100,15 @@ def build_network(analysis: GeometryAnalysis, mode: str = "identical") -> Networ
     )
 
 
-def _kirchhoff_matrix(network: Network, with_boundary: bool) -> scipy.sparse.csc_matrix:
-    """Gap Laplacian over the inclusion potentials, plus diag(sigma_b) on the
-    boundary inclusions when ``with_boundary``. CSC conversion sums the
-    duplicate diagonal entries."""
+def _kirchhoff_matrix(network: Network) -> scipy.sparse.csc_matrix:
+    """Gap Laplacian over the inclusion potentials plus diag(sigma_b) on the
+    boundary inclusions. CSC conversion sums the duplicate diagonal entries."""
     i, j = network._ends
     s = network.gap_sigmas
-    b = np.arange(network.boundary_count if with_boundary else 0)
+    b = np.arange(network.boundary_count)
     rows = np.concatenate([i, j, i, j, b])
     cols = np.concatenate([i, j, j, i, b])
-    vals = np.concatenate([s, s, -s, -s, network.boundary_sigmas[b]])
+    vals = np.concatenate([s, s, -s, -s, network.boundary_sigmas])
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
 
 
@@ -125,27 +124,43 @@ def check_connected(network: Network) -> None:
     _ = network._kirchhoff
 
 
+def kirchhoff_response(network: Network, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusion potentials U (n, p) for the p columns of boundary data Psi (n_b, p),
+    from one solve on the cached factor, and their drops D (see ``_drops``).
+
+    D^T D = Psi^T Lambda_net Psi is twice the discrete energy form, so it is
+    symmetric and PSD by construction; column a alone has |D_a|^2 = 2 E(Psi_a).
+    """
+    _, lu = network._kirchhoff
+    rhs = np.zeros((network.n, Psi.shape[1]))
+    rhs[: network.boundary_count] = network.boundary_sigmas[:, None] * Psi
+    U = lu.solve(rhs)
+    return U, _drops(network, Psi, U)
+
+
+def _drops(network: Network, Psi: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """sqrt(sigma)-weighted potential drops (n_b + E, p) over the boundary edges
+    and the gap edges, for columns of boundary data Psi and inclusion
+    potentials U (no minimization)."""
+    i, j = network._ends
+    d_b = (U[: network.boundary_count] - Psi) * np.sqrt(network.boundary_sigmas)[:, None]
+    d = (U[i] - U[j]) * np.sqrt(network.gap_sigmas)[:, None]
+    return np.concatenate([d_b, d])
+
+
 def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (network.boundary_count,):
         raise ValueError(
             f"psi must have length {network.boundary_count}, got shape {psi.shape}"
         )
-    A, lu = network._kirchhoff
-    b = np.zeros(network.n)
-    b[: network.boundary_count] = network.boundary_sigmas * psi
-    U = lu.solve(b)
-    residual = float(np.linalg.norm(A @ U - b))
-    energy = net_energy_at(network, psi, U)
-    return KirchhoffSolution(U=U, energy=energy, residual_norm=residual)
-
-
-def net_energy_at(network: Network, psi: np.ndarray, U: np.ndarray) -> float:
-    """Discrete energy at given inclusion potentials (no minimization)."""
-    i, j = network._ends
-    d_b = U[: network.boundary_count] - psi
-    d = U[i] - U[j]
-    return 0.5 * float(network.boundary_sigmas @ (d_b * d_b) + network.gap_sigmas @ (d * d))
+    A, _ = network._kirchhoff
+    U, D = kirchhoff_response(network, psi[:, None])
+    U = U[:, 0]
+    r = A @ U
+    r[: network.boundary_count] -= network.boundary_sigmas * psi
+    return KirchhoffSolution(U=U, energy=0.5 * float(D[:, 0] @ D[:, 0]),
+                             residual_norm=float(np.linalg.norm(r)))
 
 
 def net_energy(network: Network, psi: np.ndarray) -> float:
@@ -170,16 +185,19 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
     n_b = network.boundary_count
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
-    Lg = _kirchhoff_matrix(network, with_boundary=False)
-    if not _grounded(Lg, n_b):
+    # diag(sigma_b) sits on the first n_b rows only: the interior blocks are
+    # the gap Laplacian's, and the graph is the same.
+    A = _kirchhoff_matrix(network)
+    if not _grounded(A, n_b):
         raise FloatingComponentError(
             "interior inclusions with no gap path to a boundary inclusion"
         )
     U = np.concatenate([U_gamma, np.zeros(network.n - n_b)])
     if network.n > n_b:
-        A_ii = Lg[n_b:, n_b:]
-        U[n_b:] = scipy.sparse.linalg.splu(A_ii).solve(-(Lg[n_b:, :n_b] @ U_gamma))
-    return net_energy_at(network, U_gamma, U)  # the boundary edges carry no energy
+        U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))
+    # Psi = U_gamma: the boundary edges carry no energy.
+    d = _drops(network, U_gamma[:, None], U[:, None])
+    return 0.5 * float(d[:, 0] @ d[:, 0])
 
 
 def network_to_dict(network: Network) -> dict:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.integrate
 
-from .asymptotics import FourierPotential
+from .asymptotics import FourierPotential, _mode_vector, _modes, _slots
 from .errors import DomainError, IllConditionedError
 from .geometry import Packing, _pair_gaps
 
@@ -81,20 +81,6 @@ def _evaluate_field(sol: SpectralSolution, zc: np.ndarray) -> np.ndarray:
     return (_basis_columns(zc.reshape(-1), sol.packing, sol.M) @ coeffs).reshape(zc.shape)
 
 
-def _modes(theta: np.ndarray, M: int) -> np.ndarray:
-    """The outer-trace modes cos 0..M, sin 1..M sampled at theta."""
-    arg = np.multiply.outer(theta, np.arange(M + 1))
-    return np.hstack([np.cos(arg), np.sin(arg[:, 1:])])
-
-
-def _mode_vector(psi: FourierPotential, M: int) -> np.ndarray:
-    """Coefficients of psi on the modes of ``_modes``."""
-    c = np.zeros(2 * M + 1)
-    c[: psi.K + 1] = psi.cos_coeffs
-    c[M + 1 : M + 1 + psi.K] = psi.sin_coeffs[1:]
-    return c
-
-
 def _flux_table(packing: Packing, coeffs: np.ndarray, M: int, n_q: int) -> np.ndarray:
     """Radial derivative on the outer circle at n_q nodes of each mode's solution."""
     L = packing.L
@@ -127,7 +113,7 @@ def _circle_points(packing: Packing, t_outer: np.ndarray, t_inner: np.ndarray):
 class _Operator(NamedTuple):
     coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
     residual: np.ndarray  # (check points, 2M+1): collocation error of each mode
-    flux: np.ndarray  # (max(16M, 64), 2M+1): flux table of each mode
+    dtn: np.ndarray  # (2M+1, 2M+1): Lambda, c_a^T Lambda c_b is the DtN form
     condition: float
 
 
@@ -145,13 +131,28 @@ def _min_gap_ratio(packing: Packing) -> float:
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
+def _flux_nodes(packing: Packing, M: int) -> int:
+    """Nodes of the trapezoid rule for the boundary flux.
+
+    On |x| = L, disk i's harmonics put flux at every frequency j, decaying
+    like rho^j with rho = |c_i| / L, and the rule aliases frequencies near
+    n_q onto the modes: it needs n_q >= M + log(eps) / log(rho_max)
+    (Trefethen-Weideman 2014). The floor max(16M, 64) keeps the aliasing that
+    8M nodes left (7e-5 on a 16-disk ring at gap/R = 0.02, M = 48) away.
+    """
+    rho = np.hypot(*packing.centers().T).max(initial=0.0) / packing.L
+    tail = math.ceil(math.log(np.finfo(float).eps) / math.log(rho)) if rho > 0.0 else 0
+    return max(16 * M, 64, M + tail)
+
+
 @lru_cache(maxsize=1)
 def _operator(packing: Packing, M: int) -> _Operator:
     """Collocation solve of every outer-trace mode: one least-squares call.
 
     The matrix is freed before returning; only O(2M+1) columns per unknown
-    and per check point are kept, read-only. A refusal raises, so it is not
-    cached and a refused packing is refused on every call.
+    and per check point, and the (2M+1)^2 DtN matrix, are kept, read-only.
+    A refusal raises, so it is not cached and a refused packing is refused
+    on every call.
     """
     n = packing.n
     if n > 0 and _min_gap_ratio(packing) < GAP_GUARD:
@@ -167,7 +168,7 @@ def _operator(packing: Packing, M: int) -> _Operator:
     # solver's workspace lie above them on the heap and can be released.
     X = np.empty((n_unknown, 2 * M + 1))
     residual = np.empty((n_chk * (n + 1), 2 * M + 1))
-    flux = np.empty((max(16 * M, 64), 2 * M + 1))
+    dtn = np.empty((2 * M + 1, 2 * M + 1))
     A = np.zeros((n_per * (n + 1), n_unknown))
     B = np.zeros((n_per * (n + 1), 2 * M + 1))
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
@@ -192,58 +193,55 @@ def _operator(packing: Packing, M: int) -> _Operator:
     targets = [_modes(t_outer, M), *X[n_basis:]]
     for i, (z, y) in enumerate(zip(_circle_points(packing, t_outer, t), targets)):
         residual[i * n_chk : (i + 1) * n_chk] = _basis_columns(z, packing, M) @ X[:n_basis] - y
-    flux[...] = _flux_table(packing, X, M, len(flux))
-    for a in (X, residual, flux):
+    # Lambda = sym(L (2 pi / n_q) Modes(theta_q)^T flux), periodic trapezoid rule.
+    n_q = _flux_nodes(packing, M)
+    theta_q = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
+    flux = _flux_table(packing, X, M, n_q)
+    form = (packing.L * 2.0 * math.pi / n_q) * (_modes(theta_q, M).T @ flux)
+    dtn[...] = 0.5 * (form + form.T)
+    for a in (X, residual, dtn):
         a.flags.writeable = False
-    return _Operator(X, residual, flux, float(sv[0] / sv[-1]))
+    return _Operator(X, residual, dtn, float(sv[0] / sv[-1]))
 
 
-def _boundary_flux(packing: Packing, M: int, K: int) -> tuple[_Operator, np.ndarray]:
-    """The operator and the nodes of its max(16M, 64)-point flux rule.
-
-    The inclusion harmonics put flux at every frequency; the trapezoid rule
-    aliases frequencies near n_q onto psi. With 8M nodes that error reaches
-    7e-5 relative on a 16-disk ring at gap/R = 0.02 (M = 48); with 16M it is
-    rounding noise.
-    """
+def _checked_operator(packing: Packing, M: int, K: int) -> _Operator:
     if M < max(K, 1):
         raise ValueError(f"truncation M = {M} is below 1 or the max frequency K = {K}")
-    op = _operator(packing, M)
-    return op, np.linspace(0.0, 2.0 * math.pi, op.flux.shape[0], endpoint=False)
+    return _operator(packing, M)
 
 
 def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> SpectralSolution:
     """Least-squares collocation solve of the composite Dirichlet problem."""
-    op, theta_q = _boundary_flux(packing, M, psi.K)
+    op = _checked_operator(packing, M, psi.K)
     c = _mode_vector(psi, M)
     n_basis = (2 * M + 1) + 2 * M * packing.n
     coeffs = op.coeffs @ c
     inc = coeffs[2 * M + 1 : n_basis].reshape(packing.n, 2, M)
-    # Energy from the boundary flux integral, periodic trapezoid rule.
-    dn = op.flux @ c
-    energy = 0.5 * packing.L * (2.0 * math.pi / len(theta_q)) * float(
-        np.sum(psi.evaluate(theta_q) * dn))
     return SpectralSolution(
         packing=packing, M=M, domain_cos=coeffs[: M + 1], domain_sin=coeffs[M + 1 : 2 * M + 1],
-        inclusion_cos=inc[:, 0], inclusion_sin=inc[:, 1], U=coeffs[n_basis:], energy=energy,
+        inclusion_cos=inc[:, 0], inclusion_sin=inc[:, 1], U=coeffs[n_basis:],
+        energy=0.5 * float(c @ op.dtn @ c),
         boundary_residual=float(np.max(np.abs(op.residual @ c))), condition=op.condition,
     )
 
 
 def quad_form_oracle(packing: Packing, psi: FourierPotential, M: int) -> float:
     """Twice the continuum energy: the DtN quadratic form."""
-    return 2.0 * solve_dirichlet(packing, psi, M).energy
+    return cross_form_oracle(packing, psi, psi, M)
 
 
 def cross_form_oracle(
     packing: Packing, psi_a: FourierPotential, psi_b: FourierPotential, M: int
 ) -> float:
-    """Off-diagonal DtN form: the symmetrized flux of each solution against the other."""
-    op, theta_q = _boundary_flux(packing, M, max(psi_a.K, psi_b.K))
-    dn_a = op.flux @ _mode_vector(psi_a, M)
-    dn_b = op.flux @ _mode_vector(psi_b, M)
-    return (0.5 * packing.L * (2.0 * math.pi / len(theta_q))
-            * float(psi_a.evaluate(theta_q) @ dn_b + psi_b.evaluate(theta_q) @ dn_a))
+    """Off-diagonal DtN form c_a^T Lambda c_b."""
+    op = _checked_operator(packing, M, max(psi_a.K, psi_b.K))
+    return float(_mode_vector(psi_a, M) @ op.dtn @ _mode_vector(psi_b, M))
+
+
+def dtn_oracle(packing: Packing, K: int, M: int) -> np.ndarray:
+    """Lambda on the modes cos 0..K, sin 1..K, as ``asymptotics.dtn_asymptotic``."""
+    idx = _slots(K, M)
+    return _checked_operator(packing, M, K).dtn[np.ix_(idx, idx)]
 
 
 def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:

@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import equal_gap_ring
 
 from dtnnet.errors import DomainError
-from dtnnet.generators import ring_packing
+from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, GeometryAnalysis, Packing, analyze
 from dtnnet.network import build_network
 from dtnnet.asymptotics import (
     FourierPotential,
     boundary_excitation,
     boundary_layer_energy,
+    cosine_sweep,
+    dtn_asymptotic,
     reference_energy,
     regime_classify,
     regime_estimate,
@@ -250,6 +253,76 @@ class TestTotalEnergy:
             FourierPotential(c_rot, s_rot), a1, build_network(a1, "identical")
         ).quad_form
         assert q1 == pytest.approx(q0, rel=1e-10)
+
+
+def mode_vector(psi: FourierPotential) -> np.ndarray:
+    return np.concatenate([psi.cos_coeffs, psi.sin_coeffs[1:]])
+
+
+class TestDtnMatrix:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quadratic_form_is_the_three_term_total(self, seed):
+        p = random_packing(20, 0.08, 0.01, 1.0, seed=seed)
+        a = analyze(p)
+        net = build_network(a)
+        rng = np.random.default_rng(seed)
+        for K in range(7):
+            c, s = rng.standard_normal(K + 1), rng.standard_normal(K + 1)
+            s[0] = 0.0
+            psi = FourierPotential(c, s)
+            bd = total_energy(psi, a, net)
+            lam = dtn_asymptotic(K, a, net)
+            cvec = mode_vector(psi)
+            # E_net of a constant is rounding noise: scale by a unit drop on every edge.
+            terms = (abs(bd.E_net) + abs(bd.E_ref) + abs(bd.R_res)
+                     + (cvec @ cvec) * net.gap_sigmas.sum())
+            assert abs(cvec @ lam @ cvec - bd.quad_form) <= 2e-12 * terms
+            assert np.allclose(lam, lam.T, rtol=0.0, atol=1e-14 * np.abs(lam).max())
+
+    def test_empty_packing_is_the_reference_medium(self):
+        lam = dtn_asymptotic(3, None, None)
+        assert np.array_equal(lam, np.diag(math.pi * np.array([0, 1, 2, 3, 1, 2, 3.0])))
+
+    def test_sweep_rows_match_single_mode_totals(self, ring8):
+        a = analyze(ring8)
+        net = build_network(a)
+        rows = cosine_sweep(np.arange(101), a, net)
+        for k, row in enumerate(rows):
+            bd = total_energy(FourierPotential.single_cos(k), a, net)
+            mode = bd.per_mode[k]
+            assert row[:4] == (k, mode.epsilon, mode.eta, mode.regime)
+            terms = abs(bd.E_net) + abs(bd.E_ref) + abs(bd.R_res)
+            want = (bd.E_net, bd.E_ref, bd.R_res, bd.total, bd.quad_form)
+            for got, ref in zip(row[4:], want):
+                assert abs(got - ref) <= 1e-12 * max(abs(ref), terms)
+
+    def test_wide_sweep_matches_single_mode_totals_across_blocks(self, ring8):
+        a = analyze(ring8)
+        net = build_network(a)
+        rows = cosine_sweep(np.arange(1001), a, net)
+        assert [row[0] for row in rows] == list(range(1001))
+        for k in (127, 128, 129, 255, 256, 600, 1000):
+            bd = total_energy(FourierPotential.single_cos(k), a, net)
+            terms = abs(bd.E_net) + abs(bd.E_ref) + abs(bd.R_res)
+            want = (bd.E_net, bd.E_ref, bd.R_res, bd.total, bd.quad_form)
+            for got, ref in zip(rows[k][4:], want):
+                assert abs(got - ref) <= 1e-12 * max(abs(ref), terms)
+
+    def test_wide_sweep_memory_is_bounded(self):
+        # Solving all 4000 columns at once holds the potentials and the
+        # (n_b + E) x 4000 drops (16 MB here); block by block the peak stays
+        # near the size of the rows returned (2 MB).
+        a = analyze(grid_packing(0.1, 0.02))
+        net = build_network(a)
+        ks = np.arange(1, 4001)
+        tracemalloc.start()
+        try:
+            rows = cosine_sweep(ks, a, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(ks)
+        assert peak < 6e6
 
 
 class TestRegimeEstimate:

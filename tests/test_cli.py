@@ -3,10 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dtnnet.asymptotics import dtn_asymptotic
 from dtnnet.cli import main
-from dtnnet.geometry import analyze, load_packing
+from dtnnet.generators import grid_packing
+from dtnnet.geometry import analyze, load_packing, save_packing
+from dtnnet.network import build_network
 
 
 def run(capsys, *argv):
@@ -143,6 +147,50 @@ class TestAnalyze:
         assert json.loads(err)["error"] == "ParseError"
 
 
+def disks(*centers, r=0.1):
+    return {"L": 1.0, "inclusions": [{"x": x, "y": y, "r": r} for x, y in centers]}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "packing",
+        [disks((0.3, 0.0), (0.7, 0.0)), disks((-0.5, 0.0), (0.0, 0.0), (0.5, 0.0))],
+        ids=["one-ray", "collinear-chain"],
+    )
+    def test_shared_boundary_angle_exit_3(self, tmp_path, capsys, packing):
+        path = write_packing(tmp_path, "degenerate.json", packing)
+        code, _, err = run(capsys, "analyze", "--packing", path, "--cos", "1=1")
+        assert code == 3
+        assert json.loads(err)["error"] == "DegenerateAngleError"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze", "--cos", "1=1"], ["sweep", "--k-from", "1", "--k-to", "3"]],
+        ids=["analyze", "sweep"],
+    )
+    def test_disconnected_interior_exit_3(self, tmp_path, capsys, command):
+        # No gap of the 61-disk grid is below 0.001: every interior disk floats.
+        path = str(tmp_path / "grid61.json")
+        save_packing(grid_packing(0.1, 0.02), path)
+        code, _, err = run(capsys, command[0], "--packing", path, *command[1:],
+                           "--delta-max-edge", "0.001")
+        assert code == 3
+        assert json.loads(err)["error"] == "SingularSystemError"
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"L": 1.0, "inclusions": [{"x": NaN, "y": 0.0, "r": 0.1}]}',
+         '{"L": Infinity, "inclusions": [{"x": 0.0, "y": 0.0, "r": 0.1}]}'],
+        ids=["nan-coordinate", "infinite-domain"],
+    )
+    def test_non_finite_json_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "analyze", "--packing", str(path), "--cos", "1=1")
+        assert code == 2
+        assert json.loads(err)["error"] == "ParseError"
+
+
 class TestDtn:
     def test_matrix_shape_and_symmetry(self, ring_file, capsys):
         code, out, _ = run(capsys, "dtn", "--packing", ring_file)
@@ -199,6 +247,28 @@ class TestValidate:
         assert math.isfinite(entry["oracle_condition"])
         assert entry["oracle_condition"] >= 1.0
 
+    def test_empty_packing_dtn_error(self, empty_file, capsys):
+        # Both sides are diag(pi k) over the modes 0..K.
+        code, out, _ = run(capsys, "validate", "--packing", empty_file,
+                           "--cos", "2=1", "--sin", "1=0.5", "--oracle-m", "8")
+        assert code == 0
+        entry = json.loads(out)["results"][0]
+        assert entry["dtn_error"] <= 1e-8
+        assert entry["dtn_error_offdiag"] <= 1e-8
+
+    def test_dtn_matrix_reproduces_the_asymptotic_form(self, ring_file, capsys):
+        code, out, _ = run(capsys, "validate", "--packing", ring_file, "--cos", "1=0.7",
+                           "--cos", "3=-0.2", "--sin", "2=0.4", "--oracle-m", "16")
+        assert code == 0
+        entry = json.loads(out)["results"][0]
+        a = analyze(load_packing(ring_file))
+        c = np.array([0.0, 0.7, 0.0, -0.2, 0.0, 0.4, 0.0])
+        q = c @ dtn_asymptotic(3, a, build_network(a)) @ c
+        assert q == pytest.approx(entry["quad_form_asymptotic"], rel=1e-12)
+        assert 0.0 < entry["dtn_error"] < 1.0
+        # On the 8-fold ring modes k, m <= 3 couple on neither side (k +- m is never 8).
+        assert entry["dtn_error_offdiag"] <= 1e-10
+
     def test_guarded_geometry_refuses_oracle(self, tmp_path, capsys):
         path = write_packing(
             tmp_path, "tight.json",
@@ -214,6 +284,7 @@ class TestValidate:
         assert "oracle_refused" in entry
         assert "quad_form_asymptotic" in entry
         assert "oracle_condition" not in entry
+        assert "dtn_error" not in entry and "dtn_error_offdiag" not in entry
 
     def test_oracle_m_below_frequency_exit_2(self, empty_file, capsys):
         code, _, err = run(capsys, "validate", "--packing", empty_file,

@@ -15,6 +15,7 @@ from dtnnet.network import (
     check_connected,
     dtn_matrix,
     interior_gap_energy,
+    kirchhoff_response,
     net_energy,
     network_to_dict,
     solve_kirchhoff,
@@ -163,6 +164,23 @@ class TestDtnMatrixProperties:
         assert np.allclose(sol.U, 2.5, atol=1e-10)
         assert sol.energy == pytest.approx(0.0, abs=1e-10)
         assert sol.residual_norm <= 1e-8
+
+
+class TestKirchhoffResponse:
+    def test_gram_is_the_projected_dtn_matrix(self, random_net):
+        rng = np.random.default_rng(5)
+        Psi = rng.standard_normal((random_net.boundary_count, 3))
+        U, D = kirchhoff_response(random_net, Psi)
+        gram = D.T @ D
+        lam = dtn_matrix(random_net)
+        scale = np.linalg.norm(lam) * np.linalg.norm(Psi) ** 2
+        assert np.allclose(gram, Psi.T @ lam @ Psi, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-15 * scale)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-12 * scale
+        for col in range(3):
+            sol = solve_kirchhoff(random_net, Psi[:, col])
+            assert np.allclose(U[:, col], sol.U, rtol=0.0, atol=1e-12)
+            assert gram[col, col] == pytest.approx(2.0 * sol.energy, rel=1e-12)
 
 
 class TestSchurAgainstBruteForce:

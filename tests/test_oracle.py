@@ -165,6 +165,29 @@ class TestOperatorReuse:
             psi.evaluate(theta) @ (flux @ oracle._mode_vector(psi, M)))
         assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
 
+    @pytest.mark.parametrize("M", [4, 7])
+    def test_flux_rule_sized_from_the_geometry(self, M):
+        # |c|/L = 0.85: the 64-node rule left cos 4 theta 6.2e-4 off at M = 4.
+        p, n_q = self.RING, 128 * M
+        theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
+        flux = oracle._flux_table(p, oracle._operator(p, M).coeffs, M, n_q)
+        for psi in (FourierPotential.single_cos(4), self.MIXED):
+            reference = 0.5 * p.L * (2.0 * math.pi / n_q) * float(
+                psi.evaluate(theta) @ (flux @ oracle._mode_vector(psi, M)))
+            assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("n, M, t", [
+        (16, 48, 0.02), (8, 24, 0.08), (12, 32, 0.05), (8, 48, 0.02), (16, 24, 0.08),
+        (12, 24, 0.08), (8, 32, 0.05), (16, 64, 0.05), (16, 96, 0.02), (4, 258, 0.05)])
+    def test_flux_rule_floor_holds_on_benchmark_rings(self, n, M, t):
+        # The oracle_batch rings at their smallest gap, then the criterion 4 and 5 rings.
+        assert oracle._flux_nodes(equal_gap_ring(n, t), M) == 16 * M
+
+    def test_dtn_block_is_diagonal_on_the_empty_packing(self):
+        lam = oracle.dtn_oracle(EMPTY, 3, 8)
+        expected = np.diag(math.pi * np.array([0, 1, 2, 3, 1, 2, 3.0]))
+        assert np.allclose(lam, expected, rtol=0.0, atol=1e-12)
+
     def test_basis_columns_match_reference_loop(self):
         M = 12
         t = np.linspace(0.0, 2.0 * math.pi, 4 * M, endpoint=False)
