@@ -36,8 +36,8 @@ class FourierPotential:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float))
         s = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float))
-        if c.shape != s.shape or c.ndim != 1:
-            raise ValueError("cos and sin coefficient arrays must share one length")
+        if c.shape != s.shape or c.ndim != 1 or c.size == 0:
+            raise ValueError("cos and sin coefficient arrays must share one length >= 1")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
             raise ValueError("coefficients must be finite")
         if s[0] != 0.0:

@@ -8,6 +8,9 @@ logarithmic terms are needed. The boundary conditions (given trace on the
 outer circle, unknown constants on the inclusion circles) are enforced by
 oversampled least-squares collocation, solved once per (packing, M) for
 every outer-trace mode; boundary data up to frequency M combine them.
+The DtN matrix needs no quadrature: on the outer circle every harmonic has
+an exact Fourier series (the multipole re-expansion of Rayleigh's method),
+so the flux of each basis column onto each mode is known in closed form.
 """
 
 from __future__ import annotations
@@ -81,26 +84,28 @@ def _evaluate_field(sol: SpectralSolution, zc: np.ndarray) -> np.ndarray:
     return (_basis_columns(zc.reshape(-1), sol.packing, sol.M) @ coeffs).reshape(zc.shape)
 
 
-def _flux_table(packing: Packing, coeffs: np.ndarray, M: int, n_q: int) -> np.ndarray:
-    """Radial derivative on the outer circle at n_q nodes of each mode's solution."""
-    L = packing.L
-    theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
-    nhat = np.exp(1j * theta)
-    m = np.arange(1, M + 1)
-    arg = np.multiply.outer(theta, m)
-    D = np.zeros((n_q, (2 * M + 1) + 2 * M * packing.n))
-    # Domain harmonics: d/dn Re/Im (z/L)^m = (m/L) cos/sin(m theta).
-    D[:, 1 : M + 1] = np.cos(arg) * (m / L)
-    D[:, M + 1 : 2 * M + 1] = np.sin(arg) * (m / L)
-    # Inclusion harmonics: d/dz (R/(z - x))^m = -m (R/(z - x))^m / (z - x).
-    d = L * nhat[:, None] - packing.centers() @ np.array([1.0, 1j])
-    inc = D[:, 2 * M + 1 :].reshape(n_q, packing.n, 2, M)
-    n_over_d = nhat[:, None] / d
-    for k, p in enumerate(_powers(packing.radii() / d, M)):
-        fn = -(k + 1) * p * n_over_d
-        inc[:, :, 0, k] = fn.real
-        inc[:, :, 1, k] = -fn.imag
-    return D @ coeffs[: D.shape[1]]
+def _flux_projection(packing: Packing, M: int) -> np.ndarray:
+    """G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L.
+
+    Domain harmonics (r/L)^f cos/sin(f theta) give pi f on their own mode.
+    On |z| = L the binomial series (R/(z - c))^m = sum_f t_mf (L/z)^f, f >= m,
+    has t_mf = (R/L)^m binom(f-1, m-1) (c/L)^(f-m) and |t_mf| <= (R/(L-|c|))^m,
+    so only f <= M meets the modes and the row of cos 0 is zero.
+    """
+    n, L = packing.n, packing.L
+    f = np.arange(1, M + 1)
+    G = np.zeros((2 * M + 1, (2 * M + 1) + 2 * M * n))
+    G[f, f] = G[M + f, M + f] = math.pi * f
+    c, r = packing.centers() @ np.array([1.0, 1j]) / L, packing.radii() / L
+    t = np.zeros((n, M + 1, M + 1), dtype=complex)  # t[i, m, f]
+    for k in f:  # t_mk = t_m(k-1) (k-1)/(k-m) c/L, from t_mm = (R/L)^m
+        t[:, 1:k, k] = t[:, 1:k, k - 1] * ((k - 1) / (k - f[: k - 1])) * c[:, None]
+        t[:, k, k] = r**k
+    flux = t[:, 1:, 1:].transpose(2, 0, 1) * (-math.pi * f)[:, None, None]  # (f, i, m)
+    inc = G[:, 2 * M + 1 :].reshape(2 * M + 1, n, 2, M)  # a view: (cos, sin) per disk
+    inc[1 : M + 1, :, 0], inc[1 : M + 1, :, 1] = flux.real, -flux.imag
+    inc[M + 1 :, :, 0], inc[M + 1 :, :, 1] = flux.imag, flux.real
+    return G
 
 
 def _circle_points(packing: Packing, t_outer: np.ndarray, t_inner: np.ndarray):
@@ -129,20 +134,6 @@ def _min_gap_ratio(packing: Packing) -> float:
     boundary = packing.L - np.hypot(centers[:, 0], centers[:, 1]) - radii
     _, pair_gaps = _pair_gaps(packing, GAP_GUARD * r_min)
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
-
-
-def _flux_nodes(packing: Packing, M: int) -> int:
-    """Nodes of the trapezoid rule for the boundary flux.
-
-    On |x| = L, disk i's harmonics put flux at every frequency j, decaying
-    like rho^j with rho = |c_i| / L, and the rule aliases frequencies near
-    n_q onto the modes: it needs n_q >= M + log(eps) / log(rho_max)
-    (Trefethen-Weideman 2014). The floor max(16M, 64) keeps the aliasing that
-    8M nodes left (7e-5 on a 16-disk ring at gap/R = 0.02, M = 48) away.
-    """
-    rho = np.hypot(*packing.centers().T).max(initial=0.0) / packing.L
-    tail = math.ceil(math.log(np.finfo(float).eps) / math.log(rho)) if rho > 0.0 else 0
-    return max(16 * M, 64, M + tail)
 
 
 @lru_cache(maxsize=1)
@@ -193,11 +184,8 @@ def _operator(packing: Packing, M: int) -> _Operator:
     targets = [_modes(t_outer, M), *X[n_basis:]]
     for i, (z, y) in enumerate(zip(_circle_points(packing, t_outer, t), targets)):
         residual[i * n_chk : (i + 1) * n_chk] = _basis_columns(z, packing, M) @ X[:n_basis] - y
-    # Lambda = sym(L (2 pi / n_q) Modes(theta_q)^T flux), periodic trapezoid rule.
-    n_q = _flux_nodes(packing, M)
-    theta_q = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
-    flux = _flux_table(packing, X, M, n_q)
-    form = (packing.L * 2.0 * math.pi / n_q) * (_modes(theta_q, M).T @ flux)
+    # Lambda = sym(G X), with the flux projection G in closed form.
+    form = _flux_projection(packing, M) @ X[:n_basis]
     dtn[...] = 0.5 * (form + form.T)
     for a in (X, residual, dtn):
         a.flags.writeable = False

@@ -1,8 +1,24 @@
 import math
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dtnnet.generators import ring_packing
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("dtnnet", derandomize=True, deadline=None, database=None)
+settings.load_profile("dtnnet")
+
+
+def pytest_configure(config):
+    # hypothesis also caches the constants it parses from the sources in its
+    # home directory: keep that out of the checkout, and remove it at the end.
+    home = tempfile.TemporaryDirectory(prefix="dtnnet-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
+
 
 acceptance_lines = []
 

@@ -50,6 +50,8 @@ class TestFourierPotential:
         with pytest.raises(ValueError):
             FourierPotential(np.array([np.nan]), np.array([0.0]))
         with pytest.raises(ValueError):
+            FourierPotential([], [])
+        with pytest.raises(ValueError):
             FourierPotential.single_sin(0)
 
     def test_evaluate(self):

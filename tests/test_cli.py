@@ -269,6 +269,16 @@ class TestValidate:
         # On the 8-fold ring modes k, m <= 3 couple on neither side (k +- m is never 8).
         assert entry["dtn_error_offdiag"] <= 1e-10
 
+    def test_constant_mode_errors_are_zero_to_roundoff(self, ring_file, capsys):
+        # A constant trace carries no flux: the oracle's form is exactly 0.
+        code, out, _ = run(capsys, "validate", "--packing", ring_file,
+                           "--cos", "0=1", "--oracle-m", "4")
+        assert code == 0
+        entry = json.loads(out)["results"][0]
+        assert entry["quad_form_oracle"] == 0.0
+        assert entry["relative_difference"] <= 1e-20
+        assert entry["dtn_error"] <= 1e-20
+
     def test_guarded_geometry_refuses_oracle(self, tmp_path, capsys):
         path = write_packing(
             tmp_path, "tight.json",

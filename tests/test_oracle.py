@@ -101,6 +101,36 @@ def reference_basis_columns(zc, packing, M):
     return cols
 
 
+def reference_flux_table(packing, coeffs, M, n_q):
+    """Radial derivative on the outer circle at n_q nodes of each mode's solution."""
+    L = packing.L
+    theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
+    nhat = np.exp(1j * theta)
+    m = np.arange(1, M + 1)
+    arg = np.multiply.outer(theta, m)
+    D = np.zeros((n_q, (2 * M + 1) + 2 * M * packing.n))
+    # Domain harmonics: d/dn Re/Im (z/L)^m = (m/L) cos/sin(m theta).
+    D[:, 1 : M + 1] = np.cos(arg) * (m / L)
+    D[:, M + 1 : 2 * M + 1] = np.sin(arg) * (m / L)
+    # Inclusion harmonics: d/dz (R/(z - x))^m = -m (R/(z - x))^m / (z - x).
+    d = L * nhat[:, None] - packing.centers() @ np.array([1.0, 1j])
+    inc = D[:, 2 * M + 1 :].reshape(n_q, packing.n, 2, M)
+    n_over_d = nhat[:, None] / d
+    for k, p in enumerate(oracle._powers(packing.radii() / d, M)):
+        fn = -(k + 1) * p * n_over_d
+        inc[:, :, 0, k] = fn.real
+        inc[:, :, 1, k] = -fn.imag
+    return D @ coeffs[: D.shape[1]]
+
+
+def reference_dtn(packing, M, n_q):
+    """Lambda from the n_q-node trapezoid rule on the oracle's own coefficients."""
+    theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
+    flux = reference_flux_table(packing, oracle._operator(packing, M).coeffs, M, n_q)
+    form = (packing.L * 2.0 * math.pi / n_q) * (oracle._modes(theta, M).T @ flux)
+    return 0.5 * (form + form.T)
+
+
 class TestOperatorReuse:
     RING = ring_packing(8, 0.85, 0.1, 1.0)
     MIXED = FourierPotential(np.array([0.3, 1.0, -0.5, 0.0, 0.25]),
@@ -149,7 +179,7 @@ class TestOperatorReuse:
         assert q_split == pytest.approx(q_sum, rel=1e-10)
 
     def test_top_frequency_uses_its_own_rule(self):
-        # K = M is integrated by the same 16M-node rule as lower frequencies.
+        # K = M meets the same closed-form flux projection as lower frequencies.
         psi = FourierPotential.single_cos(12)
         q = quad_form_oracle(self.RING, psi, 12)
         assert cross_form_oracle(self.RING, psi, psi, 12) == pytest.approx(q, rel=1e-12)
@@ -158,30 +188,27 @@ class TestOperatorReuse:
         # 8M nodes put this energy 7e-5 relative off the converged value.
         p, M = equal_gap_ring(16, 0.02), 48
         psi = FourierPotential.single_cos(1)
-        n_q = 32 * M
-        theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
-        flux = oracle._flux_table(p, oracle._operator(p, M).coeffs, M, n_q)
-        reference = 0.5 * p.L * (2.0 * math.pi / n_q) * float(
-            psi.evaluate(theta) @ (flux @ oracle._mode_vector(psi, M)))
+        c = oracle._mode_vector(psi, M)
+        reference = 0.5 * float(c @ reference_dtn(p, M, 32 * M) @ c)
         assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("M", [4, 7])
     def test_flux_rule_sized_from_the_geometry(self, M):
         # |c|/L = 0.85: the 64-node rule left cos 4 theta 6.2e-4 off at M = 4.
-        p, n_q = self.RING, 128 * M
-        theta = np.linspace(0.0, 2.0 * math.pi, n_q, endpoint=False)
-        flux = oracle._flux_table(p, oracle._operator(p, M).coeffs, M, n_q)
+        p = self.RING
+        lam = reference_dtn(p, M, 128 * M)
         for psi in (FourierPotential.single_cos(4), self.MIXED):
-            reference = 0.5 * p.L * (2.0 * math.pi / n_q) * float(
-                psi.evaluate(theta) @ (flux @ oracle._mode_vector(psi, M)))
+            c = oracle._mode_vector(psi, M)
+            reference = 0.5 * float(c @ lam @ c)
             assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("n, M, t", [
-        (16, 48, 0.02), (8, 24, 0.08), (12, 32, 0.05), (8, 48, 0.02), (16, 24, 0.08),
-        (12, 24, 0.08), (8, 32, 0.05), (16, 64, 0.05), (16, 96, 0.02), (4, 258, 0.05)])
-    def test_flux_rule_floor_holds_on_benchmark_rings(self, n, M, t):
-        # The oracle_batch rings at their smallest gap, then the criterion 4 and 5 rings.
-        assert oracle._flux_nodes(equal_gap_ring(n, t), M) == 16 * M
+    @pytest.mark.parametrize("p, M", [(equal_gap_ring(16, 0.08), 24), (RING, 12)],
+                             ids=["ring16-gap0.08", "ring8"])
+    def test_dtn_matches_a_fine_flux_rule(self, p, M):
+        # A 16M-node trapezoid rule is 9.1e-12 and 5.7e-12 of max|Lambda| off here.
+        reference = reference_dtn(p, M, 128 * M)
+        lam = oracle._operator(p, M).dtn
+        assert np.max(np.abs(lam - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_dtn_block_is_diagonal_on_the_empty_packing(self):
         lam = oracle.dtn_oracle(EMPTY, 3, 8)

@@ -1,0 +1,64 @@
+"""Invariances of the DtN matrices, on rings drawn by hypothesis."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dtnnet import oracle
+from dtnnet.asymptotics import dtn_asymptotic
+from dtnnet.generators import grid_packing, random_packing, ring_packing
+from dtnnet.geometry import Disk, Packing, analyze
+from dtnnet.network import build_network
+
+SCALES = st.floats(-3.0, 3.0).map(math.exp)
+
+
+@st.composite
+def rings(draw):
+    """3-8 equal disks on one circle, every gap at least 0.05 R."""
+    n = draw(st.integers(3, 8))
+    ring_radius = draw(st.floats(0.3, 0.9))
+    room = min(1.0 - ring_radius, ring_radius * math.sin(math.pi / n))
+    disk_radius = draw(st.floats(0.3, 0.95)) * room
+    phase = draw(st.floats(0.0, 2.0 * math.pi / n))
+    return ring_packing(n, ring_radius, disk_radius, 1.0, phase)
+
+
+def scaled(packing: Packing, s: float) -> Packing:
+    return Packing(s * packing.L, tuple(Disk(s * d.x, s * d.y, s * d.r) for d in packing.inclusions))
+
+
+def asymptotic(packing: Packing) -> np.ndarray:
+    a = analyze(packing)
+    return dtn_asymptotic(6, a, build_network(a))
+
+
+def assert_close(a: np.ndarray, b: np.ndarray, rel: float):
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(a))
+
+
+@given(rings(), st.integers(1, 12), SCALES)
+def test_oracle_dtn_is_scale_invariant(packing, M, s):
+    lam = oracle._operator(packing, M).dtn
+    assert_close(lam, oracle._operator(scaled(packing, s), M).dtn, 1e-12)
+
+
+@given(rings(), st.integers(1, 12))
+def test_oracle_constant_mode_carries_no_flux(packing, M):
+    assert oracle._operator(packing, M).dtn[0, 0] == 0.0
+
+
+@given(rings(), SCALES)
+def test_asymptotic_dtn_is_scale_invariant_on_rings(packing, s):
+    assert_close(asymptotic(packing), asymptotic(scaled(packing, s)), 1e-10)
+
+
+@pytest.mark.parametrize("packing", [
+    ring_packing(8, 0.85, 0.1, 1.0), grid_packing(0.1, 0.02),
+    *(random_packing(12, 0.06, 0.02, 1.0, seed=seed) for seed in (1, 2, 3))])
+@given(s=SCALES)
+def test_asymptotic_dtn_is_scale_invariant(packing, s):
+    assert_close(asymptotic(packing), asymptotic(scaled(packing, s)), 1e-10)
