@@ -80,6 +80,31 @@ def time_grid(n: int, workdir: str) -> dict:
     }
 
 
+def provenance() -> dict:
+    """The imported dtnnet's commit and source hash, the versions and the thread variables."""
+    return {
+        "source": _source(os.path.dirname(dtnnet.__file__)),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+    }
+
+
+def merge_run(path: str, command: str, label: str, run: dict) -> None:
+    """Store run under runs[label] in the JSON file at path, keeping the other labels."""
+    doc = {"command": command, "runs": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["runs"][label] = run
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
@@ -88,24 +113,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as workdir:
         grids = [time_grid(n, workdir) for n in LADDER]
-    run = {
-        "source": _source(os.path.dirname(dtnnet.__file__)),
-        "python": platform.python_version(),
-        "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
-        "grids": grids,
-    }
-    doc = {"command": "dtnnet sweep --k-from 1 --k-to 100 (in process)", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc["runs"][args.label] = run
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    merge_run(args.out, "dtnnet sweep --k-from 1 --k-to 100 (in process)", args.label,
+              {**provenance(), "grids": grids})
     for g in grids:
         print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
               f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s")

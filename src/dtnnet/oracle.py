@@ -11,6 +11,15 @@ every outer-trace mode; boundary data up to frequency M combine them.
 The DtN matrix needs no quadrature: on the outer circle every harmonic has
 an exact Fourier series (the multipole re-expansion of Rayleigh's method),
 so the flux of each basis column onto each mode is known in closed form.
+
+On an equally spaced ring of equal disks (centre k = e^{2 pi i k/n} centre 0)
+with n | 4M, the rotation by 2 pi/n permutes the collocation points and maps
+each harmonic to a multiple of another, so a discrete Fourier transform over
+the disk index splits the system into n blocks of about 1/n of its rows and
+columns, those above n/2 the conjugates of those below. The change of columns is
+unitary and a block's rows are one orbit of points weighted by sqrt(n), so
+the blocks' singular values are exactly the full matrix's: the rank cut and
+the condition limit decide as for the dense solve every other packing takes.
 """
 
 from __future__ import annotations
@@ -136,9 +145,107 @@ def _min_gap_ratio(packing: Packing) -> float:
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
+def _dense_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
+    """Solve the full collocation system A X = B into X; return A's singular values."""
+    n = packing.n
+    n_per = 4 * M
+    n_basis = (2 * M + 1) + 2 * M * n
+    A = np.zeros((n_per * (n + 1), n_basis + n))
+    B = np.zeros((n_per * (n + 1), 2 * M + 1))
+    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
+    # Offset avoids symmetric aliasing against the outer-circle points.
+    for i, z in enumerate(_circle_points(packing, t, t + math.pi / n_per)):
+        A[i * n_per : (i + 1) * n_per, :n_basis] = _basis_columns(z, packing, M)
+    A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
+    B[:n_per] = _modes(t, M)
+    X[...], _, _, sv = np.linalg.lstsq(A, B, rcond=None)
+    return sv
+
+
+def _is_ring(packing: Packing, M: int) -> bool:
+    """Equal disks with centre k = e^{2 pi i k/n} centre 0, and n | 4M."""
+    n, radii = packing.n, packing.radii()
+    if n < 2 or (4 * M) % n or np.any(radii != radii[0]):
+        return False
+    c = packing.centers() @ np.array([1.0, 1j])
+    ideal = c[0] * np.exp(2j * math.pi * np.arange(n) / n)
+    return bool(np.max(np.abs(c - ideal)) <= 64 * np.finfo(float).eps * packing.L)
+
+
+def _factor_block(A: np.ndarray, b: np.ndarray):
+    """Least-squares solution of one symmetry block, with its singular values."""
+    y, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+    return y, sv
+
+
+def _ring_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
+    """``_dense_factor``'s solution and singular values on a C_n ring, from blocks 0..n/2.
+
+    Block j holds the columns that the rotation multiplies by w^j, w = e^{2 pi i/n}:
+    q^l (l = j mod n) and conj(q)^l (l = -j), q = z/L; sum_k w^{(j+m)k} p_k^m and
+    sum_k w^{(j-m)k} conj(p_k)^m, p_k = R/(z - c_k); sum_k w^{jk} U_k; the constant
+    in block 0. Block n - j is the conjugate: its modes e^{imt} are solved here as e^{-imt}.
+    """
+    n, L, R = packing.n, packing.L, packing.inclusions[0].r
+    n_per, n_basis, s = 4 * M, (2 * M + 1) + 2 * M * n, 4 * M // n
+    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
+    outer, disk0, *_ = _circle_points(packing, t, t + math.pi / n_per)
+    z = np.concatenate([outer[:s], disk0])
+    q = math.sqrt(n / 2) * np.stack(list(_powers(z / L, M)), axis=-1)
+    # sum_k w^{gk} p_k^m for every g: one FFT over the disk index.
+    w = R / (z[:, None] - packing.centers() @ np.array([1.0, 1j]))
+    p = np.fft.ifft(np.stack(list(_powers(w, M)), axis=-1), axis=1, norm="forward")
+    m, k, freq, rt2 = np.arange(1, M + 1), np.arange(n)[:, None], np.arange(M + 1), math.sqrt(2)
+    sv = []
+    for j in range(n // 2 + 1):
+        lp, lm = m[m % n == j] - 1, m[-m % n == j] - 1
+        H = np.hstack([q[:, lp], p[:, (j + m) % n, m - 1] / rt2])
+        Hbar = np.hstack([q[:, lm].conj(), p[:, (m - j) % n, m - 1].conj() / rt2])
+        S = np.zeros((z.size, 1 + (j == 0)))
+        S[s:, 0] = -1.0  # sum_k w^{jk} U_k / sqrt(n), zero on the outer points
+        S[:, 1:] = math.sqrt(n)  # the constant
+        f = np.concatenate([freq[freq % n == j], -freq[(-freq % n == j) & (freq % n != j)]])
+        b = np.zeros((z.size, f.size), dtype=complex)
+        b[:s] = math.sqrt(n) * np.exp(1j * np.multiply.outer(t[:s], f))
+        h = H.shape[1]
+        if 2 * j % n == 0:  # Hbar = conj(H): [Re H, Im H] sqrt(2) is a real unitary image
+            yr, sv_j = _factor_block(np.hstack([rt2 * H.real, rt2 * H.imag, S]),
+                                     np.hstack([b.real, b.imag]))
+            y = yr[:, : f.size] + 1j * yr[:, f.size :]
+            y = np.concatenate([(y[:h] - 1j * y[h : 2 * h]) / rt2,
+                                (y[:h] + 1j * y[h : 2 * h]) / rt2, y[2 * h :]])
+            sv.append(sv_j)
+        else:
+            y, sv_j = _factor_block(np.hstack([H, Hbar, S]), b)
+            sv += [sv_j, sv_j]
+        # Back to A's columns, x = T y: q^l = Re + i Im, p^m = c - i d, U and 1 as they are.
+        yq, yp, yqbar, ypbar = np.split(y[: h + lm.size + M], [lp.size, h, h + lm.size])
+        x = np.zeros((n_basis + n, f.size), dtype=complex)
+        x[1 + lp] += yq / rt2
+        x[1 + M + lp] += 1j * yq / rt2
+        x[1 + lm] += yqbar / rt2
+        x[1 + M + lm] -= 1j * yqbar / rt2
+        mu = np.exp(2j * math.pi * k * (j + m) / n)[..., None] * yp / math.sqrt(2 * n)
+        nu = np.exp(2j * math.pi * k * (j - m) / n)[..., None] * ypbar / math.sqrt(2 * n)
+        inc = x[2 * M + 1 : n_basis].reshape(n, 2, M, f.size)
+        inc[:, 0], inc[:, 1] = mu + nu, 1j * (nu - mu)
+        x[n_basis:] = np.exp(2j * math.pi * k * j / n) * y[-S.shape[1]] / math.sqrt(n)
+        if j == 0:
+            x[0] = y[-1]
+        X[:, np.abs(f)] = x.real
+        X[:, M - f[f < 0]] = -x[:, f < 0].imag
+        X[:, M + f[f > 0]] = x[:, f > 0].imag
+    return np.concatenate(sv)
+
+
 @lru_cache(maxsize=1)
 def _operator(packing: Packing, M: int) -> _Operator:
-    """Collocation solve of every outer-trace mode: one least-squares call.
+    """Collocation solve of every outer-trace mode, factored once per (packing, M)."""
+    return _solve(packing, M, _ring_factor if _is_ring(packing, M) else _dense_factor)
+
+
+def _solve(packing: Packing, M: int, factor) -> _Operator:
+    """The operator of ``factor``'s solution, refused when A is ill-conditioned.
 
     The matrix is freed before returning; only O(2M+1) columns per unknown
     and per check point, and the (2M+1)^2 DtN matrix, are kept, read-only.
@@ -151,7 +258,6 @@ def _operator(packing: Packing, M: int) -> _Operator:
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
         )
-    n_per = 4 * M
     n_basis = (2 * M + 1) + 2 * M * n
     n_unknown = n_basis + n
     n_chk = 8 * M
@@ -160,20 +266,14 @@ def _operator(packing: Packing, M: int) -> _Operator:
     X = np.empty((n_unknown, 2 * M + 1))
     residual = np.empty((n_chk * (n + 1), 2 * M + 1))
     dtn = np.empty((2 * M + 1, 2 * M + 1))
-    A = np.zeros((n_per * (n + 1), n_unknown))
-    B = np.zeros((n_per * (n + 1), 2 * M + 1))
-    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    # Offset avoids symmetric aliasing against the outer-circle points.
-    for i, z in enumerate(_circle_points(packing, t, t + math.pi / n_per)):
-        A[i * n_per : (i + 1) * n_per, :n_basis] = _basis_columns(z, packing, M)
-    A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
-    B[:n_per] = _modes(t, M)
-
-    X[...], _, rank, sv = np.linalg.lstsq(A, B, rcond=None)
-    del A, B
-    if sv[0] > 0 and (rank < n_unknown or sv[0] / sv[-1] > CONDITION_LIMIT):
+    sv = factor(packing, M, X)
+    # lstsq's rank cut, with the full matrix's dimensions.
+    cut = np.finfo(float).eps * max(4 * M * (n + 1), n_unknown) * sv.max()
+    rank = np.count_nonzero(sv > cut)
+    condition = sv.max() / sv.min()
+    if sv.max() > 0 and (rank < n_unknown or condition > CONDITION_LIMIT):
         raise IllConditionedError(
-            f"collocation system condition estimate {sv[0] / sv[-1]:.3g} exceeds "
+            f"collocation system condition estimate {condition:.3g} exceeds "
             f"{CONDITION_LIMIT:.0e}"
         )
 
@@ -189,7 +289,7 @@ def _operator(packing: Packing, M: int) -> _Operator:
     dtn[...] = 0.5 * (form + form.T)
     for a in (X, residual, dtn):
         a.flags.writeable = False
-    return _Operator(X, residual, dtn, float(sv[0] / sv[-1]))
+    return _Operator(X, residual, dtn, float(condition))
 
 
 def _checked_operator(packing: Packing, M: int, K: int) -> _Operator:

@@ -5,9 +5,10 @@ import pytest
 from conftest import equal_gap_ring
 
 from dtnnet.asymptotics import FourierPotential
+from dtnnet.cli import main
 from dtnnet.errors import DomainError, IllConditionedError
 from dtnnet.generators import ring_packing
-from dtnnet.geometry import Disk, Packing
+from dtnnet.geometry import Disk, Packing, load_packing
 from dtnnet import oracle
 from dtnnet.oracle import (
     cross_form_oracle,
@@ -146,7 +147,7 @@ class TestOperatorReuse:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         oracle._operator.cache_clear()
-        p, M, n = self.RING, 16, self.RING.n
+        p, M, n = self.RING, 15, self.RING.n  # 8 does not divide 4M: the dense path
         for k in (1, 2, 4):
             solve_dirichlet(p, FourierPotential.single_cos(k), M)
         quad_form_oracle(p, self.MIXED, M)
@@ -154,6 +155,27 @@ class TestOperatorReuse:
         assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
         solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
         assert len(shapes) == 2
+
+    def test_one_block_factor_per_packing_and_truncation(self, monkeypatch):
+        shapes = []
+        real = oracle._factor_block
+
+        def spy(A, b):
+            shapes.append(A.shape)
+            return real(A, b)
+
+        monkeypatch.setattr(oracle, "_factor_block", spy)
+        oracle._operator.cache_clear()
+        p, M, n = self.RING, 16, self.RING.n
+        for k in (1, 2, 4):
+            solve_dirichlet(p, FourierPotential.single_cos(k), M)
+        quad_form_oracle(p, self.MIXED, M)
+        cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
+        # Blocks 0..n/2 of 4M/n + 4M rows; the blocks n/2+1..n-1 are their conjugates.
+        assert len(shapes) == n // 2 + 1
+        assert all(rows == 4 * M // n + 4 * M for rows, _ in shapes)
+        solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
+        assert len(shapes) == 2 * (n // 2 + 1)
 
     def test_solutions_do_not_share_state(self):
         psi = FourierPotential.single_cos(2)
@@ -221,6 +243,103 @@ class TestOperatorReuse:
         zc = np.concatenate([np.exp(1j * t), 0.5 * np.exp(1j * (t + 0.1))])
         assert np.array_equal(oracle._basis_columns(zc, self.RING, M),
                               reference_basis_columns(zc, self.RING, M))
+
+
+def moved(packing, i, dx=0.0, dr=0.0):
+    """The packing with disk i shifted by dx along x and its radius grown by dr."""
+    d = list(packing.inclusions)
+    d[i] = Disk(d[i].x + dx, d[i].y, d[i].r + dr)
+    return Packing(packing.L, tuple(d))
+
+
+def rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+RING8 = ring_packing(8, 0.85, 0.1, 1.0)
+
+
+class TestRingFactor:
+    """Equally spaced rings are factored as C_n blocks; all else stays dense."""
+
+    PSIS = (FourierPotential.single_cos(1), FourierPotential.single_sin(2),
+            TestOperatorReuse.MIXED,
+            FourierPotential(np.array([0.0, -0.2, 0.6, 0.1]), np.array([0.0, 0.5, 0.3, -0.7])))
+    RINGS = {
+        "n2": (ring_packing(2, 0.5, 0.2, 1.0, phase=0.3), 8),
+        "n3": (equal_gap_ring(3, 0.1), 9),
+        "n4": (equal_gap_ring(4, 0.05), 12),
+        "n8": (ring_packing(8, 0.85, 0.1, 1.0, phase=0.2), 16),
+        "n16-one-point-per-orbit": (equal_gap_ring(16, 0.1), 4),
+        "n16-gap0.02": (equal_gap_ring(16, 0.02), 24),
+    }
+
+    @pytest.mark.parametrize("p, M", RINGS.values(), ids=RINGS.keys())
+    def test_matches_the_dense_factor(self, p, M):
+        assert oracle._is_ring(p, M)
+        ring, dense = oracle._operator(p, M), oracle._solve(p, M, oracle._dense_factor)
+        for a, b in zip(ring[:3], dense[:3]):  # X, the residual table and Lambda
+            assert rel(a, b) <= 1e-10
+        assert ring.condition == pytest.approx(dense.condition, rel=1e-12)
+        c = [oracle._mode_vector(psi, M) for psi in self.PSIS]
+        for psi, ca in zip(self.PSIS, c):
+            assert solve_dirichlet(p, psi, M).energy == pytest.approx(
+                0.5 * ca @ dense.dtn @ ca, rel=1e-10)
+        for (a, ca), (b, cb) in zip(zip(self.PSIS, c), zip(self.PSIS[1:], c[1:])):
+            assert cross_form_oracle(p, a, b, M) == pytest.approx(ca @ dense.dtn @ cb, rel=1e-10)
+
+    @pytest.mark.parametrize("p, M", [(equal_gap_ring(4, 0.05), 8), (equal_gap_ring(4, 0.2), 16),
+                                      (RING8, 4), (RING8, 16)])
+    def test_block_singular_values_are_those_of_the_matrix(self, monkeypatch, p, M):
+        matrices = []
+        real = np.linalg.lstsq
+
+        def spy(A, b, **kwargs):
+            matrices.append(A.copy())
+            return real(A, b, **kwargs)
+
+        X = np.empty(((2 * M + 1) + (2 * M + 1) * p.n, 2 * M + 1))
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        oracle._dense_factor(p, M, X)
+        monkeypatch.undo()
+        expected = np.linalg.svd(matrices[0], compute_uv=False)
+        blocks = np.sort(oracle._ring_factor(p, M, X))[::-1]
+        assert blocks.shape == expected.shape
+        assert np.max(np.abs(blocks - expected)) <= 1e-12 * expected[0]
+
+    DENSE = {
+        "n12-M32": (equal_gap_ring(12, 0.05), 32),  # 12 does not divide 4M = 128
+        "centre-moved-1e-9": (moved(RING8, 3, dx=1e-9), 16),
+        "permuted": (Packing(1.0, tuple(RING8.inclusions[i] for i in (0, 2, 1, 3, 4, 5, 7, 6))), 16),
+        "ring-and-centre-disk": (Packing(1.0, RING8.inclusions + (Disk(0.0, 0.0, 0.3),)), 16),
+        "unequal-radii": (moved(RING8, 5, dr=-0.01), 16),
+        "one-disk": (Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16),
+    }
+
+    @pytest.mark.parametrize("p, M", DENSE.values(), ids=DENSE.keys())
+    def test_other_packings_take_the_dense_factor(self, monkeypatch, p, M):
+        shapes = []
+        real = np.linalg.lstsq
+
+        def spy(A, b, **kwargs):
+            shapes.append(A.shape)
+            return real(A, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        oracle._operator.cache_clear()
+        op, n = oracle._operator(p, M), p.n
+        assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
+        reference = oracle._solve(p, M, oracle._dense_factor)
+        for a, b in zip(op[:3], reference[:3]):
+            assert np.array_equal(a, b)
+        assert op.condition == reference.condition
+
+    @pytest.mark.parametrize("n, M", [(8, 16), (12, 24), (16, 4)])
+    def test_generated_ring_file_takes_the_ring_path(self, tmp_path, n, M):
+        path = str(tmp_path / "ring.json")
+        assert main(["gen", "ring", "--n", str(n), "--ring-radius", "0.8",
+                     "--disk-radius", "0.1", "--out", path]) == 0
+        assert oracle._is_ring(load_packing(path), M)
 
 
 class TestGapQuadrature:

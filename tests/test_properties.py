@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtnnet import oracle
@@ -62,3 +62,18 @@ def test_asymptotic_dtn_is_scale_invariant_on_rings(packing, s):
 @given(s=SCALES)
 def test_asymptotic_dtn_is_scale_invariant(packing, s):
     assert_close(asymptotic(packing), asymptotic(scaled(packing, s)), 1e-10)
+
+
+@given(st.data())
+def test_relabelling_the_disks_changes_no_dtn_matrix(data):
+    ring = data.draw(rings())
+    n = ring.n
+    step = n // math.gcd(n, 4)  # n | 4M: the oracle factors the ring as C_n blocks
+    M = step * data.draw(st.integers(1, 12 // step))
+    order = data.draw(st.permutations(range(n)))
+    relabelled = Packing(ring.L, tuple(ring.inclusions[i] for i in order))
+    assume(not oracle._is_ring(relabelled, M))  # a rotation of the labels is still a ring
+    assert oracle._is_ring(ring, M)
+    lam = oracle._operator(ring, M).dtn
+    assert_close(lam, oracle._operator(relabelled, M).dtn, 1e-10)
+    assert_close(asymptotic(ring), asymptotic(relabelled), 1e-12)
