@@ -319,32 +319,19 @@ class RegimeEstimate:
 def regime_estimate(
     k: int, analysis: GeometryAnalysis, network: Network
 ) -> RegimeEstimate:
-    """Leading-order single-mode energy with the negligible terms dropped."""
-    info = regime_classify(k, analysis)
-    psi = FourierPotential.single_cos(k)
-    e_ref = reference_energy(psi)
-    if info.regime == 1:
-        e_net = net_energy(network, boundary_excitation(psi, analysis))
-        approx = e_net + e_ref
-        desc = (
-            "network-dominated: resonance dropped, "
-            f"|R_k| = sigma_i O(sqrt(eps)) with eps = {info.epsilon:.3g}"
-        )
-    elif info.regime == 2:
-        approx = e_ref
-        desc = (
-            "boundary-layer dominated: network and resonance exponentially "
-            f"suppressed at eps = {info.epsilon:.3g}"
-        )
-    else:
-        e_net = net_energy(network, boundary_excitation(psi, analysis))
-        r_res = resonance_mode(k, analysis, network)
-        approx = e_net + e_ref + r_res
-        desc = (
-            "resonant: all three terms kept, R_k ~ k/sqrt(eps*eta) with "
-            f"eps = {info.epsilon:.3g}, eta = {info.eta:.3g}"
-        )
-    return RegimeEstimate(regime=info, approx_total=approx, description=desc)
+    """Leading-order single-mode energy with the negligible terms dropped:
+    the terms of the ``cosine_sweep`` row of cos(k theta) that its regime keeps."""
+    _, eps, eta, regime, e_net, e_ref, _, total, _ = cosine_sweep([k], analysis, network)[0]
+    approx = (e_net + e_ref, e_ref, total)[regime - 1]
+    desc = (
+        "network-dominated: resonance dropped, "
+        f"|R_k| = sigma_i O(sqrt(eps)) with eps = {eps:.3g}",
+        "boundary-layer dominated: network and resonance exponentially "
+        f"suppressed at eps = {eps:.3g}",
+        "resonant: all three terms kept, R_k ~ k/sqrt(eps*eta) with "
+        f"eps = {eps:.3g}, eta = {eta:.3g}",
+    )[regime - 1]
+    return RegimeEstimate(ModeRegime(k, eps, eta, regime), approx, desc)
 
 
 def boundary_layer_energy(
@@ -355,12 +342,12 @@ def boundary_layer_energy(
     n_b = analysis.boundary_count
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}")
-    kappa = k * _damping_rates(analysis)
-    target = np.cos(k * analysis.boundary_angles) * np.exp(-kappa)
+    damp = _damping(analysis, k)  # e^{-kappa_i}, kappa_i = k mu_i
+    target = np.cos(k * analysis.boundary_angles) * damp
     sig = network.boundary_sigmas
     quad = 0.5 * float(np.sum(sig * (U_gamma - target) ** 2))
     x = 2.0 * k * analysis.boundary_gaps / analysis.packing.L
-    lin = 0.25 * float(sig @ (_poly(x) - np.exp(-kappa)))
+    lin = 0.25 * float(sig @ (_poly(x) - damp))
     return 0.5 * k * math.pi + quad + lin
 
 
@@ -379,14 +366,13 @@ def total_energy_decomposed(
     The discrepancy is the documented exponential mismatch
     sum_i (sigma_i/4)(e^{-kappa_i} - e^{-2 kappa_i}).
     """
-    mu = _damping_rates(analysis)
-    target = np.cos(k * analysis.boundary_angles) * np.exp(-k * mu)
+    psi = FourierPotential.single_cos(k)
     # The joint quadratic in all inclusion potentials is exactly the network
-    # energy with boundary excitation `target`, shifted by constants.
-    sol = solve_kirchhoff(network, target)
+    # energy with the damped boundary excitation of psi, shifted by constants.
+    sol = solve_kirchhoff(network, boundary_excitation(psi, analysis))
     u_gamma = sol.U[: analysis.boundary_count]
     value = boundary_layer_energy(u_gamma, k, analysis, network) + interior_gap_energy(
         network, u_gamma
     )
-    total = total_energy(FourierPotential.single_cos(k), analysis, network).total
+    total = total_energy(psi, analysis, network).total
     return DecompositionResult(value=value, discrepancy=total - value)

@@ -1,6 +1,6 @@
 """Command-line front end: packing generation, analysis, sweeps, validation.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage, input or allocation error, 3 numerical failure.
 Errors go to stderr as one JSON object per failure.
 """
 
@@ -28,8 +28,9 @@ from .errors import (
 FLOAT_FMT = "%.17g"
 
 
-def _emit_error(exc: DtnError) -> None:
-    json.dump({"error": exc.kind, "message": str(exc)}, sys.stderr)
+def _emit_error(exc: DtnError | MemoryError) -> None:
+    kind = exc.kind if isinstance(exc, DtnError) else "MemoryError"
+    json.dump({"error": kind, "message": str(exc)}, sys.stderr)
     sys.stderr.write("\n")
 
 
@@ -224,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_potential=True):
-        p.add_argument("--packing", required=True, help="packing JSON path")
+    def common(p, with_potential=True, nargs=None):
+        p.add_argument("--packing", required=True, nargs=nargs, help="packing JSON path")
         p.add_argument("--mode", choices=["identical", "generalized"], default="identical")
         p.add_argument("--delta-max-edge", type=float, default=None,
                        help="drop gap edges wider than this threshold")
@@ -263,13 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("validate", help="compare asymptotics against the oracle")
-    v.add_argument("--packing", required=True, nargs="+",
-                   help="one or more packing JSON paths (a delta sequence)")
-    v.add_argument("--mode", choices=["identical", "generalized"], default="identical")
-    v.add_argument("--delta-max-edge", type=float, default=None)
-    v.add_argument("--out", default=None)
-    v.add_argument("--cos", action="append", metavar="k=a")
-    v.add_argument("--sin", action="append", metavar="k=a")
+    common(v, nargs="+")
     v.add_argument("--oracle-m", type=int, default=32, help="oracle truncation order")
     v.set_defaults(func=cmd_validate)
     return ap
@@ -281,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError, EmptyPackingError, InfeasibleError, OverlapError, OutsideDomainError
+        ParseError, EmptyPackingError, InfeasibleError, OverlapError, OutsideDomainError,
+        MemoryError,  # numpy raises it for a request too large to allocate
     ) as exc:
         _emit_error(exc)
         return 2

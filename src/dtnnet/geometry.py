@@ -31,10 +31,6 @@ class Disk:
     y: float
     r: float
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Packing:

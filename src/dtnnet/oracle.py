@@ -57,7 +57,9 @@ class SpectralSolution:
         """Potential at points of shape (..., 2) in the matrix region."""
         z = np.asarray(points, dtype=float)
         zc = z[..., 0] + 1j * z[..., 1]
-        return _evaluate_field(self, zc)
+        coeffs = np.concatenate([self.domain_cos, self.domain_sin,
+                                 np.stack([self.inclusion_cos, self.inclusion_sin], 1).ravel()])
+        return (_basis_columns(zc.reshape(-1), self.packing, self.M) @ coeffs).reshape(zc.shape)
 
 
 def _powers(w: np.ndarray, M: int):
@@ -85,12 +87,6 @@ def _basis_columns(zc: np.ndarray, packing: Packing, M: int) -> np.ndarray:
         inc[:, :, 0, m] = p.real
         inc[:, :, 1, m] = -p.imag
     return cols
-
-
-def _evaluate_field(sol: SpectralSolution, zc: np.ndarray) -> np.ndarray:
-    coeffs = np.concatenate([sol.domain_cos, sol.domain_sin,
-                             np.stack([sol.inclusion_cos, sol.inclusion_sin], 1).ravel()])
-    return (_basis_columns(zc.reshape(-1), sol.packing, sol.M) @ coeffs).reshape(zc.shape)
 
 
 def _flux_projection(packing: Packing, M: int) -> np.ndarray:
@@ -332,37 +328,33 @@ def dtn_oracle(packing: Packing, K: int, M: int) -> np.ndarray:
     return _checked_operator(packing, M, K).dtn[np.ix_(idx, idx)]
 
 
+def _gap_energy(delta: float, radii: tuple[float, ...]) -> float:
+    """(1/2) integral of dx / h(x) over |x| <= min(radii), where the gap height
+    h is delta plus the sag R (1 - sqrt(1 - (x/R)^2)) of each curved side R."""
+
+    def inv_h(x):
+        h = delta
+        for R in radii:
+            h = h + R * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - (x / R) ** 2)))
+        return 1.0 / h
+
+    X = min(radii)
+    val, _ = scipy.integrate.quad(inv_h, -X, X, epsabs=0.0, epsrel=1e-10, limit=200)
+    return 0.5 * val
+
+
 def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:
     """(1/2) integral of dx / h(x) across the gap between two disks."""
     if not (R_i > 0 and R_j > 0 and delta > 0):
         raise DomainError("radii and gap width must be positive")
-    X = min(R_i, R_j)
-
-    def h(x):
-        return (
-            delta
-            + R_i * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - (x / R_i) ** 2)))
-            + R_j * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - (x / R_j) ** 2)))
-        )
-
-    val, _ = scipy.integrate.quad(
-        lambda x: 1.0 / h(x), -X, X, epsabs=0.0, epsrel=1e-10, limit=200
-    )
-    return 0.5 * val
+    return _gap_energy(delta, (R_i, R_j))
 
 
 def gap_energy_quadrature_wall(R: float, delta: float) -> float:
     """Flat-wall variant: disk of radius R at distance delta from a wall."""
     if not (R > 0 and delta > 0):
         raise DomainError("radius and gap width must be positive")
-
-    def h(x):
-        return delta + R * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - (x / R) ** 2)))
-
-    val, _ = scipy.integrate.quad(
-        lambda x: 1.0 / h(x), -R, R, epsabs=0.0, epsrel=1e-10, limit=200
-    )
-    return 0.5 * val
+    return _gap_energy(delta, (R,))
 
 
 @dataclass(frozen=True)

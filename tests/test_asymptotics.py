@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import equal_gap_ring
 
-from dtnnet.errors import DomainError
+from dtnnet.errors import DomainError, SingularSystemError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, GeometryAnalysis, Packing, analyze
 from dtnnet.network import build_network
@@ -327,6 +327,14 @@ class TestDtnMatrix:
         assert peak < 6e6
 
 
+def assert_is_sweep_row(est, k, a, net):
+    """regime_estimate(k) is the cosine_sweep row of k, less the terms its regime drops."""
+    _, eps, eta, regime, e_net, e_ref, _, total, _ = cosine_sweep([k], a, net)[0]
+    assert (est.regime.k, est.regime.epsilon, est.regime.eta, est.regime.regime) == (
+        k, eps, eta, regime)
+    assert est.approx_total == (e_net + e_ref, e_ref, total)[regime - 1]
+
+
 class TestRegimeEstimate:
     def test_network_regime_drops_resonance(self, ring8):
         a = analyze(ring8)
@@ -335,6 +343,7 @@ class TestRegimeEstimate:
         assert est.regime.regime == 1
         bd = total_energy(FourierPotential.single_cos(1), a, net)
         assert est.approx_total == pytest.approx(bd.E_net + bd.E_ref, rel=1e-12)
+        assert_is_sweep_row(est, 1, a, net)
 
     def test_layer_regime_keeps_reference_only(self):
         a = handmade_analysis()
@@ -342,6 +351,7 @@ class TestRegimeEstimate:
         est = regime_estimate(10_000, a, net)
         assert est.regime.regime == 2
         assert est.approx_total == pytest.approx(5000.0 * math.pi, rel=1e-12)
+        assert_is_sweep_row(est, 10_000, a, net)
 
     def test_resonant_regime_keeps_all_terms(self):
         a = handmade_analysis()
@@ -350,6 +360,16 @@ class TestRegimeEstimate:
         assert est.regime.regime == 3
         bd = total_energy(FourierPotential.single_cos(300), a, net)
         assert est.approx_total == pytest.approx(bd.total, rel=1e-9)
+        assert_is_sweep_row(est, 300, a, net)
+
+    @pytest.mark.parametrize("k, regime", [(1, 1), (100, 2), (12, 3)])
+    def test_disconnected_network_raises_in_every_regime(self, k, regime):
+        # No gap of the 61-disk grid is below 0.001: every interior disk floats.
+        a = analyze(grid_packing(0.1, 0.02), delta_max_edge=0.001)
+        net = build_network(a, mode="identical")
+        assert regime_classify(k, a).regime == regime
+        with pytest.raises(SingularSystemError):
+            regime_estimate(k, a, net)
 
 
 class TestBoundaryLayerEnergy:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dtnnet.asymptotics import dtn_asymptotic
-from dtnnet.cli import main
+from dtnnet.cli import build_parser, main
 from dtnnet.generators import grid_packing
 from dtnnet.geometry import analyze, load_packing, save_packing
 from dtnnet.network import build_network
@@ -190,6 +191,21 @@ class TestDegenerateInputs:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    # Each asks for more than 2^57 bytes, beyond any address space: the
+    # allocation fails at once and no memory is touched.
+    @pytest.mark.parametrize(
+        "command",
+        [["validate", "--cos", "1=1", "--oracle-m", "100000000"],
+         ["analyze", "--cos", "100000000000000000=1"],
+         ["sweep", "--k-from", "0", "--k-to", "100000000000000000"]],
+        ids=["validate", "analyze", "sweep"],
+    )
+    def test_oversized_request_exit_2(self, ring_file, capsys, command):
+        code, out, err = run(capsys, command[0], "--packing", ring_file, *command[1:])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MemoryError"
+
 
 class TestDtn:
     def test_matrix_shape_and_symmetry(self, ring_file, capsys):
@@ -238,6 +254,18 @@ class TestSweep:
 
 
 class TestValidate:
+    def test_options_shared_with_analyze_have_its_help(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def helps(command):
+            return {a.dest: a.help for a in sub.choices[command]._actions}
+
+        analyze_help, validate_help = helps("analyze"), helps("validate")
+        assert {dest: validate_help[dest] for dest in analyze_help} == analyze_help
+        assert sub.choices["validate"].parse_args(
+            ["--packing", "a", "b"]).packing == ["a", "b"]
+
     def test_empty_packing_agrees_with_oracle(self, empty_file, capsys):
         code, out, _ = run(capsys, "validate", "--packing", empty_file,
                            "--cos", "2=1", "--oracle-m", "8")

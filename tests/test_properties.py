@@ -1,5 +1,6 @@
-"""Invariances of the DtN matrices, on rings drawn by hypothesis."""
+"""Invariances of the DtN matrices, on packings drawn by hypothesis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtnnet import oracle
-from dtnnet.asymptotics import dtn_asymptotic
+from dtnnet.asymptotics import FourierPotential, boundary_excitation, dtn_asymptotic
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, Packing, analyze
-from dtnnet.network import build_network
+from dtnnet.network import build_network, net_energy
 
 SCALES = st.floats(-3.0, 3.0).map(math.exp)
 
@@ -25,6 +26,11 @@ def rings(draw):
     disk_radius = draw(st.floats(0.3, 0.95)) * room
     phase = draw(st.floats(0.0, 2.0 * math.pi / n))
     return ring_packing(n, ring_radius, disk_radius, 1.0, phase)
+
+
+# Packings in general position: rings at a drawn phase and random packings.
+PACKINGS = st.one_of(
+    rings(), st.integers(1, 10**6).map(lambda seed: random_packing(12, 0.06, 0.02, 1.0, seed=seed)))
 
 
 def scaled(packing: Packing, s: float) -> Packing:
@@ -77,3 +83,40 @@ def test_relabelling_the_disks_changes_no_dtn_matrix(data):
     lam = oracle._operator(ring, M).dtn
     assert_close(lam, oracle._operator(relabelled, M).dtn, 1e-10)
     assert_close(asymptotic(ring), asymptotic(relabelled), 1e-12)
+
+
+def rotated(packing: Packing, alpha: float) -> Packing:
+    c, s = math.cos(alpha), math.sin(alpha)
+    return Packing(packing.L, tuple(Disk(c * d.x - s * d.y, s * d.x + c * d.y, d.r)
+                                    for d in packing.inclusions))
+
+
+def phase_shift(K: int, alpha: float) -> np.ndarray:
+    """Q on the modes cos 0..K, sin 1..K: psi(theta - alpha) has coefficients Q c."""
+    Q = np.eye(2 * K + 1)
+    k = np.arange(1, K + 1)
+    cos, sin = np.cos(k * alpha), np.sin(k * alpha)
+    Q[k, k], Q[k, K + k], Q[K + k, k], Q[K + k, K + k] = cos, -sin, sin, cos
+    return Q
+
+
+@given(PACKINGS, st.floats(0.0, 2.0 * math.pi))
+def test_asymptotic_dtn_is_rotation_covariant(packing, alpha):
+    Q = phase_shift(6, alpha)
+    assert_close(asymptotic(packing), Q.T @ asymptotic(rotated(packing, alpha)) @ Q, 1e-10)
+
+
+@given(st.data())
+def test_raising_a_conductivity_never_lowers_the_network_energy(data):
+    """Rayleigh monotonicity: E_net is a minimum of sums increasing in every sigma."""
+    a = analyze(data.draw(PACKINGS))
+    net = build_network(a)
+    c = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=13, max_size=13))
+    psi = FourierPotential(np.array(c[:7]), np.array([0.0, *c[7:]]))
+    excitation = boundary_excitation(psi, a)
+    field = data.draw(st.sampled_from(["gap_sigmas", "boundary_sigmas"]))
+    sigmas = getattr(net, field).copy()
+    sigmas[data.draw(st.integers(0, sigmas.size - 1))] *= data.draw(st.floats(1.0, 11.0))
+    before = net_energy(net, excitation)
+    after = net_energy(dataclasses.replace(net, **{field: sigmas}), excitation)
+    assert after >= before - 1e-12 * abs(before)
