@@ -1,29 +1,36 @@
-"""Time a cold build of the collocation oracle's operator on the benchmark rings.
+"""Time a cold build of the collocation oracle's operator on a ladder of packings.
 
     PYTHONPATH=src python bench/oracle_ladder.py --label change
     PYTHONPATH=<other checkout>/src python bench/oracle_ladder.py --label parent
 
-Each ring's operator (``dtnnet.oracle._operator``: the factor of the
+Each packing's operator (``dtnnet.oracle._operator``: the factor of the
 collocation system for every mode, the residual table and the DtN matrix)
-is built once as the first call of the process for that ring, then three
+is built once as the first call of the process for that packing, then three
 more times with the cache cleared; the median and minimum of those three
-are recorded. The rings have equal gaps t R between neighbours and to the
+are recorded, and one more build under ``tracemalloc`` gives its traced
+peak. The rungs are rings with equal gaps t R between neighbours and to the
 outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench`` at
 their smallest gap, criterion 4's three 16-disk rings and criterion 5's
-4-disk ring. The result is merged into ``--out`` under ``--label``, with
-the provenance fields of ``sweep_ladder.py``.
+4-disk ring; then a 20-disk random packing and the 61-disk grid, which have
+no rotation symmetry, and a two-ring packing of rotation order 4. Each
+record gives the order g of the blocks the factor uses (g = 1: one dense
+solve). The result is merged into ``--out`` under ``--label``, with the
+provenance fields of ``sweep_ladder.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import statistics
 import time
+import tracemalloc
 
 from sweep_ladder import merge_run, provenance
 
 from dtnnet import generators, oracle
+from dtnnet.geometry import Packing
 
 # (disks, gap/R, truncation M)
 RINGS = {
@@ -35,29 +42,58 @@ RINGS = {
 REPEATS = 3
 
 
-def equal_gap_ring(n: int, t: float):
+def equal_gap_ring(n: int, t: float) -> Packing:
     s = math.sin(math.pi / n)
     R = s / (1.0 + s + t * (s + 0.5))
     return generators.ring_packing(n, 1.0 - R - t * R, R, 1.0)
 
 
-def time_ring(group: str, n: int, t: float, M: int) -> dict:
-    packing = equal_gap_ring(n, t)
+def two_rings() -> Packing:
+    """12 disks at radius 0.8 and 4 at 0.35 (R = 0.1), listed [o0, o1, o2, i0, o3, ...]."""
+    outer = generators.ring_packing(12, 0.8, 0.1, 1.0).inclusions
+    inner = generators.ring_packing(4, 0.35, 0.1, 1.0).inclusions
+    return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
+
+
+OTHERS = {  # name: (packing, M)
+    "random_packing(20, 0.08, 0.01, seed=1)":
+        (lambda: generators.random_packing(20, 0.08, 0.01, seed=1), 32),
+    "grid_packing(0.1, 0.02)": (lambda: generators.grid_packing(0.1, 0.02), 16),
+    "two rings: 12 at 0.8, 4 at 0.35, R = 0.1": (two_rings, 24),
+}
+
+
+def rotation_order(packing: Packing, M: int) -> int:
+    order = getattr(oracle, "_rotation_order", None)
+    if order is not None:
+        return order(packing, M)
+    is_ring = getattr(oracle, "_is_ring", None)  # before the orbit factor: C_n rings or dense
+    return packing.n if is_ring is not None and is_ring(packing, M) else 1
+
+
+def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict:
     times = []
     for _ in range(REPEATS + 1):
         oracle._operator.cache_clear()
         t0 = time.perf_counter()
         op = oracle._operator(packing, M)
         times.append(time.perf_counter() - t0)
-    is_ring = getattr(oracle, "_is_ring", None)  # absent before the block factor
+    oracle._operator.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    oracle._operator(packing, M)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    oracle._operator.cache_clear()
     return {
-        "group": group, "n": n, "gap_over_radius": t, "M": M,
-        "path": "ring" if is_ring and is_ring(packing, M) else "dense",
+        "group": group, "packing": name, "n": packing.n, **fields, "M": M,
+        "order": rotation_order(packing, M),
         "condition": op.condition,
         "first_call_s": times[0],
         "median_s": statistics.median(times[1:]),
         "min_s": min(times[1:]),
         "repeats": REPEATS,
+        "tracemalloc_peak_mb": peak / 1e6,
     }
 
 
@@ -67,13 +103,16 @@ def main() -> None:
     ap.add_argument("--out", default="BENCH_oracle.json")
     args = ap.parse_args()
 
-    rings = [time_ring(group, *spec) for group, specs in RINGS.items() for spec in specs]
+    rungs = [time_rung(group, f"equal-gap ring ({n}, {t})", equal_gap_ring(n, t), M,
+                       gap_over_radius=t)
+             for group, specs in RINGS.items() for n, t, M in specs]
+    rungs += [time_rung("other packings", name, make(), M) for name, (make, M) in OTHERS.items()]
     merge_run(args.out, "dtnnet.oracle._operator, cold (cache cleared), in process",
-              args.label, {**provenance(), "rings": rings})
-    for r in rings:
-        print(f"{args.label}: n = {r['n']:2d}  gap/R = {r['gap_over_radius']:<4}  "
-              f"M = {r['M']:3d}  {r['path']:5s}  first {r['first_call_s']:.3f} s  "
-              f"median {r['median_s']:.3f} s  min {r['min_s']:.3f} s")
+              args.label, {**provenance(), "rungs": rungs})
+    for r in rungs:
+        print(f"{args.label}: {r['packing']:42s} M = {r['M']:3d}  g = {r['order']:2d}  "
+              f"first {r['first_call_s']:.3f} s  median {r['median_s']:.3f} s  "
+              f"min {r['min_s']:.3f} s  peak {r['tracemalloc_peak_mb']:.1f} MB")
 
 
 if __name__ == "__main__":

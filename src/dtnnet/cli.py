@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,9 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built on first use and reused: building it costs about as much as an analysis.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

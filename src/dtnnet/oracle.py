@@ -12,14 +12,15 @@ The DtN matrix needs no quadrature: on the outer circle every harmonic has
 an exact Fourier series (the multipole re-expansion of Rayleigh's method),
 so the flux of each basis column onto each mode is known in closed form.
 
-On an equally spaced ring of equal disks (centre k = e^{2 pi i k/n} centre 0)
-with n | 4M, the rotation by 2 pi/n permutes the collocation points and maps
-each harmonic to a multiple of another, so a discrete Fourier transform over
-the disk index splits the system into n blocks of about 1/n of its rows and
-columns, those above n/2 the conjugates of those below. The change of columns is
-unitary and a block's rows are one orbit of points weighted by sqrt(n), so
-the blocks' singular values are exactly the full matrix's: the rank cut and
-the condition limit decide as for the dense solve every other packing takes.
+When a rotation by 2 pi/g maps disk k onto disk k + n/g (mod n) for every k,
+with g | 4M, it also permutes the collocation points and maps each harmonic to
+a multiple of another, so a discrete Fourier transform over each orbit of
+disks splits the system into g blocks of about 1/g of its rows and columns,
+those above g/2 the conjugates of those below. The change of columns is
+unitary and a block's rows are one orbit of points weighted by sqrt(g), so the
+blocks' singular values are exactly the full matrix's and the rank cut and the
+condition limit decide as for one dense solve. Without such a rotation g = 1,
+and the one block is the full matrix.
 """
 
 from __future__ import annotations
@@ -141,31 +142,16 @@ def _min_gap_ratio(packing: Packing) -> float:
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
-def _dense_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
-    """Solve the full collocation system A X = B into X; return A's singular values."""
-    n = packing.n
-    n_per = 4 * M
-    n_basis = (2 * M + 1) + 2 * M * n
-    A = np.zeros((n_per * (n + 1), n_basis + n))
-    B = np.zeros((n_per * (n + 1), 2 * M + 1))
-    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    # Offset avoids symmetric aliasing against the outer-circle points.
-    for i, z in enumerate(_circle_points(packing, t, t + math.pi / n_per)):
-        A[i * n_per : (i + 1) * n_per, :n_basis] = _basis_columns(z, packing, M)
-    A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
-    B[:n_per] = _modes(t, M)
-    X[...], _, _, sv = np.linalg.lstsq(A, B, rcond=None)
-    return sv
-
-
-def _is_ring(packing: Packing, M: int) -> bool:
-    """Equal disks with centre k = e^{2 pi i k/n} centre 0, and n | 4M."""
-    n, radii = packing.n, packing.radii()
-    if n < 2 or (4 * M) % n or np.any(radii != radii[0]):
-        return False
-    c = packing.centers() @ np.array([1.0, 1j])
-    ideal = c[0] * np.exp(2j * math.pi * np.arange(n) / n)
-    return bool(np.max(np.abs(c - ideal)) <= 64 * np.finfo(float).eps * packing.L)
+def _rotation_order(packing: Packing, M: int) -> int:
+    """The largest g | gcd(n, 4M) with disk k + n/g disk k rotated by 2 pi/g, else 1."""
+    n, d = packing.n, math.gcd(packing.n, 4 * M)
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    for g in range(d if n else 1, 1, -1):
+        if (d % g == 0 and np.array_equal(np.roll(radii, n // g), radii)
+                and np.max(np.abs(np.roll(c, -(n // g)) - c * np.exp(2j * math.pi / g)))
+                <= 64 * np.finfo(float).eps * packing.L):
+            return g
+    return 1
 
 
 def _factor_block(A: np.ndarray, b: np.ndarray):
@@ -174,60 +160,85 @@ def _factor_block(A: np.ndarray, b: np.ndarray):
     return y, sv
 
 
-def _ring_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
-    """``_dense_factor``'s solution and singular values on a C_n ring, from blocks 0..n/2.
+def _orbit_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
+    """Solve A X = B into X from the C_g blocks 0..g/2 of A; return A's singular values.
 
-    Block j holds the columns that the rotation multiplies by w^j, w = e^{2 pi i/n}:
-    q^l (l = j mod n) and conj(q)^l (l = -j), q = z/L; sum_k w^{(j+m)k} p_k^m and
-    sum_k w^{(j-m)k} conj(p_k)^m, p_k = R/(z - c_k); sum_k w^{jk} U_k; the constant
-    in block 0. Block n - j is the conjugate: its modes e^{imt} are solved here as e^{-imt}.
+    Disk r + k n/g is disk r rotated by 2 pi k/g; w = e^{2 pi i/g}. Block j holds the
+    columns that the rotation multiplies by w^j: q^l (l = j mod g) and conj(q)^l
+    (l = -j), q = z/L; for each representative r, sum_k w^{(j+m)k} p_rk^m and
+    sum_k w^{(j-m)k} conj(p_rk)^m, p_rk = R_r/(z - c_rk), and sum_k w^{jk} U_rk; the
+    constant in block 0. Block g - j is the conjugate: its modes e^{imt} are solved
+    here as e^{-imt}. In blocks 0 and g/2 the conjugate columns are conj(H), so they
+    are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is A.
     """
-    n, L, R = packing.n, packing.L, packing.inclusions[0].r
-    n_per, n_basis, s = 4 * M, (2 * M + 1) + 2 * M * n, 4 * M // n
+    n, L, g = packing.n, packing.L, _rotation_order(packing, M)
+    nr, n_per, s, rt2 = n // g, 4 * M, 4 * M // g, math.sqrt(2)
+    n_basis = (2 * M + 1) + 2 * M * n
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    outer, disk0, *_ = _circle_points(packing, t, t + math.pi / n_per)
-    z = np.concatenate([outer[:s], disk0])
-    q = math.sqrt(n / 2) * np.stack(list(_powers(z / L, M)), axis=-1)
-    # sum_k w^{gk} p_k^m for every g: one FFT over the disk index.
-    w = R / (z[:, None] - packing.centers() @ np.array([1.0, 1j]))
-    p = np.fft.ifft(np.stack(list(_powers(w, M)), axis=-1), axis=1, norm="forward")
-    m, k, freq, rt2 = np.arange(1, M + 1), np.arange(n)[:, None], np.arange(M + 1), math.sqrt(2)
+    # Rows: one orbit of outer points, then each representative disk's (offset against aliasing).
+    outer, *disks = _circle_points(packing, t, t + math.pi / n_per)
+    z = np.concatenate([outer[:s], *disks[:nr]])
+    q = math.sqrt(g) * np.stack(list(_powers(z / L, M)), axis=-1)
+    m, freq, k = np.arange(1, M + 1), np.arange(M + 1), np.arange(g)[:, None]
+
+    def fill(A, a, b, v, vbar):  # v/sqrt(2) in H, conj(vbar)/sqrt(2); real: Re v, Im v
+        if np.iscomplexobj(A):
+            A[:, a], A[:, b] = v / rt2, vbar.conj() / rt2
+        else:
+            A[:, a], A[:, b] = v.real, v.imag
+
+    blocks = []
+    for j in range(g // 2 + 1):
+        lp, lm = m[m % g == j] - 1, m[-m % g == j] - 1
+        # Column offsets: q^l, the p sums (r-major), conj(q)^l, theirs, U, 1.
+        o = np.cumsum([0, lp.size, M * nr, lm.size, M * nr, nr])
+        A = np.zeros((z.size, o[-1] + (j == 0)), dtype=float if 2 * j % g == 0 else complex,
+                     order="F")  # filled a column at a time
+        fill(A, slice(0, o[1]), slice(o[2], o[3]), q[:, lp], q[:, lm])
+        A[s:, o[4] : o[5]] = -np.repeat(np.eye(nr), n_per, axis=0)  # sum_k w^{jk} U_rk/sqrt(g)
+        A[:, o[5] :] = math.sqrt(g)  # the constant, in block 0 only
+        blocks.append((j, lp, lm, o, A))
+    del q
+    # sum_k w^{hk} p_rk^m for every h: one FFT over k per representative and power.
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    for r in range(nr):
+        w = radii[r] / (z[:, None] - c[r::nr])
+        for i, p in enumerate(_powers(w, M)):
+            F = np.fft.ifft(p, axis=1, norm="forward")
+            for j, _, _, o, A in blocks:
+                fill(A, o[1] + r * M + i, o[3] + r * M + i,
+                     F[:, (j + i + 1) % g], F[:, (i + 1 - j) % g])
+
     sv = []
-    for j in range(n // 2 + 1):
-        lp, lm = m[m % n == j] - 1, m[-m % n == j] - 1
-        H = np.hstack([q[:, lp], p[:, (j + m) % n, m - 1] / rt2])
-        Hbar = np.hstack([q[:, lm].conj(), p[:, (m - j) % n, m - 1].conj() / rt2])
-        S = np.zeros((z.size, 1 + (j == 0)))
-        S[s:, 0] = -1.0  # sum_k w^{jk} U_k / sqrt(n), zero on the outer points
-        S[:, 1:] = math.sqrt(n)  # the constant
-        f = np.concatenate([freq[freq % n == j], -freq[(-freq % n == j) & (freq % n != j)]])
-        b = np.zeros((z.size, f.size), dtype=complex)
-        b[:s] = math.sqrt(n) * np.exp(1j * np.multiply.outer(t[:s], f))
-        h = H.shape[1]
-        if 2 * j % n == 0:  # Hbar = conj(H): [Re H, Im H] sqrt(2) is a real unitary image
-            yr, sv_j = _factor_block(np.hstack([rt2 * H.real, rt2 * H.imag, S]),
-                                     np.hstack([b.real, b.imag]))
-            y = yr[:, : f.size] + 1j * yr[:, f.size :]
+    while blocks:  # each block is freed once solved
+        j, lp, lm, o, A = blocks.pop(0)
+        f = np.concatenate([freq[freq % g == j], -freq[(-freq % g == j) & (freq % g != j)]])
+        rhs = np.zeros((z.size, f.size), dtype=complex)
+        rhs[:s] = math.sqrt(g) * np.exp(1j * np.multiply.outer(t[:s], f))
+        if real := not np.iscomplexobj(A):
+            rhs = np.hstack([rhs.real, rhs.imag])
+        y, sv_j = _factor_block(A, rhs)
+        del A, rhs
+        if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H)
+            y, h = y[:, : f.size] + 1j * y[:, f.size :], o[2]
             y = np.concatenate([(y[:h] - 1j * y[h : 2 * h]) / rt2,
                                 (y[:h] + 1j * y[h : 2 * h]) / rt2, y[2 * h :]])
-            sv.append(sv_j)
-        else:
-            y, sv_j = _factor_block(np.hstack([H, Hbar, S]), b)
-            sv += [sv_j, sv_j]
+        sv += [sv_j] if real else [sv_j, sv_j]
         # Back to A's columns, x = T y: q^l = Re + i Im, p^m = c - i d, U and 1 as they are.
-        yq, yp, yqbar, ypbar = np.split(y[: h + lm.size + M], [lp.size, h, h + lm.size])
+        yq, yp, yqbar, ypbar, yU, yc = np.split(y, o[1:])
         x = np.zeros((n_basis + n, f.size), dtype=complex)
-        x[1 + lp] += yq / rt2
-        x[1 + M + lp] += 1j * yq / rt2
+        x[1 + lp], x[1 + M + lp] = yq / rt2, 1j * yq / rt2
         x[1 + lm] += yqbar / rt2
         x[1 + M + lm] -= 1j * yqbar / rt2
-        mu = np.exp(2j * math.pi * k * (j + m) / n)[..., None] * yp / math.sqrt(2 * n)
-        nu = np.exp(2j * math.pi * k * (j - m) / n)[..., None] * ypbar / math.sqrt(2 * n)
-        inc = x[2 * M + 1 : n_basis].reshape(n, 2, M, f.size)
-        inc[:, 0], inc[:, 1] = mu + nu, 1j * (nu - mu)
-        x[n_basis:] = np.exp(2j * math.pi * k * j / n) * y[-S.shape[1]] / math.sqrt(n)
+        yp, ypbar = (a.reshape(nr, M, f.size) / math.sqrt(2 * g) for a in (yp, ypbar))
+        mu = np.exp(2j * math.pi * k * (j + m) / g)[:, None, :, None] * yp
+        nu = np.exp(2j * math.pi * k * (j - m) / g)[:, None, :, None] * ypbar
+        inc = x[2 * M + 1 : n_basis].reshape(g, nr, 2, M, f.size)
+        inc[:, :, 0], inc[:, :, 1] = mu + nu, 1j * (nu - mu)
+        U = np.exp(2j * math.pi * k * j / g)[..., None] * yU / math.sqrt(g)
+        x[n_basis:] = U.reshape(n, f.size)
         if j == 0:
-            x[0] = y[-1]
+            x[0] = yc[0]
         X[:, np.abs(f)] = x.real
         X[:, M - f[f < 0]] = -x[:, f < 0].imag
         X[:, M + f[f > 0]] = x[:, f > 0].imag
@@ -237,7 +248,7 @@ def _ring_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _operator(packing: Packing, M: int) -> _Operator:
     """Collocation solve of every outer-trace mode, factored once per (packing, M)."""
-    return _solve(packing, M, _ring_factor if _is_ring(packing, M) else _dense_factor)
+    return _solve(packing, M, _orbit_factor)
 
 
 def _solve(packing: Packing, M: int, factor) -> _Operator:
@@ -255,8 +266,7 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
             "this regime; use the asymptotic formula instead"
         )
     n_basis = (2 * M + 1) + 2 * M * n
-    n_unknown = n_basis + n
-    n_chk = 8 * M
+    n_unknown, n_chk = n_basis + n, 8 * M
     # The kept tables come before the matrix, so that the matrix and the
     # solver's workspace lie above them on the heap and can be released.
     X = np.empty((n_unknown, 2 * M + 1))
@@ -390,19 +400,5 @@ def max_principle_check(
     u_max = float(field.max()) if field.size else psi_max
     inc_min = float(sol.U.min()) if sol.U.size else psi_min
     inc_max = float(sol.U.max()) if sol.U.size else psi_max
-    passed = (
-        inc_min >= psi_min - tol
-        and inc_max <= psi_max + tol
-        and u_min >= psi_min - tol
-        and u_max <= psi_max + tol
-    )
-    return MaxPrincipleReport(
-        passed=passed,
-        tol=tol,
-        psi_min=psi_min,
-        psi_max=psi_max,
-        u_min=u_min,
-        u_max=u_max,
-        inclusion_min=inc_min,
-        inclusion_max=inc_max,
-    )
+    passed = min(inc_min, u_min) >= psi_min - tol and max(inc_max, u_max) <= psi_max + tol
+    return MaxPrincipleReport(passed, tol, psi_min, psi_max, u_min, u_max, inc_min, inc_max)

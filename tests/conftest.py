@@ -1,11 +1,14 @@
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from dtnnet import oracle
 from dtnnet.generators import ring_packing
+from dtnnet.geometry import Packing
 
 # Property tests draw the same examples on every run and keep no example database.
 settings.register_profile("dtnnet", derandomize=True, deadline=None, database=None)
@@ -30,7 +33,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def equal_gap_ring(n: int, gap_over_radius: float, L: float = 1.0):
+def equal_gap_ring(n: int, gap_over_radius: float, L: float = 1.0, phase: float = 0.0):
     """Ring where the boundary gap equals the neighbor gap, both = t * R.
 
     With n, L and the gap ratio fixed, the disk radius is determined:
@@ -40,7 +43,38 @@ def equal_gap_ring(n: int, gap_over_radius: float, L: float = 1.0):
     t = gap_over_radius
     R = s / (1.0 + s + t * (s + 0.5))
     delta = t * R
-    return ring_packing(n, L - R - delta, R, L)
+    return ring_packing(n, L - R - delta, R, L, phase)
+
+
+def two_ring_packing() -> Packing:
+    """12 disks at radius 0.8 and 4 at 0.35, all of radius 0.1, listed
+    [o0, o1, o2, i0, o3, ...]: disk k + 4 is disk k rotated by pi/2."""
+    outer = ring_packing(12, 0.8, 0.1, 1.0).inclusions
+    inner = ring_packing(4, 0.35, 0.1, 1.0).inclusions
+    return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
+
+
+def reference_dense_factor(packing, M, X):
+    """The full collocation system A X = B in one lstsq: the reference for the
+    oracle's orbit factor. Returns A's singular values."""
+    n = packing.n
+    n_per = 4 * M
+    n_basis = (2 * M + 1) + 2 * M * n
+    A = np.zeros((n_per * (n + 1), n_basis + n))
+    B = np.zeros((n_per * (n + 1), 2 * M + 1))
+    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
+    # Offset avoids symmetric aliasing against the outer-circle points.
+    for i, z in enumerate(oracle._circle_points(packing, t, t + math.pi / n_per)):
+        A[i * n_per : (i + 1) * n_per, :n_basis] = oracle._basis_columns(z, packing, M)
+    A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
+    B[:n_per] = oracle._modes(t, M)
+    X[...], _, _, sv = np.linalg.lstsq(A, B, rcond=None)
+    return sv
+
+
+def reference_operator(packing, M):
+    """The oracle's operator with the reference dense factor."""
+    return oracle._solve(packing, M, reference_dense_factor)
 
 
 @pytest.fixture

@@ -47,6 +47,31 @@ def empty_file(tmp_path):
     return write_packing(tmp_path, "empty.json", {"L": 1.0, "inclusions": []})
 
 
+class TestParserReuse:
+    """``main`` builds its parser once and reuses it."""
+
+    def test_calls_with_different_potentials_write_independent_results(self, ring_file,
+                                                                       capsys):
+        argv = ["analyze", "--packing", ring_file, "--cos", "1=1"]
+        _, one, _ = run(capsys, *argv)
+        _, both, _ = run(capsys, *argv, "--cos", "2=0.5", "--sin", "1=0.2")
+        _, again, _ = run(capsys, *argv)
+        assert json.loads(both)["quad_form"] > json.loads(one)["quad_form"]
+        assert again == one
+
+    @pytest.mark.parametrize("command", ["", "gen", "analyze", "dtn", "sweep", "validate"])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, command):
+        def help_text(parse):
+            with pytest.raises(SystemExit):
+                parse(command.split() + ["--help"])
+            return capsys.readouterr().out
+
+        fresh = help_text(build_parser().parse_args)
+        assert fresh.startswith("usage: dtnnet")
+        for _ in range(2):
+            assert help_text(main) == fresh
+
+
 class TestGen:
     def test_ring_stdout_is_valid_packing(self, capsys):
         code, out, _ = run(capsys, "gen", "ring", "--n", "6")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import equal_gap_ring
+from conftest import equal_gap_ring, reference_dense_factor, reference_operator, two_ring_packing
 
 from dtnnet.asymptotics import FourierPotential
 from dtnnet.cli import main
@@ -132,6 +132,20 @@ def reference_dtn(packing, M, n_q):
     return 0.5 * (form + form.T)
 
 
+def moved(packing, i, dx=0.0, dr=0.0):
+    """The packing with disk i shifted by dx along x and its radius grown by dr."""
+    d = list(packing.inclusions)
+    d[i] = Disk(d[i].x + dx, d[i].y, d[i].r + dr)
+    return Packing(packing.L, tuple(d))
+
+
+def rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+RING8 = ring_packing(8, 0.85, 0.1, 1.0)
+
+
 class TestOperatorReuse:
     RING = ring_packing(8, 0.85, 0.1, 1.0)
     MIXED = FourierPotential(np.array([0.3, 1.0, -0.5, 0.0, 0.25]),
@@ -147,7 +161,9 @@ class TestOperatorReuse:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         oracle._operator.cache_clear()
-        p, M, n = self.RING, 15, self.RING.n  # 8 does not divide 4M: the dense path
+        p, M = moved(self.RING, 5, dr=-0.01), 15
+        n = p.n
+        assert oracle._rotation_order(p, M) == 1  # one block: the full matrix
         for k in (1, 2, 4):
             solve_dirichlet(p, FourierPotential.single_cos(k), M)
         quad_form_oracle(p, self.MIXED, M)
@@ -165,17 +181,21 @@ class TestOperatorReuse:
             return real(A, b)
 
         monkeypatch.setattr(oracle, "_factor_block", spy)
-        oracle._operator.cache_clear()
-        p, M, n = self.RING, 16, self.RING.n
-        for k in (1, 2, 4):
-            solve_dirichlet(p, FourierPotential.single_cos(k), M)
-        quad_form_oracle(p, self.MIXED, M)
-        cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
-        # Blocks 0..n/2 of 4M/n + 4M rows; the blocks n/2+1..n-1 are their conjugates.
-        assert len(shapes) == n // 2 + 1
-        assert all(rows == 4 * M // n + 4 * M for rows, _ in shapes)
-        solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
-        assert len(shapes) == 2 * (n // 2 + 1)
+        for p, M, g in [(self.RING, 16, 8), (self.RING, 15, 4), (two_ring_packing(), 24, 4),
+                        (moved(self.RING, 5, dr=-0.01), 16, 1)]:
+            oracle._operator.cache_clear()
+            shapes.clear()
+            assert oracle._rotation_order(p, M) == g
+            for k in (1, 2, 4):
+                solve_dirichlet(p, FourierPotential.single_cos(k), M)
+            quad_form_oracle(p, self.MIXED, M)
+            cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
+            # Blocks 0..g/2 of one orbit of rows; the blocks g/2+1..g-1 are their conjugates.
+            assert len(shapes) == g // 2 + 1
+            assert all(rows == 4 * M // g + 4 * M * p.n // g for rows, _ in shapes)
+            solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
+            g4 = oracle._rotation_order(p, M + 4)
+            assert len(shapes) == g // 2 + 1 + g4 // 2 + 1
 
     def test_solutions_do_not_share_state(self):
         psi = FourierPotential.single_cos(2)
@@ -245,42 +265,55 @@ class TestOperatorReuse:
                               reference_basis_columns(zc, self.RING, M))
 
 
-def moved(packing, i, dx=0.0, dr=0.0):
-    """The packing with disk i shifted by dx along x and its radius grown by dr."""
-    d = list(packing.inclusions)
-    d[i] = Disk(d[i].x + dx, d[i].y, d[i].r + dr)
-    return Packing(packing.L, tuple(d))
-
-
-def rel(a, b):
-    return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
-
-RING8 = ring_packing(8, 0.85, 0.1, 1.0)
-
-
 class TestRingFactor:
-    """Equally spaced rings are factored as C_n blocks; all else stays dense."""
+    """Packings that a rotation by 2 pi/g maps onto themselves, disk k to disk
+    k + n/g, are factored as C_g orbit blocks; g = 1 is the dense solve."""
 
     PSIS = (FourierPotential.single_cos(1), FourierPotential.single_sin(2),
             TestOperatorReuse.MIXED,
             FourierPotential(np.array([0.0, -0.2, 0.6, 0.1]), np.array([0.0, 0.5, 0.3, -0.7])))
-    RINGS = {
-        "n2": (ring_packing(2, 0.5, 0.2, 1.0, phase=0.3), 8),
-        "n3": (equal_gap_ring(3, 0.1), 9),
-        "n4": (equal_gap_ring(4, 0.05), 12),
-        "n8": (ring_packing(8, 0.85, 0.1, 1.0, phase=0.2), 16),
-        "n16-one-point-per-orbit": (equal_gap_ring(16, 0.1), 4),
-        "n16-gap0.02": (equal_gap_ring(16, 0.02), 24),
+    RINGS = {  # g = n
+        "n2": (ring_packing(2, 0.5, 0.2, 1.0, phase=0.3), 8, 2),
+        "n3": (equal_gap_ring(3, 0.1), 9, 3),
+        "n4": (equal_gap_ring(4, 0.05), 12, 4),
+        "n8": (ring_packing(8, 0.85, 0.1, 1.0, phase=0.2), 16, 8),
+        "n16-one-point-per-orbit": (equal_gap_ring(16, 0.1), 4, 16),
+        "n16-gap0.02": (equal_gap_ring(16, 0.02), 24, 16),
     }
+    ORBITS = {  # 1 < g < n
+        "n12-M32": (equal_gap_ring(12, 0.05), 32, 4),  # 12 does not divide 4M = 128
+        "ring8-M15": (RING8, 15, 4),
+        "two-rings": (two_ring_packing(), 24, 4),
+        "reversed": (Packing(1.0, RING8.inclusions[::-1]), 16, 2),  # clockwise labels
+    }
+    DENSE = {  # g = 1
+        "centre-moved-1e-9": (moved(RING8, 3, dx=1e-9), 16, 1),
+        "permuted": (Packing(1.0, tuple(RING8.inclusions[i] for i in (0, 2, 1, 3, 4, 5, 7, 6))),
+                     16, 1),
+        "ring-and-centre-disk": (Packing(1.0, RING8.inclusions + (Disk(0.0, 0.0, 0.3),)), 16, 1),
+        "unequal-radii": (moved(RING8, 5, dr=-0.01), 16, 1),
+        "one-disk": (Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16, 1),
+    }
+    ALL = {**RINGS, **ORBITS, **DENSE}
 
-    @pytest.mark.parametrize("p, M", RINGS.values(), ids=RINGS.keys())
+    @pytest.mark.parametrize("p, M, g", ALL.values(), ids=ALL.keys())
+    def test_rotation_order(self, p, M, g):
+        assert oracle._rotation_order(p, M) == g
+
+    def test_rotation_order_of_the_empty_packing_and_of_one_step_orders(self):
+        assert oracle._rotation_order(EMPTY, 8) == 1
+        # gcd(6, 4M) = 2 at M = 1 and 6 at M = 3.
+        assert oracle._rotation_order(equal_gap_ring(6, 0.1), 1) == 2
+        assert oracle._rotation_order(equal_gap_ring(6, 0.1), 3) == 6
+
+    @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in ALL.values()], ids=ALL.keys())
     def test_matches_the_dense_factor(self, p, M):
-        assert oracle._is_ring(p, M)
-        ring, dense = oracle._operator(p, M), oracle._solve(p, M, oracle._dense_factor)
-        for a, b in zip(ring[:3], dense[:3]):  # X, the residual table and Lambda
+        blocks, dense = oracle._operator(p, M), reference_operator(p, M)
+        for a, b in zip(blocks[::2], dense[::2]):  # X and Lambda
             assert rel(a, b) <= 1e-10
-        assert ring.condition == pytest.approx(dense.condition, rel=1e-12)
+        err = np.max(np.abs(blocks.residual - dense.residual))
+        assert err <= max(1e-10 * np.max(np.abs(dense.residual)), 1e-13)
+        assert blocks.condition == pytest.approx(dense.condition, rel=1e-12)
         c = [oracle._mode_vector(psi, M) for psi in self.PSIS]
         for psi, ca in zip(self.PSIS, c):
             assert solve_dirichlet(p, psi, M).energy == pytest.approx(
@@ -289,7 +322,7 @@ class TestRingFactor:
             assert cross_form_oracle(p, a, b, M) == pytest.approx(ca @ dense.dtn @ cb, rel=1e-10)
 
     @pytest.mark.parametrize("p, M", [(equal_gap_ring(4, 0.05), 8), (equal_gap_ring(4, 0.2), 16),
-                                      (RING8, 4), (RING8, 16)])
+                                      (RING8, 4), (RING8, 16), (two_ring_packing(), 12)])
     def test_block_singular_values_are_those_of_the_matrix(self, monkeypatch, p, M):
         matrices = []
         real = np.linalg.lstsq
@@ -300,46 +333,34 @@ class TestRingFactor:
 
         X = np.empty(((2 * M + 1) + (2 * M + 1) * p.n, 2 * M + 1))
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        oracle._dense_factor(p, M, X)
+        reference_dense_factor(p, M, X)
         monkeypatch.undo()
         expected = np.linalg.svd(matrices[0], compute_uv=False)
-        blocks = np.sort(oracle._ring_factor(p, M, X))[::-1]
+        blocks = np.sort(oracle._orbit_factor(p, M, X))[::-1]
         assert blocks.shape == expected.shape
         assert np.max(np.abs(blocks - expected)) <= 1e-12 * expected[0]
 
-    DENSE = {
-        "n12-M32": (equal_gap_ring(12, 0.05), 32),  # 12 does not divide 4M = 128
-        "centre-moved-1e-9": (moved(RING8, 3, dx=1e-9), 16),
-        "permuted": (Packing(1.0, tuple(RING8.inclusions[i] for i in (0, 2, 1, 3, 4, 5, 7, 6))), 16),
-        "ring-and-centre-disk": (Packing(1.0, RING8.inclusions + (Disk(0.0, 0.0, 0.3),)), 16),
-        "unequal-radii": (moved(RING8, 5, dr=-0.01), 16),
-        "one-disk": (Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16),
-    }
-
-    @pytest.mark.parametrize("p, M", DENSE.values(), ids=DENSE.keys())
+    @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in DENSE.values()], ids=DENSE.keys())
     def test_other_packings_take_the_dense_factor(self, monkeypatch, p, M):
         shapes = []
-        real = np.linalg.lstsq
+        real = oracle._factor_block
 
-        def spy(A, b, **kwargs):
+        def spy(A, b):
             shapes.append(A.shape)
-            return real(A, b, **kwargs)
+            return real(A, b)
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        monkeypatch.setattr(oracle, "_factor_block", spy)
         oracle._operator.cache_clear()
-        op, n = oracle._operator(p, M), p.n
+        oracle._operator(p, M)
+        n = p.n
         assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
-        reference = oracle._solve(p, M, oracle._dense_factor)
-        for a, b in zip(op[:3], reference[:3]):
-            assert np.array_equal(a, b)
-        assert op.condition == reference.condition
 
     @pytest.mark.parametrize("n, M", [(8, 16), (12, 24), (16, 4)])
     def test_generated_ring_file_takes_the_ring_path(self, tmp_path, n, M):
         path = str(tmp_path / "ring.json")
         assert main(["gen", "ring", "--n", str(n), "--ring-radius", "0.8",
                      "--disk-radius", "0.1", "--out", path]) == 0
-        assert oracle._is_ring(load_packing(path), M)
+        assert oracle._rotation_order(load_packing(path), M) == n
 
 
 class TestGapQuadrature:

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from conftest import equal_gap_ring, reference_operator
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtnnet import oracle
@@ -78,11 +79,20 @@ def test_relabelling_the_disks_changes_no_dtn_matrix(data):
     M = step * data.draw(st.integers(1, 12 // step))
     order = data.draw(st.permutations(range(n)))
     relabelled = Packing(ring.L, tuple(ring.inclusions[i] for i in order))
-    assume(not oracle._is_ring(relabelled, M))  # a rotation of the labels is still a ring
-    assert oracle._is_ring(ring, M)
+    # A rotation of the labels is still a ring of the same order.
+    assume(oracle._rotation_order(relabelled, M) != oracle._rotation_order(ring, M))
+    assert oracle._rotation_order(ring, M) == n
     lam = oracle._operator(ring, M).dtn
     assert_close(lam, oracle._operator(relabelled, M).dtn, 1e-10)
     assert_close(asymptotic(ring), asymptotic(relabelled), 1e-12)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 12), st.floats(0.05, 0.5), st.floats(0.0, 1.0), st.integers(1, 16))
+def test_orbit_factor_matches_the_dense_reference(n, t, phase, M):
+    # gcd(n, 4M) < n for many draws, so the factor runs at every order g | n.
+    ring = equal_gap_ring(n, t, phase=2.0 * math.pi * phase / n)
+    assert_close(reference_operator(ring, M).dtn, oracle._operator(ring, M).dtn, 1e-10)
 
 
 def rotated(packing: Packing, alpha: float) -> Packing:
