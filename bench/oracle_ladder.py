@@ -63,14 +63,6 @@ OTHERS = {  # name: (packing, M)
 }
 
 
-def rotation_order(packing: Packing, M: int) -> int:
-    order = getattr(oracle, "_rotation_order", None)
-    if order is not None:
-        return order(packing, M)
-    is_ring = getattr(oracle, "_is_ring", None)  # before the orbit factor: C_n rings or dense
-    return packing.n if is_ring is not None and is_ring(packing, M) else 1
-
-
 def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict:
     times = []
     for _ in range(REPEATS + 1):
@@ -87,7 +79,7 @@ def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict
     oracle._operator.cache_clear()
     return {
         "group": group, "packing": name, "n": packing.n, **fields, "M": M,
-        "order": rotation_order(packing, M),
+        "order": oracle._rotation_order(packing, M),
         "condition": op.condition,
         "first_call_s": times[0],
         "median_s": statistics.median(times[1:]),

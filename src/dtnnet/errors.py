@@ -46,10 +46,6 @@ class SingularSystemError(DtnError):
     kind = "SingularSystemError"
 
 
-class FloatingComponentError(DtnError):
-    kind = "FloatingComponentError"
-
-
 class DomainError(DtnError):
     kind = "DomainError"
 

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import InfeasibleError
 from .geometry import Disk, Packing, validate_packing
 
+_MAX_TRIES = 20000  # candidate centres random_packing draws before giving up
+
 
 def ring_packing(
     n: int,
@@ -36,11 +38,11 @@ def ring_packing(
 
 def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
     """Hexagonal patch with uniform gap, clipped to keep a boundary gap >= gap."""
-    if gap <= 0 or disk_radius <= 0:
+    if not (gap > 0 and disk_radius > 0):
         raise InfeasibleError("gap and radius must be positive")
     pitch = 2.0 * disk_radius + gap
     limit = L - disk_radius - gap
-    if limit <= 0:
+    if not limit > 0:
         raise InfeasibleError("disks do not fit inside the domain")
     disks = []
     n_rows = int(math.ceil(limit / (pitch * math.sqrt(3.0) / 2.0))) + 1
@@ -52,8 +54,6 @@ def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
             x = col * pitch + x_off
             if math.hypot(x, y) <= limit:
                 disks.append(Disk(x, y, disk_radius))
-    if not disks:
-        raise InfeasibleError("no grid disk fits inside the domain")
     return validate_packing(Packing(L=L, inclusions=tuple(disks)))
 
 
@@ -63,7 +63,6 @@ def random_packing(
     delta_min: float,
     L: float = 1.0,
     seed: int = 0,
-    max_tries: int = 20000,
 ) -> Packing:
     """Rejection-sampled packing with all gaps at least delta_min."""
     rng = np.random.default_rng(seed)
@@ -73,9 +72,9 @@ def random_packing(
         raise InfeasibleError("disks do not fit inside the domain")
     tries = 0
     while len(placed) < n:
-        if tries >= max_tries:
+        if tries >= _MAX_TRIES:
             raise InfeasibleError(
-                f"could not place {n} disks with gap {delta_min} in {max_tries} tries"
+                f"could not place {n} disks with gap {delta_min} in {_MAX_TRIES} tries"
             )
         tries += 1
         r = limit * math.sqrt(rng.uniform())

@@ -62,9 +62,6 @@ class GeometryAnalysis:
     boundary_angles: np.ndarray  # theta_i in [0, 2pi)
     boundary_nodes: np.ndarray  # (boundary_count, 2), points on |x| = L
 
-    def gap(self, i: int, j: int) -> float:
-        return self.gap_widths[(i, j) if i < j else (j, i)]
-
 
 @dataclass(frozen=True)
 class ScaleReport:
@@ -98,9 +95,15 @@ def validate_packing(packing: Packing) -> Packing:
         raise EmptyPackingError("packing holds no inclusions")
     if not (packing.L > 0 and math.isfinite(packing.L)):
         raise ParseError(f"domain radius must be positive and finite, got {packing.L}")
-    centers = packing.centers()
+    centers, radii = packing.centers(), packing.radii()
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(radii)
+    if not (finite.all() and radii.min() > 0.0):
+        k = int(np.argmin(finite & (radii > 0.0)))
+        if not finite[k]:
+            raise ParseError(f"inclusion {k}: non-finite coordinate or radius")
+        raise ParseError(f"inclusion {k}: radius must be positive, got {float(radii[k])}")
     norms = np.hypot(centers[:, 0], centers[:, 1])
-    outside = np.nonzero(norms + packing.radii() >= packing.L)[0]
+    outside = np.nonzero(norms + radii >= packing.L)[0]
     if outside.size:
         raise OutsideDomainError(int(outside[0]))
     pairs, gaps = _pair_gaps(packing, 0.0)
@@ -266,17 +269,10 @@ def packing_to_dict(packing: Packing) -> dict:
 
 
 def packing_from_dict(obj: dict) -> Packing:
+    """Parse a packing object; its disks are checked by :func:`validate_packing`."""
     try:
         L = float(obj["L"])
-        raw = obj["inclusions"]
-        disks = []
-        for k, item in enumerate(raw):
-            x, y, r = float(item["x"]), float(item["y"]), float(item["r"])
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
-                raise ParseError(f"inclusion {k}: non-finite coordinate or radius")
-            if r <= 0.0:
-                raise ParseError(f"inclusion {k}: radius must be positive, got {r}")
-            disks.append(Disk(x, y, r))
+        disks = [Disk(float(d["x"]), float(d["y"]), float(d["r"])) for d in obj["inclusions"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed packing object: {exc}") from exc
     if not math.isfinite(L) or L <= 0.0:

@@ -19,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .errors import FloatingComponentError, ModeError, SingularSystemError
+from .errors import ModeError, SingularSystemError
 from .geometry import GeometryAnalysis
 
 
@@ -51,7 +51,9 @@ class Network:
         disconnected network raises.
         """
         A = _kirchhoff_matrix(self)
-        if not _grounded(A, self.boundary_count):
+        # Every connected component of A's graph must hold a boundary inclusion.
+        _, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
+        if not np.isin(labels, labels[: self.boundary_count]).all():
             raise SingularSystemError(
                 "network has inclusion components with no path to a boundary node"
             )
@@ -110,18 +112,6 @@ def _kirchhoff_matrix(network: Network) -> scipy.sparse.csc_matrix:
     cols = np.concatenate([i, j, j, i, b])
     vals = np.concatenate([s, s, -s, -s, network.boundary_sigmas])
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
-
-
-def _grounded(A: scipy.sparse.spmatrix, n_fixed: int) -> bool:
-    """Whether every connected component of A's graph holds one of the first
-    ``n_fixed`` nodes."""
-    _, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
-    return bool(np.isin(labels, labels[:n_fixed]).all())
-
-
-def check_connected(network: Network) -> None:
-    """Every inclusion component must reach a boundary edge (checked on first factorization)."""
-    _ = network._kirchhoff
 
 
 def kirchhoff_response(network: Network, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +176,8 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
     # diag(sigma_b) sits on the first n_b rows only: the interior blocks are
-    # the gap Laplacian's, and the graph is the same.
-    A = _kirchhoff_matrix(network)
-    if not _grounded(A, n_b):
-        raise FloatingComponentError(
-            "interior inclusions with no gap path to a boundary inclusion"
-        )
+    # the gap Laplacian's, and the cached matrix has been checked for connectivity.
+    A, _ = network._kirchhoff
     U = np.concatenate([U_gamma, np.zeros(network.n - n_b)])
     if network.n > n_b:
         U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))

@@ -35,10 +35,11 @@ import scipy.integrate
 
 from .asymptotics import FourierPotential, _mode_vector, _modes, _slots
 from .errors import DomainError, IllConditionedError
-from .geometry import Packing, _pair_gaps
+from .geometry import Packing, _pair_gaps, validate_packing
 
 CONDITION_LIMIT = 1e14
 GAP_GUARD = 1e-3  # refuse solves below delta_min / R_min = 1e-3
+_GRID = 64  # points per side of the square that max_principle_check samples
 
 
 @dataclass(frozen=True)
@@ -256,11 +257,11 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
 
     The matrix is freed before returning; only O(2M+1) columns per unknown
     and per check point, and the (2M+1)^2 DtN matrix, are kept, read-only.
-    A refusal raises, so it is not cached and a refused packing is refused
-    on every call.
+    An invalid packing raises the error of ``validate_packing``. A refusal
+    raises, so it is not cached and a refused packing is refused on every call.
     """
     n = packing.n
-    if n > 0 and _min_gap_ratio(packing) < GAP_GUARD:
+    if n > 0 and _min_gap_ratio(validate_packing(packing)) < GAP_GUARD:
         raise IllConditionedError(
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
@@ -379,9 +380,7 @@ class MaxPrincipleReport:
     inclusion_max: float
 
 
-def max_principle_check(
-    sol: SpectralSolution, psi: FourierPotential, grid: int = 64
-) -> MaxPrincipleReport:
+def max_principle_check(sol: SpectralSolution, psi: FourierPotential) -> MaxPrincipleReport:
     """Inclusion potentials and sampled field bounded by the boundary data."""
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     vals = psi.evaluate(theta)
@@ -389,7 +388,7 @@ def max_principle_check(
     tol = max(10.0 * sol.boundary_residual, 1e-12)
 
     L = sol.packing.L
-    xs = np.linspace(-L, L, grid)
+    xs = np.linspace(-L, L, _GRID)
     xx, yy = np.meshgrid(xs, xs)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     keep = np.hypot(pts[:, 0], pts[:, 1]) < L * (1.0 - 1e-9)

@@ -101,6 +101,18 @@ class TestGen:
         assert json.loads(err)["error"] == "InfeasibleError"
 
 
+    @pytest.mark.parametrize("kind", ["ring", "random"])
+    def test_negative_radius_exit_2_and_no_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "bad.json"
+        code, out, err = run(capsys, "gen", kind, "--n", "4" if kind == "ring" else "3",
+                             "--disk-radius", "-0.1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": "inclusion 0: radius must be positive, got -0.1"}
+        assert not path.exists()
+
+
 class TestAnalyze:
     def test_constant_potential_costs_nothing(self, ring_file, capsys):
         code, out, _ = run(capsys, "analyze", "--packing", ring_file, "--cos", "0=1")
@@ -270,6 +282,18 @@ class TestSweep:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["total"]) == pytest.approx(0.0, abs=1e-10)
+
+    def test_empty_packing_is_the_reference_medium(self, empty_file, capsys):
+        code, out, _ = run(capsys, "sweep", "--packing", empty_file,
+                           "--k-from", "0", "--k-to", "5")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["k"]) for r in rows] == list(range(6))
+        for r in rows:
+            k = int(r["k"])
+            assert int(r["regime"]) == 2
+            assert float(r["E_net"]) == float(r["R_res"]) == 0.0
+            assert float(r["quad_form"]) == pytest.approx(math.pi * k, rel=1e-15, abs=0.0)
 
     def test_empty_range_exit_2(self, ring_file, capsys):
         code, _, err = run(capsys, "sweep", "--packing", ring_file,

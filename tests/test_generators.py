@@ -1,0 +1,39 @@
+import math
+
+import pytest
+
+from dtnnet.errors import InfeasibleError, ParseError
+from dtnnet.generators import grid_packing, random_packing, ring_packing
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ring_packing(0, 0.5, 0.1), "at least one disk"),
+        (lambda: ring_packing(4, 0.95, 0.1), "touch or cross the domain boundary"),
+        (lambda: ring_packing(8, 0.5, 0.2), "neighbors overlap"),
+        (lambda: grid_packing(0.1, 0.0), "must be positive"),
+        (lambda: grid_packing(-0.1, 0.02), "must be positive"),
+        (lambda: grid_packing(0.1, math.nan), "must be positive"),
+        (lambda: grid_packing(0.6, 0.5), "do not fit"),
+        (lambda: random_packing(3, 0.6, 0.5), "do not fit"),
+        # Three disks 0.97 apart need a circle of radius 0.56 for their centres; 0.51 is left.
+        (lambda: random_packing(3, 0.48, 0.01, seed=1), "could not place 3 disks"),
+    ],
+    ids=["ring-empty", "ring-outside", "ring-overlap", "grid-zero-gap", "grid-negative-radius",
+         "grid-nan-gap", "grid-too-large", "random-too-large", "random-no-room"],
+)
+def test_infeasible_requests_raise(make, message):
+    with pytest.raises(InfeasibleError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ring_packing(4, 0.85, -0.1), lambda: random_packing(3, -0.1, 0.01),
+     lambda: ring_packing(4, 0.85, math.nan)],
+    ids=["ring-negative-radius", "random-negative-radius", "ring-nan-radius"],
+)
+def test_invalid_disk_values_raise_parse_error(make):
+    with pytest.raises(ParseError, match="inclusion 0"):
+        make()

@@ -96,6 +96,44 @@ class TestValidatePacking:
         assert "Voronoi" in str(exc.value)
 
 
+# One invalid disk added to the 8-disk ring, and the message that names it.
+INVALID_DISKS = {
+    "r-nan": (Disk(0.0, 0.0, math.nan), "inclusion 8: non-finite coordinate or radius"),
+    "x-nan": (Disk(math.nan, 0.0, 0.1), "inclusion 8: non-finite coordinate or radius"),
+    "r-zero": (Disk(0.0, 0.0, 0.0), "inclusion 8: radius must be positive, got 0.0"),
+    "r-negative": (Disk(0.0, 0.0, -0.1), "inclusion 8: radius must be positive, got -0.1"),
+}
+
+
+class TestDiskValues:
+    @pytest.mark.parametrize("disk, message", INVALID_DISKS.values(), ids=INVALID_DISKS)
+    def test_invalid_disk_rejected_by_validate_and_analyze(self, ring8, disk, message, capfd):
+        p = Packing(1.0, ring8.inclusions + (disk,))
+        for check in (validate_packing, analyze):
+            with pytest.raises(ParseError) as exc:
+                check(p)
+            assert str(exc.value) == message
+        assert capfd.readouterr() == ("", "")
+
+    def test_first_invalid_disk_is_named(self, ring8):
+        negative, infinite = Disk(0.0, 0.0, -0.1), Disk(0.0, 0.3, math.inf)
+        with pytest.raises(ParseError, match="inclusion 8: radius must be positive"):
+            validate_packing(Packing(1.0, ring8.inclusions + (negative, infinite)))
+        with pytest.raises(ParseError, match="inclusion 8: non-finite"):
+            validate_packing(Packing(1.0, ring8.inclusions + (infinite, negative)))
+        # Non-finiteness is named before the sign of the same disk.
+        with pytest.raises(ParseError, match="inclusion 0: non-finite"):
+            validate_packing(Packing(1.0, (Disk(math.inf, 0.0, -0.1),)))
+
+    def test_checked_before_the_kd_tree(self, ring8, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("KD-tree built for an invalid packing")
+
+        monkeypatch.setattr(geometry, "cKDTree", no_tree)
+        with pytest.raises(ParseError):
+            validate_packing(Packing(1.0, ring8.inclusions + (Disk(math.nan, 0.0, 0.1),)))
+
+
 class TestAdjacency:
     def test_two_disks_always_neighbors(self):
         p = Packing(10.0, (Disk(-1.005, 0, 1), Disk(1.005, 0, 1)))
@@ -242,6 +280,21 @@ class TestScaleReport:
         assert rep.ratio_delta_R > 0.2
         assert rep.warnings
 
+    def test_large_inclusion_warned(self):
+        p = Packing(1.0, (Disk(-0.4, 0.0, 0.35), Disk(0.4, 0.0, 0.35)))
+        rep = scale_report(analyze(p))
+        assert rep.ratio_R_L == pytest.approx(0.35)
+        assert any("R_max/L = 0.35 > 0.3" in w for w in rep.warnings)
+
+    def test_boundary_inclusion_at_origin_warned(self):
+        rep = scale_report(analyze(Packing(1.0, (Disk(0.0, 0.0, 0.1),))))
+        assert any("centered at the origin" in w for w in rep.warnings)
+        assert not any("R_max/L" in w for w in rep.warnings)
+
+    def test_no_size_or_origin_warning_on_the_ring(self, ring8):
+        warnings = scale_report(analyze(ring8)).warnings
+        assert not any("R_max/L" in w or "origin" in w for w in warnings)
+
     def test_single_inclusion_uses_boundary_gaps(self):
         p = Packing(1.0, (Disk(0.3, 0.0, 0.1),))
         rep = scale_report(analyze(p))
@@ -289,11 +342,12 @@ class TestPackingIO:
 
     def test_rejects_nan(self):
         with pytest.raises(ParseError):
-            packing_from_dict({"L": 1.0, "inclusions": [{"x": float("nan"), "y": 0, "r": 0.1}]})
+            validate_packing(packing_from_dict(
+                {"L": 1.0, "inclusions": [{"x": float("nan"), "y": 0, "r": 0.1}]}))
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ParseError):
-            packing_from_dict({"L": 1.0, "inclusions": [{"x": 0, "y": 0, "r": 0.0}]})
+            validate_packing(packing_from_dict({"L": 1.0, "inclusions": [{"x": 0, "y": 0, "r": 0.0}]}))
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,13 +6,12 @@ import pytest
 import scipy.sparse.linalg
 
 from dtnnet.asymptotics import FourierPotential, total_energy
-from dtnnet.errors import FloatingComponentError, ModeError, SingularSystemError
+from dtnnet.errors import ModeError, SingularSystemError
 from dtnnet.generators import random_packing
 from dtnnet.geometry import Disk, Packing, analyze
 from dtnnet.network import (
     Network,
     build_network,
-    check_connected,
     dtn_matrix,
     interior_gap_energy,
     kirchhoff_response,
@@ -213,7 +212,7 @@ class TestInteriorGapEnergy:
 
     def test_floating_interior_rejected(self):
         net = handmade_chain(with_interior_edges=False)
-        with pytest.raises(FloatingComponentError):
+        with pytest.raises(SingularSystemError):
             interior_gap_energy(net, np.array([1.0, 0.0]))
 
     def test_bad_length(self):
@@ -225,8 +224,6 @@ class TestInteriorGapEnergy:
 class TestConnectivity:
     def test_unreachable_interior_component(self):
         net = handmade_chain(with_interior_edges=False)
-        with pytest.raises(SingularSystemError):
-            check_connected(net)
         for _ in range(2):  # every solve raises, not only the first
             with pytest.raises(SingularSystemError):
                 solve_kirchhoff(net, np.array([1.0, 0.0]))

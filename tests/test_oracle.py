@@ -6,7 +6,7 @@ from conftest import equal_gap_ring, reference_dense_factor, reference_operator,
 
 from dtnnet.asymptotics import FourierPotential
 from dtnnet.cli import main
-from dtnnet.errors import DomainError, IllConditionedError
+from dtnnet.errors import DomainError, IllConditionedError, ParseError
 from dtnnet.generators import ring_packing
 from dtnnet.geometry import Disk, Packing, load_packing
 from dtnnet import oracle
@@ -460,6 +460,54 @@ class TestGuards:
         p = Packing(1.0, (Disk(0.89995, 0.0, 0.1),))
         with pytest.raises(IllConditionedError):
             solve_dirichlet(p, FourierPotential.single_cos(1), M=8)
+
+    @pytest.mark.parametrize("disk", [Disk(0.0, 0.0, math.nan), Disk(0.0, 0.0, 0.0),
+                                      Disk(0.0, 0.0, -0.1), Disk(math.nan, 0.0, 0.1)],
+                             ids=["r-nan", "r-zero", "r-negative", "x-nan"])
+    def test_invalid_disk_values_refused_silently(self, ring8, disk, capfd):
+        p = Packing(1.0, ring8.inclusions + (disk,))
+        for _ in range(2):
+            with pytest.raises(ParseError, match="inclusion 8"):
+                solve_dirichlet(p, FourierPotential.single_cos(1), M=16)
+        assert capfd.readouterr() == ("", "")
+
+    def test_rank_deficient_factor_refused(self, monkeypatch):
+        # One singular value below lstsq's rank cut, with the condition under its limit.
+        real = oracle._factor_block
+        conditions = []
+
+        def spy(A, b):
+            y, sv = real(A, b)
+            sv = sv.copy()
+            sv[-1] = 0.75 * np.finfo(float).eps * max(A.shape) * sv.max()
+            conditions.append(sv.max() / sv.min())
+            return y, sv
+
+        monkeypatch.setattr(oracle, "_factor_block", spy)
+        p, M = Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16
+        oracle._operator.cache_clear()
+        assert oracle._rotation_order(p, M) == 1  # one block, of the full matrix's shape
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(IllConditionedError):
+                solve_dirichlet(p, FourierPotential.single_cos(1), M)
+        assert len(conditions) == 2 and max(conditions) < oracle.CONDITION_LIMIT
+
+    def test_full_rank_but_ill_conditioned_factor_refused(self, monkeypatch):
+        # sigma_min = 5e-15 sigma_max lies above the cut of 16 eps = 3.6e-15 (times sigma_max).
+        real = oracle._factor_block
+        shapes = []
+
+        def spy(A, b):
+            y, _ = real(A, b)
+            shapes.append(A.shape)
+            return y, np.geomspace(1.0, 0.5e-14, A.shape[1])
+
+        monkeypatch.setattr(oracle, "_factor_block", spy)
+        oracle._operator.cache_clear()
+        for _ in range(2):
+            with pytest.raises(IllConditionedError):
+                solve_dirichlet(EMPTY, FourierPotential.single_cos(1), M=4)
+        assert shapes == [(16, 9)] * 2
 
     def test_truncation_below_max_frequency(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,18 @@ def test_oracle_constant_mode_carries_no_flux(packing, M):
     assert oracle._operator(packing, M).dtn[0, 0] == 0.0
 
 
+@settings(max_examples=30)
+@given(PACKINGS, st.integers(1, 6))
+def test_asymptotic_dtn_is_symmetric_psd_with_the_constant_in_its_kernel(packing, K):
+    a = analyze(packing)
+    lam = dtn_asymptotic(K, a, build_network(a))
+    scale = np.max(np.abs(lam))
+    assert np.max(np.abs(lam - lam.T)) <= 1e-14 * scale
+    assert np.max(np.abs(lam[0])) <= 1e-14 * scale
+    eig = np.linalg.eigvalsh(lam)
+    assert eig[0] >= -1e-12 * eig[-1]
+
+
 @given(rings(), SCALES)
 def test_asymptotic_dtn_is_scale_invariant_on_rings(packing, s):
     assert_close(asymptotic(packing), asymptotic(scaled(packing, s)), 1e-10)
