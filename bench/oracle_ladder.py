@@ -8,7 +8,11 @@ collocation system for every mode, the residual table and the DtN matrix)
 is built once as the first call of the process for that packing, then three
 more times with the cache cleared; the median and minimum of those three
 are recorded, and one more build under ``tracemalloc`` gives its traced
-peak. The rungs are rings with equal gaps t R between neighbours and to the
+peak. One more cold build times its stages (the factor, the residual table
+and the flux projection, each a function of ``dtnnet.oracle`` that is wrapped
+with a timer for that build; a stage the imported dtnnet has no function for
+is left in ``rest``), and the record gives the bytes of the arrays the
+operator keeps, and of its residual table alone. The rungs are rings with equal gaps t R between neighbours and to the
 outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench`` at
 their smallest gap, criterion 4's three 16-disk rings and criterion 5's
 4-disk ring; then a 20-disk random packing and the 61-disk grid, which have
@@ -27,6 +31,7 @@ import statistics
 import time
 import tracemalloc
 
+import numpy as np
 from sweep_ladder import merge_run, provenance
 
 from dtnnet import generators, oracle
@@ -40,6 +45,9 @@ RINGS = {
     "criterion 5": ((4, 0.05, 258),),
 }
 REPEATS = 3
+# Build stage: the dtnnet.oracle function that does it (looked up when called).
+STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
+          "flux_projection": "_flux_projection"}
 
 
 def equal_gap_ring(n: int, t: float) -> Packing:
@@ -63,6 +71,35 @@ OTHERS = {  # name: (packing, M)
 }
 
 
+def stage_split(packing: Packing, M: int) -> dict:
+    """Seconds of each stage of one cold build, and the rest of the build."""
+    spent, saved = {}, []
+
+    def timed(stage, fn):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
+        return wrapper
+
+    for stage, name in STAGES.items():
+        if hasattr(oracle, name):
+            saved.append((name, getattr(oracle, name)))
+            setattr(oracle, name, timed(stage, saved[-1][1]))
+    try:
+        oracle._operator.cache_clear()
+        t0 = time.perf_counter()
+        oracle._operator(packing, M)
+        total = time.perf_counter() - t0
+    finally:
+        for name, fn in saved:
+            setattr(oracle, name, fn)
+        oracle._operator.cache_clear()
+    return {**spent, "rest": total - sum(spent.values()), "total": total}
+
+
 def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict:
     times = []
     for _ in range(REPEATS + 1):
@@ -77,6 +114,7 @@ def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     oracle._operator.cache_clear()
+    stages = stage_split(packing, M)
     return {
         "group": group, "packing": name, "n": packing.n, **fields, "M": M,
         "order": oracle._rotation_order(packing, M),
@@ -86,6 +124,9 @@ def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict
         "min_s": min(times[1:]),
         "repeats": REPEATS,
         "tracemalloc_peak_mb": peak / 1e6,
+        "stages_s": stages,
+        "kept_bytes": sum(a.nbytes for a in op if isinstance(a, np.ndarray)),
+        "residual_table_bytes": op.residual.nbytes,
     }
 
 
@@ -104,7 +145,9 @@ def main() -> None:
     for r in rungs:
         print(f"{args.label}: {r['packing']:42s} M = {r['M']:3d}  g = {r['order']:2d}  "
               f"first {r['first_call_s']:.3f} s  median {r['median_s']:.3f} s  "
-              f"min {r['min_s']:.3f} s  peak {r['tracemalloc_peak_mb']:.1f} MB")
+              f"min {r['min_s']:.3f} s  peak {r['tracemalloc_peak_mb']:.1f} MB  "
+              f"kept {r['kept_bytes'] / 1e6:.2f} MB  stages "
+              + " ".join(f"{k} {v:.3f}" for k, v in r["stages_s"].items()))
 
 
 if __name__ == "__main__":

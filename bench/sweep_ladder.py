@@ -7,7 +7,11 @@ Each run times ``dtnnet.cli.main`` on the hexagonal grids of 61, 265, 1789
 and 7291 disks (L = 1, gap/R = 0.2): the first call, then five more, and
 records their median and minimum. Every call loads the packing,
 runs the geometry, builds the network and writes the CSV, as the command
-line does. The result is merged into ``--out`` under ``--label``, so two
+line does. Then, in process on the analysed grid and on a new network each
+time (median of five): the first ``total_energy`` (cos theta), which builds
+what the network keeps for every later energy, then ``cosine_sweep`` of
+k = 1..100 and ``dtn_matrix`` on that warm network. The result is merged
+into ``--out`` under ``--label``, so two
 checkouts measured one after the other share one file. It records the
 thread variables, the Python, numpy and scipy versions, and the git commit
 of the dtnnet that was imported (with a hash of its sources, since a
@@ -27,8 +31,11 @@ import subprocess
 import tempfile
 import time
 
+import numpy as np
+
 import dtnnet
-from dtnnet import cli, generators, geometry
+from dtnnet import asymptotics, cli, generators, geometry, network
+from dtnnet.asymptotics import FourierPotential
 
 LADDER = {61: (0.1, 0.02), 265: (0.05, 0.01), 1789: (0.02, 0.004), 7291: (0.01, 0.002)}
 REPEATS = 5
@@ -77,7 +84,24 @@ def time_grid(n: int, workdir: str) -> dict:
         "median_s": statistics.median(times[1:]),
         "min_s": min(times[1:]),
         "repeats": REPEATS,
+        **time_network(geometry.analyze(packing)),
     }
+
+
+def time_network(analysis) -> dict:
+    """Median seconds of the first energy on a new network, then of a warm
+    100-mode cosine sweep and a warm dtn_matrix on it."""
+    stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_dtn_matrix_s": []}
+    for _ in range(REPEATS):
+        net = network.build_network(analysis)
+        for times, call in zip(stages.values(), (
+                lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
+                lambda: asymptotics.cosine_sweep(np.arange(1, 101), analysis, net),
+                lambda: network.dtn_matrix(net))):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+    return {k: statistics.median(v) for k, v in stages.items()}
 
 
 def provenance() -> dict:
@@ -117,7 +141,9 @@ def main() -> None:
               {**provenance(), "grids": grids})
     for g in grids:
         print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
-              f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s")
+              f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s  "
+              f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
+              f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s")
 
 
 if __name__ == "__main__":

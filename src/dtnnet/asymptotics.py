@@ -18,8 +18,8 @@ from .errors import DomainError
 from .geometry import GeometryAnalysis
 from .network import (
     Network,
+    energy_factor,
     interior_gap_energy,
-    kirchhoff_response,
     net_energy,
     solve_kirchhoff,
 )
@@ -218,12 +218,12 @@ def dtn_asymptotic(
     asymptotic quad_form 2 (E_net + E_ref + R_res) of psi = c."""
     lam = np.diag(math.pi * _frequencies(K))
     if analysis is not None and network is not None:
-        D = kirchhoff_response(network, _excitation_matrix(analysis, K))[1]
-        lam += D.T @ D + 2.0 * _resonance_matrix(analysis, network, K)
+        G = energy_factor(network, _excitation_matrix(analysis, K))
+        lam += G.T @ G + 2.0 * _resonance_matrix(analysis, network, K)
     return lam
 
 
-_SWEEP_BLOCK = 128  # frequencies per network solve, so memory stays O((n + E) * 128)
+_SWEEP_BLOCK = 128  # frequencies per block, so memory stays O(n_b * 128)
 
 
 def cosine_sweep(
@@ -231,7 +231,7 @@ def cosine_sweep(
 ) -> list[tuple]:
     """Rows (k, epsilon, eta, regime, E_net, E_ref, R_res, total, quad_form) of
     the single modes cos(k theta), k in ks: the diagonal of Lambda_asym, from
-    one multi-column network solve per block of the cosine columns of B and
+    the network's energy factor on each block of the cosine columns of B and
     the column sums of the resonance table."""
     ks = np.asarray(ks)
     e_ref = 0.5 * math.pi * ks
@@ -242,8 +242,8 @@ def cosine_sweep(
         for lo in range(0, len(ks), _SWEEP_BLOCK):
             kb = ks[lo : lo + _SWEEP_BLOCK]
             B = np.cos(np.multiply.outer(analysis.boundary_angles, kb)) * _damping(analysis, kb)
-            D = kirchhoff_response(network, B)[1]
-            e_net[lo : lo + len(kb)] = 0.5 * np.einsum("ij,ij->j", D, D)
+            G = energy_factor(network, B)
+            e_net[lo : lo + len(kb)] = 0.5 * np.einsum("ij,ij->j", G, G)
             r_res[lo : lo + len(kb)] = _resonance_table(
                 analysis, network.boundary_sigmas, kb).sum(axis=0)
         scales = characteristic_scales(analysis)

@@ -44,6 +44,8 @@ def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
     limit = L - disk_radius - gap
     if not limit > 0:
         raise InfeasibleError("disks do not fit inside the domain")
+    if limit == math.inf:
+        raise InfeasibleError(f"a grid patch needs a finite domain radius, got {L}")
     disks = []
     n_rows = int(math.ceil(limit / (pitch * math.sqrt(3.0) / 2.0))) + 1
     n_cols = int(math.ceil(limit / pitch)) + 1
@@ -65,11 +67,13 @@ def random_packing(
     seed: int = 0,
 ) -> Packing:
     """Rejection-sampled packing with all gaps at least delta_min."""
-    rng = np.random.default_rng(seed)
-    placed: list[Disk] = []
     limit = L - disk_radius - delta_min
     if limit <= 0:
         raise InfeasibleError("disks do not fit inside the domain")
+    # A bad radius or domain fails as any disk of the packing would, before sampling.
+    validate_packing(Packing(L=L, inclusions=(Disk(0.0, 0.0, disk_radius),)))
+    rng = np.random.default_rng(seed)
+    placed: list[Disk] = []
     tries = 0
     while len(placed) < n:
         if tries >= _MAX_TRIES:

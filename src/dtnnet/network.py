@@ -11,7 +11,7 @@ follow the square-root gap law; the discrete energy is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,24 +44,45 @@ class Network:
         return ij[:, 0], ij[:, 1]
 
     @cached_property
-    def _kirchhoff(self) -> tuple[scipy.sparse.csc_matrix, scipy.sparse.linalg.SuperLU]:
-        """Reduced Kirchhoff matrix and its LU factors, built on first use.
+    def _kirchhoff(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+        """Reduced Kirchhoff matrix, and for each boundary node the first
+        boundary node of its connected component (its ground), built on first use.
 
         A failed connectivity check is not cached, so every solve on a
         disconnected network raises.
         """
         A = _kirchhoff_matrix(self)
-        # Every connected component of A's graph must hold a boundary inclusion.
-        _, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
-        if not np.isin(labels, labels[: self.boundary_count]).all():
+        count, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
+        # The labels on the boundary inclusions, and where each first occurs.
+        ids, first = np.unique(labels[: self.boundary_count], return_index=True)
+        # Every connected component of A's graph must hold a boundary inclusion,
+        # and then ids is 0..count-1.
+        if ids.size < count:
             raise SingularSystemError(
                 "network has inclusion components with no path to a boundary node"
             )
-        return A, scipy.sparse.linalg.splu(A)
+        return A, first[labels[: self.boundary_count]]
 
-    def __getstate__(self) -> dict:
-        # SuperLU factors cannot be pickled; a copy refactors on first use.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    @cached_property
+    def _boundary_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lambda_net, the upper Cholesky factor R of Lambda_net on the boundary
+        nodes that are not grounds, those nodes and their grounds: read-only.
+
+        One factorization of A and one n_b-column solve give Lambda_net (the
+        factor is not kept). Grounding each component at one node leaves
+        Lambda_net positive definite on the other nodes, and with zero row sums
+        Psi^T Lambda_net Psi = |R (Psi[nodes] - Psi[grounds])|^2.
+        """
+        A, ground = self._kirchhoff
+        sig = self.boundary_sigmas
+        X = scipy.sparse.linalg.splu(A).solve(np.eye(self.n, self.boundary_count) * sig)
+        lam = np.diag(sig) - sig[:, None] * X[: self.boundary_count]
+        nodes = np.flatnonzero(ground != np.arange(self.boundary_count))
+        R = np.linalg.cholesky(lam[nodes[:, None], nodes]).T
+        out = lam, R, nodes, ground[nodes]
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -114,18 +135,13 @@ def _kirchhoff_matrix(network: Network) -> scipy.sparse.csc_matrix:
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
 
 
-def kirchhoff_response(network: Network, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusion potentials U (n, p) for the p columns of boundary data Psi (n_b, p),
-    from one solve on the cached factor, and their drops D (see ``_drops``).
-
-    D^T D = Psi^T Lambda_net Psi is twice the discrete energy form, so it is
-    symmetric and PSD by construction; column a alone has |D_a|^2 = 2 E(Psi_a).
-    """
-    _, lu = network._kirchhoff
-    rhs = np.zeros((network.n, Psi.shape[1]))
-    rhs[: network.boundary_count] = network.boundary_sigmas[:, None] * Psi
-    U = lu.solve(rhs)
-    return U, _drops(network, Psi, U)
+def _checked_psi(network: Network, psi: np.ndarray) -> np.ndarray:
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (network.boundary_count,):
+        raise ValueError(
+            f"psi must have length {network.boundary_count}, got shape {psi.shape}"
+        )
+    return psi
 
 
 def _drops(network: Network, Psi: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -139,34 +155,41 @@ def _drops(network: Network, Psi: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (network.boundary_count,):
-        raise ValueError(
-            f"psi must have length {network.boundary_count}, got shape {psi.shape}"
-        )
+    """Inclusion potentials for boundary data psi, from a fresh factorization of
+    the cached matrix, with their energy (1/2)|drops|^2 and the Kirchhoff residual."""
+    psi = _checked_psi(network, psi)
     A, _ = network._kirchhoff
-    U, D = kirchhoff_response(network, psi[:, None])
-    U = U[:, 0]
+    rhs = np.zeros(network.n)
+    rhs[: network.boundary_count] = network.boundary_sigmas * psi
+    U = scipy.sparse.linalg.splu(A).solve(rhs)
+    D = _drops(network, psi[:, None], U[:, None])
     r = A @ U
     r[: network.boundary_count] -= network.boundary_sigmas * psi
     return KirchhoffSolution(U=U, energy=0.5 * float(D[:, 0] @ D[:, 0]),
                              residual_norm=float(np.linalg.norm(r)))
 
 
+def energy_factor(network: Network, Psi: np.ndarray) -> np.ndarray:
+    """G = R (Psi[nodes] - Psi[grounds]) for boundary data Psi (n_b, ...), with
+    G^T G = Psi^T Lambda_net Psi: symmetric and PSD by construction, and exactly
+    zero on constants. Column a alone has |G_a|^2 = 2 E(Psi_a)."""
+    _, R, nodes, grounds = network._boundary_map
+    return R @ (Psi[nodes] - Psi[grounds])
+
+
 def net_energy(network: Network, psi: np.ndarray) -> float:
-    return solve_kirchhoff(network, psi).energy
+    g = energy_factor(network, _checked_psi(network, psi))
+    return 0.5 * float(g @ g)
 
 
 def dtn_matrix(network: Network) -> np.ndarray:
-    """Schur complement of the full network Laplacian onto the boundary nodes.
+    """Schur complement of the full network Laplacian onto the boundary nodes,
+    computed once per network.
 
     Boundary node i couples only to inclusion i, so the coupling block is
     diag(sigma_b) padded with zeros, and one multi-column solve gives it.
     """
-    _, lu = network._kirchhoff
-    sig = network.boundary_sigmas
-    X = lu.solve(np.eye(network.n, network.boundary_count) * sig)
-    return np.diag(sig) - sig[:, None] * X[: network.boundary_count]
+    return network._boundary_map[0].copy()
 
 
 def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:

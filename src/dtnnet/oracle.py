@@ -20,7 +20,10 @@ those above g/2 the conjugates of those below. The change of columns is
 unitary and a block's rows are one orbit of points weighted by sqrt(g), so the
 blocks' singular values are exactly the full matrix's and the rank cut and the
 condition limit decide as for one dense solve. Without such a rotation g = 1,
-and the one block is the full matrix.
+and the one block is the full matrix. The rotation also carries one orbit of
+the residual's check points onto all of them: the error of psi at a rotated
+point is that of psi(theta + 2 pi p/g) at an orbit point, so the kept residual
+table holds 1/g of the check points.
 """
 
 from __future__ import annotations
@@ -124,9 +127,10 @@ def _circle_points(packing: Packing, t_outer: np.ndarray, t_inner: np.ndarray):
 
 class _Operator(NamedTuple):
     coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
-    residual: np.ndarray  # (check points, 2M+1): collocation error of each mode
+    residual: np.ndarray  # (check points / g, 2M+1): collocation error of each mode
     dtn: np.ndarray  # (2M+1, 2M+1): Lambda, c_a^T Lambda c_b is the DtN form
     condition: float
+    order: int  # g: a rotation by 2 pi/g maps the packing and the check points onto themselves
 
 
 def _min_gap_ratio(packing: Packing) -> float:
@@ -161,7 +165,7 @@ def _factor_block(A: np.ndarray, b: np.ndarray):
     return y, sv
 
 
-def _orbit_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
+def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> np.ndarray:
     """Solve A X = B into X from the C_g blocks 0..g/2 of A; return A's singular values.
 
     Disk r + k n/g is disk r rotated by 2 pi k/g; w = e^{2 pi i/g}. Block j holds the
@@ -171,8 +175,9 @@ def _orbit_factor(packing: Packing, M: int, X: np.ndarray) -> np.ndarray:
     constant in block 0. Block g - j is the conjugate: its modes e^{imt} are solved
     here as e^{-imt}. In blocks 0 and g/2 the conjugate columns are conj(H), so they
     are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is A.
+    g is ``_rotation_order(packing, M)``.
     """
-    n, L, g = packing.n, packing.L, _rotation_order(packing, M)
+    n, L = packing.n, packing.L
     nr, n_per, s, rt2 = n // g, 4 * M, 4 * M // g, math.sqrt(2)
     n_basis = (2 * M + 1) + 2 * M * n
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
@@ -256,9 +261,10 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     """The operator of ``factor``'s solution, refused when A is ill-conditioned.
 
     The matrix is freed before returning; only O(2M+1) columns per unknown
-    and per check point, and the (2M+1)^2 DtN matrix, are kept, read-only.
-    An invalid packing raises the error of ``validate_packing``. A refusal
-    raises, so it is not cached and a refused packing is refused on every call.
+    and per check point of one orbit, and the (2M+1)^2 DtN matrix, are kept,
+    read-only. An invalid packing raises the error of ``validate_packing``.
+    A refusal raises, so it is not cached and a refused packing is refused on
+    every call.
     """
     n = packing.n
     if n > 0 and _min_gap_ratio(validate_packing(packing)) < GAP_GUARD:
@@ -266,14 +272,15 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
         )
+    g = _rotation_order(packing, M)
     n_basis = (2 * M + 1) + 2 * M * n
     n_unknown, n_chk = n_basis + n, 8 * M
     # The kept tables come before the matrix, so that the matrix and the
     # solver's workspace lie above them on the heap and can be released.
     X = np.empty((n_unknown, 2 * M + 1))
-    residual = np.empty((n_chk * (n + 1), 2 * M + 1))
+    residual = np.empty((n_chk // g + n_chk * (n // g), 2 * M + 1))
     dtn = np.empty((2 * M + 1, 2 * M + 1))
-    sv = factor(packing, M, X)
+    sv = factor(packing, M, g, X)
     # lstsq's rank cut, with the full matrix's dimensions.
     cut = np.finfo(float).eps * max(4 * M * (n + 1), n_unknown) * sv.max()
     rank = np.count_nonzero(sv > cut)
@@ -284,19 +291,39 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
             f"{CONDITION_LIMIT:.0e}"
         )
 
-    # Residual on denser, shifted check points: the trace error on the outer
-    # circle, then the deviation from the constant U_i on each inclusion.
-    t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
-    t_outer = t + 0.5 * math.pi / n_chk
-    targets = [_modes(t_outer, M), *X[n_basis:]]
-    for i, (z, y) in enumerate(zip(_circle_points(packing, t_outer, t), targets)):
-        residual[i * n_chk : (i + 1) * n_chk] = _basis_columns(z, packing, M) @ X[:n_basis] - y
+    _residual_table(packing, M, g, X, residual)
     # Lambda = sym(G X), with the flux projection G in closed form.
     form = _flux_projection(packing, M) @ X[:n_basis]
     dtn[...] = 0.5 * (form + form.T)
     for a in (X, residual, dtn):
         a.flags.writeable = False
-    return _Operator(X, residual, dtn, float(condition))
+    return _Operator(X, residual, dtn, float(condition), g)
+
+
+def _residual_table(packing: Packing, M: int, g: int, X: np.ndarray, out: np.ndarray):
+    """Collocation error of each mode's solution X on denser, shifted check
+    points of one orbit, into out: the trace error on the first 8M/g of 8M
+    outer points, then the deviation from the constant U_i on the 8M points of
+    each of the first n/g inclusions. The rotations by 2 pi p/g carry them onto
+    all the others (see ``_boundary_residual``).
+    """
+    n_chk, nr = 8 * M, packing.n // g
+    n_basis = (2 * M + 1) + 2 * M * packing.n
+    t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
+    t_outer = t[: n_chk // g] + 0.5 * math.pi / n_chk
+    targets = [_modes(t_outer, M), *X[n_basis : n_basis + nr]]
+    rows = np.cumsum([0, t_outer.size] + [n_chk] * nr)
+    for lo, hi, y, z in zip(rows, rows[1:], targets, _circle_points(packing, t_outer, t)):
+        out[lo:hi] = _basis_columns(z, packing, M) @ X[:n_basis] - y
+
+
+def _rotated(c: np.ndarray, M: int, alpha: float) -> np.ndarray:
+    """Mode vector of psi(theta + alpha), for the mode vector c of psi: the pair
+    (a_m, b_m) goes to (a_m cos m alpha + b_m sin m alpha, b_m cos m alpha - a_m sin m alpha)."""
+    m = np.arange(1, M + 1)
+    cos, sin = np.cos(m * alpha), np.sin(m * alpha)
+    a, b = c[1 : M + 1], c[M + 1 :]
+    return np.concatenate([c[:1], cos * a + sin * b, cos * b - sin * a])
 
 
 def _checked_operator(packing: Packing, M: int, K: int) -> _Operator:
@@ -315,9 +342,20 @@ def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> Spectral
     return SpectralSolution(
         packing=packing, M=M, domain_cos=coeffs[: M + 1], domain_sin=coeffs[M + 1 : 2 * M + 1],
         inclusion_cos=inc[:, 0], inclusion_sin=inc[:, 1], U=coeffs[n_basis:],
-        energy=0.5 * float(c @ op.dtn @ c),
-        boundary_residual=float(np.max(np.abs(op.residual @ c))), condition=op.condition,
+        energy=0.5 * float(c @ op.dtn @ c), boundary_residual=_boundary_residual(op, c, M),
+        condition=op.condition,
     )
+
+
+def _boundary_residual(op: _Operator, c: np.ndarray, M: int) -> float:
+    """Max collocation error of mode vector c over every check point.
+
+    The rotation by 2 pi p/g maps the packing onto itself, so the collocation
+    solution of psi(theta + 2 pi p/g) is that of psi rotated, and its error at
+    a check point of the orbit is the error of psi at the rotated point.
+    """
+    return max(float(np.max(np.abs(op.residual @ _rotated(c, M, 2.0 * math.pi * p / op.order))))
+               for p in range(op.order))
 
 
 def quad_form_oracle(packing: Packing, psi: FourierPotential, M: int) -> float:

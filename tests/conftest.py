@@ -54,9 +54,9 @@ def two_ring_packing() -> Packing:
     return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
 
 
-def reference_dense_factor(packing, M, X):
-    """The full collocation system A X = B in one lstsq: the reference for the
-    oracle's orbit factor. Returns A's singular values."""
+def reference_dense_factor(packing, M, g, X):
+    """The full collocation system A X = B in one lstsq, whatever the rotation
+    order g: the reference for the oracle's orbit factor. Returns A's singular values."""
     n = packing.n
     n_per = 4 * M
     n_basis = (2 * M + 1) + 2 * M * n
@@ -75,6 +75,17 @@ def reference_dense_factor(packing, M, X):
 def reference_operator(packing, M):
     """The oracle's operator with the reference dense factor."""
     return oracle._solve(packing, M, reference_dense_factor)
+
+
+def reference_residual(packing, M, X):
+    """Collocation error of each mode (columns) of the solution X at every check
+    point: 8M shifted points on the outer circle, then 8M on each inclusion."""
+    n_chk, n_basis = 8 * M, (2 * M + 1) + 2 * M * packing.n
+    t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
+    t_outer = t + 0.5 * math.pi / n_chk
+    targets = [oracle._modes(t_outer, M), *X[n_basis:]]
+    return np.concatenate([oracle._basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
+                           zip(oracle._circle_points(packing, t_outer, t), targets)])
 
 
 @pytest.fixture

@@ -100,6 +100,15 @@ class TestGen:
         assert code == 2
         assert json.loads(err)["error"] == "InfeasibleError"
 
+    def test_infinite_grid_domain_exit_2_and_no_file(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        code, out, err = run(capsys, "gen", "grid", "--domain-radius", "inf",
+                             "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "InfeasibleError",
+                                   "message": "a grid patch needs a finite domain radius, got inf"}
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["ring", "random"])
     def test_negative_radius_exit_2_and_no_file(self, capsys, tmp_path, kind):

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from dtnnet.errors import InfeasibleError, ParseError
@@ -16,12 +18,13 @@ from dtnnet.generators import grid_packing, random_packing, ring_packing
         (lambda: grid_packing(-0.1, 0.02), "must be positive"),
         (lambda: grid_packing(0.1, math.nan), "must be positive"),
         (lambda: grid_packing(0.6, 0.5), "do not fit"),
+        (lambda: grid_packing(0.1, 0.02, math.inf), "finite domain radius"),
         (lambda: random_packing(3, 0.6, 0.5), "do not fit"),
         # Three disks 0.97 apart need a circle of radius 0.56 for their centres; 0.51 is left.
         (lambda: random_packing(3, 0.48, 0.01, seed=1), "could not place 3 disks"),
     ],
     ids=["ring-empty", "ring-outside", "ring-overlap", "grid-zero-gap", "grid-negative-radius",
-         "grid-nan-gap", "grid-too-large", "random-too-large", "random-no-room"],
+         "grid-nan-gap", "grid-too-large", "grid-infinite-domain", "random-too-large", "random-no-room"],
 )
 def test_infeasible_requests_raise(make, message):
     with pytest.raises(InfeasibleError, match=message):
@@ -31,9 +34,22 @@ def test_infeasible_requests_raise(make, message):
 @pytest.mark.parametrize(
     "make",
     [lambda: ring_packing(4, 0.85, -0.1), lambda: random_packing(3, -0.1, 0.01),
-     lambda: ring_packing(4, 0.85, math.nan)],
-    ids=["ring-negative-radius", "random-negative-radius", "ring-nan-radius"],
+     lambda: ring_packing(4, 0.85, math.nan), lambda: random_packing(5, math.nan, 0.01)],
+    ids=["ring-negative-radius", "random-negative-radius", "ring-nan-radius",
+         "random-nan-radius"],
 )
 def test_invalid_disk_values_raise_parse_error(make):
     with pytest.raises(ParseError, match="inclusion 0"):
         make()
+
+
+@pytest.mark.parametrize("radius, message", [
+    (math.nan, "inclusion 0: non-finite coordinate or radius"),
+    (-0.1, "inclusion 0: radius must be positive, got -0.1")])
+def test_random_packing_checks_the_radius_before_sampling(monkeypatch, radius, message):
+    def no_sampling(seed):
+        raise AssertionError("random_packing drew candidates for an invalid radius")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        random_packing(5, radius, 0.01)

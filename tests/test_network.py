@@ -13,8 +13,8 @@ from dtnnet.network import (
     Network,
     build_network,
     dtn_matrix,
+    energy_factor,
     interior_gap_energy,
-    kirchhoff_response,
     net_energy,
     network_to_dict,
     solve_kirchhoff,
@@ -169,8 +169,8 @@ class TestKirchhoffResponse:
     def test_gram_is_the_projected_dtn_matrix(self, random_net):
         rng = np.random.default_rng(5)
         Psi = rng.standard_normal((random_net.boundary_count, 3))
-        U, D = kirchhoff_response(random_net, Psi)
-        gram = D.T @ D
+        G = energy_factor(random_net, Psi)
+        gram = G.T @ G
         lam = dtn_matrix(random_net)
         scale = np.linalg.norm(lam) * np.linalg.norm(Psi) ** 2
         assert np.allclose(gram, Psi.T @ lam @ Psi, rtol=0.0, atol=1e-12 * scale)
@@ -178,8 +178,21 @@ class TestKirchhoffResponse:
         assert np.linalg.eigvalsh(gram).min() >= -1e-12 * scale
         for col in range(3):
             sol = solve_kirchhoff(random_net, Psi[:, col])
-            assert np.allclose(U[:, col], sol.U, rtol=0.0, atol=1e-12)
             assert gram[col, col] == pytest.approx(2.0 * sol.energy, rel=1e-12)
+            assert gram[col, col] == pytest.approx(2.0 * net_energy(random_net, Psi[:, col]),
+                                                   rel=1e-12)
+
+    def test_energy_is_the_quadratic_form_and_nonnegative(self, random_net):
+        lam = dtn_matrix(random_net)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            psi = rng.standard_normal(random_net.boundary_count)
+            e = net_energy(random_net, psi)
+            assert e >= 0.0
+            assert abs(0.5 * float(psi @ lam @ psi) - e) <= 1e-12 * max(e, 1e-300)
+
+    def test_constant_has_exactly_zero_energy(self, random_net):
+        assert net_energy(random_net, np.full(random_net.boundary_count, -1.7)) == 0.0
 
 
 class TestSchurAgainstBruteForce:
@@ -258,6 +271,28 @@ class TestFactorization:
         lam = dtn_matrix(net)
         copy = pickle.loads(pickle.dumps(net))
         assert np.array_equal(dtn_matrix(copy), lam)
+
+    def test_network_keeps_no_sparse_factor(self, ring8):
+        a = analyze(ring8)
+        net = build_network(a, mode="identical")
+        total_energy(FourierPotential.single_cos(3), a, net)
+        dtn_matrix(net)
+        cached = [v for value in vars(net).values()
+                  for v in (value if isinstance(value, tuple) else (value,))]
+        assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in cached)
+        # The boundary map keeps n_b x n_b numbers, not the n-node factor.
+        lam, R = net._boundary_map[:2]
+        assert lam.shape == (net.boundary_count,) * 2
+        assert R.shape == (net.boundary_count - 1,) * 2
+
+    def test_split_network_is_grounded_per_component(self):
+        # delta_max_edge drops the only gap edge: two boundary disks, no path between them.
+        a = analyze(two_disk_packing(delta=0.1), delta_max_edge=0.05)
+        net = build_network(a, mode="identical")
+        assert net.gap_edges == ()
+        lam = dtn_matrix(net)
+        assert np.allclose(lam, 0.0, atol=1e-12 * net.boundary_sigmas.max())
+        assert net_energy(net, np.array([1.0, -3.0])) == 0.0
 
 
 class TestSerialization:

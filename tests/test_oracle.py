@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import equal_gap_ring, reference_dense_factor, reference_operator, two_ring_packing
+from conftest import (equal_gap_ring, reference_dense_factor, reference_operator,
+                      reference_residual, two_ring_packing)
 
 from dtnnet.asymptotics import FourierPotential
 from dtnnet.cli import main
@@ -309,15 +310,25 @@ class TestRingFactor:
     @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in ALL.values()], ids=ALL.keys())
     def test_matches_the_dense_factor(self, p, M):
         blocks, dense = oracle._operator(p, M), reference_operator(p, M)
-        for a, b in zip(blocks[::2], dense[::2]):  # X and Lambda
+        for a, b in ((blocks.coeffs, dense.coeffs), (blocks.dtn, dense.dtn)):
             assert rel(a, b) <= 1e-10
-        err = np.max(np.abs(blocks.residual - dense.residual))
-        assert err <= max(1e-10 * np.max(np.abs(dense.residual)), 1e-13)
+        # Every check point, from the dense solution: the orbit's rows are its
+        # first 8M/g outer points and the first n/g inclusions' points.
+        full = reference_residual(p, M, dense.coeffs)
+        tol = max(1e-10 * np.max(np.abs(full)), 1e-13)
+        n_chk, g = 8 * M, blocks.order
+        orbit = np.r_[0 : n_chk // g, n_chk : n_chk * (1 + p.n // g)]
+        assert np.max(np.abs(blocks.residual - full[orbit])) <= tol
+        if g == 1:
+            assert np.array_equal(blocks.residual, reference_residual(p, M, blocks.coeffs))
         assert blocks.condition == pytest.approx(dense.condition, rel=1e-12)
         c = [oracle._mode_vector(psi, M) for psi in self.PSIS]
         for psi, ca in zip(self.PSIS, c):
-            assert solve_dirichlet(p, psi, M).energy == pytest.approx(
-                0.5 * ca @ dense.dtn @ ca, rel=1e-10)
+            sol = solve_dirichlet(p, psi, M)
+            assert sol.energy == pytest.approx(0.5 * ca @ dense.dtn @ ca, rel=1e-10)
+            assert abs(sol.boundary_residual - np.max(np.abs(full @ ca))) <= tol
+            if g == 1:  # the full table itself, as one product
+                assert sol.boundary_residual == float(np.max(np.abs(blocks.residual @ ca)))
         for (a, ca), (b, cb) in zip(zip(self.PSIS, c), zip(self.PSIS[1:], c[1:])):
             assert cross_form_oracle(p, a, b, M) == pytest.approx(ca @ dense.dtn @ cb, rel=1e-10)
 
@@ -333,10 +344,10 @@ class TestRingFactor:
 
         X = np.empty(((2 * M + 1) + (2 * M + 1) * p.n, 2 * M + 1))
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        reference_dense_factor(p, M, X)
+        reference_dense_factor(p, M, 1, X)
         monkeypatch.undo()
         expected = np.linalg.svd(matrices[0], compute_uv=False)
-        blocks = np.sort(oracle._orbit_factor(p, M, X))[::-1]
+        blocks = np.sort(oracle._orbit_factor(p, M, oracle._rotation_order(p, M), X))[::-1]
         assert blocks.shape == expected.shape
         assert np.max(np.abs(blocks - expected)) <= 1e-12 * expected[0]
 

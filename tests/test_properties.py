@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import equal_gap_ring, reference_operator
+from conftest import equal_gap_ring, reference_operator, reference_residual, two_ring_packing
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +142,48 @@ def test_raising_a_conductivity_never_lowers_the_network_energy(data):
     before = net_energy(net, excitation)
     after = net_energy(dataclasses.replace(net, **{field: sigmas}), excitation)
     assert after >= before - 1e-12 * abs(before)
+
+
+@st.composite
+def symmetric_packings(draw):
+    """(packing, M) of rotation order g > 1: a ring, a ring with its labels
+    reversed, or the two-ring packing turned by a drawn angle."""
+    M = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("ring", "reversed", "two rings")))
+    if kind == "two rings":
+        packing = rotated(two_ring_packing(), draw(st.floats(0.0, 0.5 * math.pi)))
+    else:
+        packing = draw(rings())
+        if kind == "reversed":
+            packing = Packing(packing.L, packing.inclusions[::-1])
+    assume(oracle._rotation_order(packing, M) > 1)
+    return packing, M
+
+
+def full_residual(op: oracle._Operator, n: int, M: int) -> np.ndarray:
+    """The residual at every check point, from the operator's orbit rows: the
+    data rotated by 2 pi p/g at an orbit point is the data at the point rotated,
+    the outer point j + 8Mp/g or point j + 8Mp/g of inclusion r + np/g."""
+    g, n_chk = op.order, 8 * M
+    s = n_chk // g
+    full = np.empty((n_chk * (n + 1), 2 * M + 1))
+    for p in range(g):
+        Q = np.column_stack([oracle._rotated(e, M, 2.0 * math.pi * p / g)
+                             for e in np.eye(2 * M + 1)])
+        rows = op.residual @ Q
+        full[p * s : (p + 1) * s] = rows[:s]
+        for r in range(n // g):
+            k = r + p * (n // g)
+            full[n_chk * (k + 1) : n_chk * (k + 2)] = np.roll(
+                rows[s + r * n_chk : s + (r + 1) * n_chk], p * s, axis=0)
+    return full
+
+
+@settings(max_examples=30)
+@given(symmetric_packings())
+def test_orbit_residual_is_the_residual_at_every_check_point(case):
+    packing, M = case
+    op = oracle._operator(packing, M)
+    expected = reference_residual(packing, M, op.coeffs)
+    got = full_residual(op, packing.n, M)
+    assert np.max(np.abs(got - expected)) <= max(1e-10 * np.max(np.abs(expected)), 1e-13)
