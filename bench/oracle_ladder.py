@@ -1,25 +1,33 @@
 """Time a cold build of the collocation oracle's operator on a ladder of packings.
 
     PYTHONPATH=src python bench/oracle_ladder.py --label change
-    PYTHONPATH=<other checkout>/src python bench/oracle_ladder.py --label parent
+    PYTHONPATH=<other checkout>/src python bench/oracle_ladder.py --label parent \
+        --skip "grid_packing(0.1, 0.02) M=48"
 
 Each packing's operator (``dtnnet.oracle._operator``: the factor of the
-collocation system for every mode, the residual table and the DtN matrix)
-is built once as the first call of the process for that packing, then three
-more times with the cache cleared; the median and minimum of those three
-are recorded, and one more build under ``tracemalloc`` gives its traced
-peak. One more cold build times its stages (the factor, the residual table
-and the flux projection, each a function of ``dtnnet.oracle`` that is wrapped
-with a timer for that build; a stage the imported dtnnet has no function for
-is left in ``rest``), and the record gives the bytes of the arrays the
-operator keeps, and of its residual table alone. The rungs are rings with equal gaps t R between neighbours and to the
-outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench`` at
-their smallest gap, criterion 4's three 16-disk rings and criterion 5's
-4-disk ring; then a 20-disk random packing and the 61-disk grid, which have
-no rotation symmetry, and a two-ring packing of rotation order 4. Each
-record gives the order g of the blocks the factor uses (g = 1: one dense
-solve). The result is merged into ``--out`` under ``--label``, with the
-provenance fields of ``sweep_ladder.py``.
+system for every mode, the residual table and the DtN matrix) is built once
+as the first call of the process for that packing, then three more times
+with the cache cleared (none more for the grid at M = 32 and 48); the median
+and minimum of those are recorded, and one more build under ``tracemalloc``
+gives its traced peak. One more cold build times its stages: the factor, the
+residual table and the flux projection, each a function of ``dtnnet.oracle``
+wrapped with a timer for that build, and the rest. Inside the factor it also
+times the FFTs of the Galerkin projection (``scipy.fft``), the LAPACK
+``gesv`` and ``gecon`` calls and, for code before the Galerkin factor,
+``np.linalg.lstsq``; a stage the imported dtnnet does not call reads 0. The
+record gives the bytes of the arrays the operator keeps, and of its residual
+table alone. The rungs are rings with equal gaps t R between neighbours and
+to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
+at their smallest gap, criterion 4's three 16-disk rings and criterion 5's
+4-disk ring; then a 20-disk random packing and the 61-disk grid at M = 16, 32
+and 48, which have no rotation symmetry, and a two-ring packing of rotation
+order 4. Each record gives the order g of the blocks the factor uses (g = 1:
+one dense solve). Last, criterion 5's one-psi solve, ``solve_dirichlet`` of
+cos 250 theta at M = 258 as the first call for its packing, which builds the
+solution of all 2M + 1 = 517 outer-trace modes. ``--skip`` leaves out a rung
+by name (``packing M=M``) and records it as skipped. The result is merged
+into ``--out`` under ``--label``, with the provenance fields of
+``sweep_ladder.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ import time
 import tracemalloc
 
 import numpy as np
+import scipy.fft
 from sweep_ladder import merge_run, provenance
 
 from dtnnet import generators, oracle
+from dtnnet.asymptotics import FourierPotential
 from dtnnet.geometry import Packing
 
 # (disks, gap/R, truncation M)
@@ -48,6 +58,9 @@ REPEATS = 3
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
 STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
           "flux_projection": "_flux_projection"}
+# Parts of the factor: (module, function) pairs timed while it runs.
+FACTOR_PARTS = {"projection_fft": ((scipy.fft, "fft"), (scipy.fft, "ifft")),
+                "lstsq": ((np.linalg, "lstsq"),)}
 
 
 def equal_gap_ring(n: int, t: float) -> Packing:
@@ -63,46 +76,59 @@ def two_rings() -> Packing:
     return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
 
 
-OTHERS = {  # name: (packing, M)
-    "random_packing(20, 0.08, 0.01, seed=1)":
-        (lambda: generators.random_packing(20, 0.08, 0.01, seed=1), 32),
-    "grid_packing(0.1, 0.02)": (lambda: generators.grid_packing(0.1, 0.02), 16),
-    "two rings: 12 at 0.8, 4 at 0.35, R = 0.1": (two_rings, 24),
-}
+OTHERS = (  # (name, packing, M, repeats)
+    ("random_packing(20, 0.08, 0.01, seed=1)",
+     lambda: generators.random_packing(20, 0.08, 0.01, seed=1), 32, REPEATS),
+    ("grid_packing(0.1, 0.02)", lambda: generators.grid_packing(0.1, 0.02), 16, REPEATS),
+    ("grid_packing(0.1, 0.02)", lambda: generators.grid_packing(0.1, 0.02), 32, 0),
+    ("grid_packing(0.1, 0.02)", lambda: generators.grid_packing(0.1, 0.02), 48, 0),
+    ("two rings: 12 at 0.8, 4 at 0.35, R = 0.1", two_rings, 24, REPEATS),
+)
 
 
-def stage_split(packing: Packing, M: int) -> dict:
-    """Seconds of each stage of one cold build, and the rest of the build."""
-    spent, saved = {}, []
+def stage_split(packing: Packing, M: int) -> tuple[dict, dict]:
+    """Seconds of each stage of one cold build and of the rest of the build,
+    and of the parts of the factor."""
+    spent, parts, saved = {}, dict.fromkeys([*FACTOR_PARTS, "gesv_gecon"], 0.0), []
 
-    def timed(stage, fn):
-        def wrapper(*args):
+    def timed(out, stage, fn):
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
-                spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
+                out[stage] = out.get(stage, 0.0) + time.perf_counter() - t0
         return wrapper
 
-    for stage, name in STAGES.items():
-        if hasattr(oracle, name):
-            saved.append((name, getattr(oracle, name)))
-            setattr(oracle, name, timed(stage, saved[-1][1]))
+    def lapack(names, arrays):  # the LAPACK functions of one block, timed
+        return tuple(timed(parts, "gesv_gecon", fn) for fn in saved_lapack(names, arrays))
+
+    targets = [(oracle, name, timed(spent, stage, getattr(oracle, name)))
+               for stage, name in STAGES.items() if hasattr(oracle, name)]
+    targets += [(module, name, timed(parts, part, getattr(module, name)))
+                for part, fns in FACTOR_PARTS.items() for module, name in fns]
+    if hasattr(oracle, "get_lapack_funcs"):
+        saved_lapack = oracle.get_lapack_funcs
+        targets.append((oracle, "get_lapack_funcs", lapack))
+    for module, name, wrapper in targets:
+        saved.append((module, name, getattr(module, name)))
+        setattr(module, name, wrapper)
     try:
         oracle._operator.cache_clear()
         t0 = time.perf_counter()
         oracle._operator(packing, M)
         total = time.perf_counter() - t0
     finally:
-        for name, fn in saved:
-            setattr(oracle, name, fn)
+        for module, name, fn in saved:
+            setattr(module, name, fn)
         oracle._operator.cache_clear()
-    return {**spent, "rest": total - sum(spent.values()), "total": total}
+    return {**spent, "rest": total - sum(spent.values()), "total": total}, parts
 
 
-def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict:
+def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = REPEATS,
+              **fields) -> dict:
     times = []
-    for _ in range(REPEATS + 1):
+    for _ in range(repeats + 1):
         oracle._operator.cache_clear()
         t0 = time.perf_counter()
         op = oracle._operator(packing, M)
@@ -114,40 +140,66 @@ def time_rung(group: str, name: str, packing: Packing, M: int, **fields) -> dict
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     oracle._operator.cache_clear()
-    stages = stage_split(packing, M)
+    stages, parts = stage_split(packing, M)
     return {
         "group": group, "packing": name, "n": packing.n, **fields, "M": M,
         "order": oracle._rotation_order(packing, M),
         "condition": op.condition,
         "first_call_s": times[0],
-        "median_s": statistics.median(times[1:]),
-        "min_s": min(times[1:]),
-        "repeats": REPEATS,
+        "median_s": statistics.median(times[1:]) if repeats else None,
+        "min_s": min(times[1:]) if repeats else None,
+        "repeats": repeats,
         "tracemalloc_peak_mb": peak / 1e6,
         "stages_s": stages,
+        "factor_parts_s": parts,
         "kept_bytes": sum(a.nbytes for a in op if isinstance(a, np.ndarray)),
         "residual_table_bytes": op.residual.nbytes,
     }
+
+
+def one_psi_solve() -> dict:
+    """Criterion 5's solve_dirichlet of one psi, the first call for its packing."""
+    n, t, M = RINGS["criterion 5"][0]
+    packing, psi = equal_gap_ring(n, t), FourierPotential.single_cos(M - 8)
+    oracle._operator.cache_clear()
+    t0 = time.perf_counter()
+    sol = oracle.solve_dirichlet(packing, psi, M)
+    return {"packing": f"equal-gap ring ({n}, {t})", "M": M, "psi": f"cos {M - 8} theta",
+            "right_hand_sides": 2 * M + 1, "first_call_s": time.perf_counter() - t0,
+            "energy_ratio": 2.0 * sol.energy / ((M - 8) * math.pi)}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", default="BENCH_oracle.json")
+    ap.add_argument("--skip", action="append", default=[], help="rung to leave out: 'packing M=M'")
     args = ap.parse_args()
 
-    rungs = [time_rung(group, f"equal-gap ring ({n}, {t})", equal_gap_ring(n, t), M,
-                       gap_over_radius=t)
-             for group, specs in RINGS.items() for n, t, M in specs]
-    rungs += [time_rung("other packings", name, make(), M) for name, (make, M) in OTHERS.items()]
+    specs = [(group, f"equal-gap ring ({n}, {t})", lambda n=n, t=t: equal_gap_ring(n, t), M,
+              REPEATS, {"gap_over_radius": t})
+             for group, rings in RINGS.items() for n, t, M in rings]
+    specs += [("other packings", name, make, M, repeats, {})
+              for name, make, M, repeats in OTHERS]
+    rungs, skipped = [], []
+    for group, name, make, M, repeats, fields in specs:
+        if f"{name} M={M}" in args.skip:
+            skipped.append(f"{name} M={M}")
+        else:
+            rungs.append(time_rung(group, name, make(), M, repeats, **fields))
+    one_psi = one_psi_solve()
     merge_run(args.out, "dtnnet.oracle._operator, cold (cache cleared), in process",
-              args.label, {**provenance(), "rungs": rungs})
+              args.label, {**provenance(), "rungs": rungs, "skipped": skipped,
+                           "criterion_5_one_psi": one_psi})
     for r in rungs:
         print(f"{args.label}: {r['packing']:42s} M = {r['M']:3d}  g = {r['order']:2d}  "
-              f"first {r['first_call_s']:.3f} s  median {r['median_s']:.3f} s  "
-              f"min {r['min_s']:.3f} s  peak {r['tracemalloc_peak_mb']:.1f} MB  "
+              f"first {r['first_call_s']:.3f} s  median {r['median_s'] or 0.0:.3f} s  "
+              f"peak {r['tracemalloc_peak_mb']:.1f} MB  "
               f"kept {r['kept_bytes'] / 1e6:.2f} MB  stages "
-              + " ".join(f"{k} {v:.3f}" for k, v in r["stages_s"].items()))
+              + " ".join(f"{k} {v:.3f}" for k, v in {**r["stages_s"],
+                                                      **r["factor_parts_s"]}.items()))
+    print(f"{args.label}: skipped {skipped}; criterion 5, one psi: "
+          f"{one_psi['first_call_s']:.3f} s for {one_psi['right_hand_sides']} right-hand sides")
 
 
 if __name__ == "__main__":

@@ -55,12 +55,16 @@ class GeometryAnalysis:
     """Derived structure of a validated packing, renumbered boundary-first."""
 
     packing: Packing
-    neighbor_sets: tuple[frozenset[int], ...]
     gap_widths: dict[tuple[int, int], float]  # keyed (i, j) with i < j
     boundary_count: int
     boundary_gaps: np.ndarray  # delta_i, length boundary_count
     boundary_angles: np.ndarray  # theta_i in [0, 2pi)
     boundary_nodes: np.ndarray  # (boundary_count, 2), points on |x| = L
+
+    @property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Each disk's neighbors: the other ends of its gap edges."""
+        return _neighbor_sets(self.packing.n, self.gap_widths)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,6 @@ def classify_boundary(packing: Packing) -> GeometryAnalysis:
     boundary_gaps = L - np.hypot(centers[:n_b, 0], centers[:n_b, 1]) - radii[:n_b]
     return GeometryAnalysis(
         packing=new_packing,
-        neighbor_sets=_neighbor_sets(packing.n, gap_widths),
         gap_widths=gap_widths,
         boundary_count=n_b,
         boundary_gaps=boundary_gaps,
@@ -219,8 +222,7 @@ def analyze(packing: Packing, delta_max_edge: float | None = None) -> GeometryAn
     if delta_max_edge is None:
         return analysis
     kept = {k: v for k, v in analysis.gap_widths.items() if v <= delta_max_edge}
-    return replace(analysis, gap_widths=kept,
-                   neighbor_sets=_neighbor_sets(analysis.packing.n, kept))
+    return replace(analysis, gap_widths=kept)
 
 
 def scale_report(analysis: GeometryAnalysis) -> ScaleReport:

@@ -44,36 +44,16 @@ class Network:
         return ij[:, 0], ij[:, 1]
 
     @cached_property
-    def _kirchhoff(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-        """Reduced Kirchhoff matrix, and for each boundary node the first
-        boundary node of its connected component (its ground), built on first use.
-
-        A failed connectivity check is not cached, so every solve on a
-        disconnected network raises.
-        """
-        A = _kirchhoff_matrix(self)
-        count, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
-        # The labels on the boundary inclusions, and where each first occurs.
-        ids, first = np.unique(labels[: self.boundary_count], return_index=True)
-        # Every connected component of A's graph must hold a boundary inclusion,
-        # and then ids is 0..count-1.
-        if ids.size < count:
-            raise SingularSystemError(
-                "network has inclusion components with no path to a boundary node"
-            )
-        return A, first[labels[: self.boundary_count]]
-
-    @cached_property
     def _boundary_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Lambda_net, the upper Cholesky factor R of Lambda_net on the boundary
         nodes that are not grounds, those nodes and their grounds: read-only.
 
-        One factorization of A and one n_b-column solve give Lambda_net (the
-        factor is not kept). Grounding each component at one node leaves
+        One factorization of A and one n_b-column solve give Lambda_net (neither
+        A nor its factor is kept). Grounding each component at one node leaves
         Lambda_net positive definite on the other nodes, and with zero row sums
         Psi^T Lambda_net Psi = |R (Psi[nodes] - Psi[grounds])|^2.
         """
-        A, ground = self._kirchhoff
+        A, ground = _kirchhoff(self)
         sig = self.boundary_sigmas
         X = scipy.sparse.linalg.splu(A).solve(np.eye(self.n, self.boundary_count) * sig)
         lam = np.diag(sig) - sig[:, None] * X[: self.boundary_count]
@@ -123,16 +103,30 @@ def build_network(analysis: GeometryAnalysis, mode: str = "identical") -> Networ
     )
 
 
-def _kirchhoff_matrix(network: Network) -> scipy.sparse.csc_matrix:
-    """Gap Laplacian over the inclusion potentials plus diag(sigma_b) on the
-    boundary inclusions. CSC conversion sums the duplicate diagonal entries."""
+def _kirchhoff(network: Network) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+    """Reduced Kirchhoff matrix A, the gap Laplacian over the inclusion potentials
+    plus diag(sigma_b) on the boundary inclusions (CSC conversion sums the
+    duplicate diagonal entries), and for each boundary node the first boundary
+    node of its connected component (its ground). Built and checked on every
+    call, so every solve on a disconnected network raises.
+    """
     i, j = network._ends
     s = network.gap_sigmas
     b = np.arange(network.boundary_count)
     rows = np.concatenate([i, j, i, j, b])
     cols = np.concatenate([i, j, j, i, b])
     vals = np.concatenate([s, s, -s, -s, network.boundary_sigmas])
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(network.n, network.n)).tocsc()
+    count, labels = scipy.sparse.csgraph.connected_components(A, directed=False)
+    # The labels on the boundary inclusions, and where each first occurs.
+    ids, first = np.unique(labels[: network.boundary_count], return_index=True)
+    # Every connected component of A's graph must hold a boundary inclusion,
+    # and then ids is 0..count-1.
+    if ids.size < count:
+        raise SingularSystemError(
+            "network has inclusion components with no path to a boundary node"
+        )
+    return A, first[labels[: network.boundary_count]]
 
 
 def _checked_psi(network: Network, psi: np.ndarray) -> np.ndarray:
@@ -155,10 +149,11 @@ def _drops(network: Network, Psi: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
-    """Inclusion potentials for boundary data psi, from a fresh factorization of
-    the cached matrix, with their energy (1/2)|drops|^2 and the Kirchhoff residual."""
+    """Inclusion potentials for boundary data psi, from a fresh build and
+    factorization of the Kirchhoff matrix, with their energy (1/2)|drops|^2 and
+    the Kirchhoff residual."""
     psi = _checked_psi(network, psi)
-    A, _ = network._kirchhoff
+    A, _ = _kirchhoff(network)
     rhs = np.zeros(network.n)
     rhs[: network.boundary_count] = network.boundary_sigmas * psi
     U = scipy.sparse.linalg.splu(A).solve(rhs)
@@ -199,8 +194,8 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
     # diag(sigma_b) sits on the first n_b rows only: the interior blocks are
-    # the gap Laplacian's, and the cached matrix has been checked for connectivity.
-    A, _ = network._kirchhoff
+    # the gap Laplacian's, and _kirchhoff has checked the connectivity.
+    A, _ = _kirchhoff(network)
     U = np.concatenate([U_gamma, np.zeros(network.n - n_b)])
     if network.n > n_b:
         U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))

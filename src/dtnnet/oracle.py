@@ -1,26 +1,26 @@
-"""Direct numerical reference for the composite: partial-wave collocation.
+"""Direct numerical reference for the composite: partial-wave Fourier-Galerkin.
 
 The continuum potential is expanded in regular harmonics of the domain
 disk plus decaying harmonics centered at each inclusion. Decaying
 harmonics carry zero net flux through any circle enclosing their center,
 so the conservation condition on each inclusion holds identically and no
 logarithmic terms are needed. The boundary conditions (given trace on the
-outer circle, unknown constants on the inclusion circles) are enforced by
-oversampled least-squares collocation, solved once per (packing, M) for
-every outer-trace mode; boundary data up to frequency M combine them.
-The DtN matrix needs no quadrature: on the outer circle every harmonic has
-an exact Fourier series (the multipole re-expansion of Rayleigh's method),
-so the flux of each basis column onto each mode is known in closed form.
+outer circle, unknown constants on the inclusion circles) are taken at 4M
+points on each circle and projected onto that circle's Fourier modes |m| <= M
+(Rayleigh's multipole method): a square system, solved by LU once per
+(packing, M) for every outer-trace mode; boundary data up to frequency M
+combine them. The DtN matrix needs no quadrature: on the outer circle every
+harmonic has an exact Fourier series, so the flux of each basis column onto
+each mode is known in closed form.
 
 When a rotation by 2 pi/g maps disk k onto disk k + n/g (mod n) for every k,
-with g | 4M, it also permutes the collocation points and maps each harmonic to
-a multiple of another, so a discrete Fourier transform over each orbit of
-disks splits the system into g blocks of about 1/g of its rows and columns,
-those above g/2 the conjugates of those below. The change of columns is
-unitary and a block's rows are one orbit of points weighted by sqrt(g), so the
-blocks' singular values are exactly the full matrix's and the rank cut and the
-condition limit decide as for one dense solve. Without such a rotation g = 1,
-and the one block is the full matrix. The rotation also carries one orbit of
+with g | 4M, it also permutes the points and maps each harmonic to a multiple
+of another, so a discrete Fourier transform over each orbit of disks splits
+the system into g blocks of about 1/g of its rows and columns, those above g/2
+the conjugates of those below. Both changes of basis are unitary, so the
+blocks' singular values are exactly the full system's. Without such a rotation
+g = 1, and the one block is the full system. The condition limit applies to
+LAPACK's 1-norm estimate of each block. The rotation also carries one orbit of
 the residual's check points onto all of them: the error of psi at a rotated
 point is that of psi(theta + 2 pi p/g) at an orbit point, so the kept residual
 table holds 1/g of the check points.
@@ -34,7 +34,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .asymptotics import FourierPotential, _mode_vector, _modes, _slots
 from .errors import DomainError, IllConditionedError
@@ -43,6 +45,7 @@ from .geometry import Packing, _pair_gaps, validate_packing
 CONDITION_LIMIT = 1e14
 GAP_GUARD = 1e-3  # refuse solves below delta_min / R_min = 1e-3
 _GRID = 64  # points per side of the square that max_principle_check samples
+_CHUNK = 128  # check points per _basis_columns call in _residual_table
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,9 @@ def _rotation_order(packing: Packing, M: int) -> int:
     return 1
 
 
-def _factor_block(A: np.ndarray, b: np.ndarray):
-    """Least-squares solution of one symmetry block, with its singular values."""
-    y, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
-    return y, sv
-
-
-def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> np.ndarray:
-    """Solve A X = B into X from the C_g blocks 0..g/2 of A; return A's singular values.
+def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
+    """Solve the Galerkin system for every outer-trace mode into X from its C_g blocks
+    0..g/2; return the largest LAPACK 1-norm condition estimate of a block (inf: singular).
 
     Disk r + k n/g is disk r rotated by 2 pi k/g; w = e^{2 pi i/g}. Block j holds the
     columns that the rotation multiplies by w^j: q^l (l = j mod g) and conj(q)^l
@@ -174,91 +172,134 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> np.ndarray
     sum_k w^{(j-m)k} conj(p_rk)^m, p_rk = R_r/(z - c_rk), and sum_k w^{jk} U_rk; the
     constant in block 0. Block g - j is the conjugate: its modes e^{imt} are solved
     here as e^{-imt}. In blocks 0 and g/2 the conjugate columns are conj(H), so they
-    are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is A.
-    g is ``_rotation_order(packing, M)``.
+    are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is the
+    whole system. Its rows, the DFT of the 4M collocation values on each circle, are the
+    outer modes e^{ift}, f = j mod g, then each representative's e^{im tau}, |m| <= M,
+    times sqrt(g) (real blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m); g is
+    ``_rotation_order(packing, M)``.
     """
     n, L = packing.n, packing.L
-    nr, n_per, s, rt2 = n // g, 4 * M, 4 * M // g, math.sqrt(2)
+    nr, n_per, s, rg, rt2 = n // g, 4 * M, 4 * M // g, math.sqrt(g), math.sqrt(2)
     n_basis = (2 * M + 1) + 2 * M * n
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    # Rows: one orbit of outer points, then each representative disk's (offset against aliasing).
+    # One orbit of outer points, then each representative disk's (offset against aliasing).
     outer, *disks = _circle_points(packing, t, t + math.pi / n_per)
     z = np.concatenate([outer[:s], *disks[:nr]])
-    q = math.sqrt(g) * np.stack(list(_powers(z / L, M)), axis=-1)
     m, freq, k = np.arange(1, M + 1), np.arange(M + 1), np.arange(g)[:, None]
+    modes = np.r_[0 : M + 1, -M:0]  # |m| <= M in FFT order: mode m is at m % (2M + 1)
+    demod = np.exp(-1j * np.multiply.outer(t[:s], np.arange(g)))
 
-    def fill(A, a, b, v, vbar):  # v/sqrt(2) in H, conj(vbar)/sqrt(2); real: Re v, Im v
-        if np.iscomplexobj(A):
-            A[:, a], A[:, b] = v / rt2, vbar.conj() / rt2
-        else:
-            A[:, a], A[:, b] = v.real, v.imag
+    def spectra(V, j):  # sqrt(g)-weighted values V at z of columns of type w^j, overwritten
+        # On the outer orbit e^{-ift} = e^{-ijt} e^{-2 pi i u p/s}, f = j + g u.
+        S = np.empty((nr + 1, 2 * M + 1, *V.shape[1:]), dtype=complex)
+        O = scipy.fft.fft(V[:s] * demod[:, j], axis=0, norm="forward", overwrite_x=True)
+        u = (modes.reshape(-1, *[1] * (V.ndim - 1)) - j) // g % s
+        S[0] = np.take_along_axis(O, np.broadcast_to(u, S.shape[1:]), axis=0) / rg
+        S[1:] = scipy.fft.fft(V[s:].reshape(nr, n_per, *V.shape[1:]), axis=1, norm="forward",
+                              overwrite_x=True)[:, modes]
+        return S
 
+    def rows(S, Sc, f, real):  # spectra of v and conj(vbar) -> f's block rows of their columns
+        if real:  # vbar = v: Re v, Im v, of rows c_0, sqrt(2) Re c_m, sqrt(2) Im c_m (m > 0)
+            S, Sc = S[:, : M + 1], Sc[:, : M + 1]
+            S = np.concatenate([S + Sc, (Sc - S) * 1j], -1) / rt2  # sqrt(2) c_m, m >= 0
+            S = [np.concatenate([a[:, :z].real / rt2, a[:, z:].real, a[:, z:].imag], 1)
+                 for a, z in ((S[:1, f], np.count_nonzero(f == 0)), (S[1:], 1))]
+        else:  # v/sqrt(2), conj(vbar)/sqrt(2)
+            S = np.concatenate([S, Sc], -1) / rt2
+            S = [S[:1, f], S[1:]]
+        return np.concatenate([a.reshape(a.shape[0] * a.shape[1], a.shape[2]) for a in S])
+
+    Sq = spectra(rg * np.stack(list(_powers(z / L, M)), axis=-1), m % g)
     blocks = []
     for j in range(g // 2 + 1):
         lp, lm = m[m % g == j] - 1, m[-m % g == j] - 1
+        f = np.concatenate([freq[freq % g == j], -freq[(-freq % g == j) & (freq % g != j)]])
         # Column offsets: q^l, the p sums (r-major), conj(q)^l, theirs, U, 1.
         o = np.cumsum([0, lp.size, M * nr, lm.size, M * nr, nr])
-        A = np.zeros((z.size, o[-1] + (j == 0)), dtype=float if 2 * j % g == 0 else complex,
-                     order="F")  # filled a column at a time
-        fill(A, slice(0, o[1]), slice(o[2], o[3]), q[:, lp], q[:, lm])
-        A[s:, o[4] : o[5]] = -np.repeat(np.eye(nr), n_per, axis=0)  # sum_k w^{jk} U_rk/sqrt(g)
-        A[:, o[5] :] = math.sqrt(g)  # the constant, in block 0 only
-        blocks.append((j, lp, lm, o, A))
-    del q
-    # sum_k w^{hk} p_rk^m for every h: one FFT over k per representative and power.
+        real = 2 * j % g == 0
+        A = np.zeros((o[-1] + (j == 0),) * 2, dtype=float if real else complex, order="F")
+        A[:, o[0] : o[1]], A[:, o[2] : o[3]] = np.hsplit(
+            rows(Sq[..., lp], Sq[:, -modes][..., lm].conj(), f, real), [lp.size])
+        # Mode 0 of each representative: sum_k w^{jk} U_rk/sqrt(g), and the constant.
+        d0 = lp.size + lm.size + (j == 0) + (2 * M + 1) * np.arange(nr)
+        A[d0, o[4] + np.arange(nr)] = -1.0
+        if j == 0:
+            A[[0, *d0], -1] = [1.0] + [rg] * nr
+        blocks.append((j, lp, lm, f, o, A))
+    del Sq
+    # sum_k w^{hk} p_rk^m for every h: one FFT over k and one over each circle per
+    # representative and chunk of powers, a chunk an eighth of the blocks' bytes or 64 kB.
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    step = max(1 << 16, sum(b[-1].nbytes for b in blocks) // 8) // (16 * z.size * g) or 1
+    ji = np.arange(len(blocks))[:, None]
     for r in range(nr):
         w = radii[r] / (z[:, None] - c[r::nr])
-        for i, p in enumerate(_powers(w, M)):
-            F = np.fft.ifft(p, axis=1, norm="forward")
-            for j, _, _, o, A in blocks:
-                fill(A, o[1] + r * M + i, o[3] + r * M + i,
-                     F[:, (j + i + 1) % g], F[:, (i + 1 - j) % g])
+        p = np.ones_like(w)  # w^i0
+        for i0 in range(0, M, step):
+            mm, ci = m[i0 : i0 + step], np.arange(min(step, M - i0))
+            P = p[..., None] * np.cumprod(np.broadcast_to(w[..., None], (*w.shape, ci.size)), -1)
+            p = P[..., -1].copy()  # P is overwritten below
+            S = spectra(scipy.fft.ifft(P, axis=1, norm="forward", overwrite_x=True), (k - mm) % g)
+            # Block j's columns: h = j + m and, conjugated, h = m - j.
+            Sp, Sm = S[:, :, (ji + mm) % g, ci], S[:, :, (mm - ji) % g, ci][:, -modes].conj()
+            for j, _, _, f, o, A in blocks:
+                a, b = o[1] + r * M + i0, o[3] + r * M + i0
+                R = rows(Sp[:, :, j], Sm[:, :, j], f, not np.iscomplexobj(A))
+                A[:, a : a + mm.size], A[:, b : b + mm.size] = R[:, : mm.size], R[:, mm.size :]
 
-    sv = []
+    condition, phase = 1.0, np.exp(2j * math.pi * np.arange(g) / g)
     while blocks:  # each block is freed once solved
-        j, lp, lm, o, A = blocks.pop(0)
-        f = np.concatenate([freq[freq % g == j], -freq[(-freq % g == j) & (freq % g != j)]])
-        rhs = np.zeros((z.size, f.size), dtype=complex)
-        rhs[:s] = math.sqrt(g) * np.exp(1j * np.multiply.outer(t[:s], f))
-        if real := not np.iscomplexobj(A):
-            rhs = np.hstack([rhs.real, rhs.imag])
-        y, sv_j = _factor_block(A, rhs)
-        del A, rhs
+        j, lp, lm, f, o, A = blocks.pop(0)
+        # The outer trace e^{ift} (real blocks: cos ft, sin ft); a block with no
+        # outer mode gets one zero column, as gesv factors nothing without.
+        real = not np.iscomplexobj(A)
+        Se = np.zeros((nr + 1, 2 * M + 1, max(f.size, 1)), dtype=complex)
+        Se[0, f, np.arange(f.size)] = 1.0 if real else rt2
+        rhs = rows(Se, Se[:, -modes].conj(), f, real)[:, : (1 + real) * Se.shape[2]]
+        rhs = np.asfortranarray(rhs)
+        gesv, gecon = get_lapack_funcs(("gesv", "gecon"), (A,))
+        anorm = max(np.abs(A[:, i : i + 256]).sum(axis=0).max() for i in range(0, A.shape[1], 256))
+        lu, _, y, info = gesv(A, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0 or not (rcond := gecon(lu, anorm)[0]) > 0.0:
+            return math.inf
+        condition = max(condition, 1.0 / rcond)
+        del A, lu, rhs
+        y = y[:, : (1 + real) * f.size]
         if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H)
             y, h = y[:, : f.size] + 1j * y[:, f.size :], o[2]
             y = np.concatenate([(y[:h] - 1j * y[h : 2 * h]) / rt2,
                                 (y[:h] + 1j * y[h : 2 * h]) / rt2, y[2 * h :]])
-        sv += [sv_j] if real else [sv_j, sv_j]
-        # Back to A's columns, x = T y: q^l = Re + i Im, p^m = c - i d, U and 1 as they are.
+        # Back to the basis columns, x = T y: q^l = Re + i Im, p^m = c - i d, U and 1 as they are.
         yq, yp, yqbar, ypbar, yU, yc = np.split(y, o[1:])
         x = np.zeros((n_basis + n, f.size), dtype=complex)
         x[1 + lp], x[1 + M + lp] = yq / rt2, 1j * yq / rt2
         x[1 + lm] += yqbar / rt2
         x[1 + M + lm] -= 1j * yqbar / rt2
         yp, ypbar = (a.reshape(nr, M, f.size) / math.sqrt(2 * g) for a in (yp, ypbar))
-        mu = np.exp(2j * math.pi * k * (j + m) / g)[:, None, :, None] * yp
-        nu = np.exp(2j * math.pi * k * (j - m) / g)[:, None, :, None] * ypbar
+        mu = phase[k * (j + m) % g][:, None, :, None] * yp
+        nu = phase[k * (j - m) % g][:, None, :, None] * ypbar
         inc = x[2 * M + 1 : n_basis].reshape(g, nr, 2, M, f.size)
         inc[:, :, 0], inc[:, :, 1] = mu + nu, 1j * (nu - mu)
-        U = np.exp(2j * math.pi * k * j / g)[..., None] * yU / math.sqrt(g)
+        U = phase[k * j % g][..., None] * yU / math.sqrt(g)
         x[n_basis:] = U.reshape(n, f.size)
         if j == 0:
             x[0] = yc[0]
         X[:, np.abs(f)] = x.real
         X[:, M - f[f < 0]] = -x[:, f < 0].imag
         X[:, M + f[f > 0]] = x[:, f > 0].imag
-    return np.concatenate(sv)
+    return condition
 
 
 @lru_cache(maxsize=1)
 def _operator(packing: Packing, M: int) -> _Operator:
-    """Collocation solve of every outer-trace mode, factored once per (packing, M)."""
+    """Galerkin solve of every outer-trace mode, factored once per (packing, M)."""
     return _solve(packing, M, _orbit_factor)
 
 
 def _solve(packing: Packing, M: int, factor) -> _Operator:
-    """The operator of ``factor``'s solution, refused when A is ill-conditioned.
+    """The operator of ``factor``'s solution, refused when the Galerkin system is
+    singular or ill-conditioned.
 
     The matrix is freed before returning; only O(2M+1) columns per unknown
     and per check point of one orbit, and the (2M+1)^2 DtN matrix, are kept,
@@ -280,17 +321,9 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     X = np.empty((n_unknown, 2 * M + 1))
     residual = np.empty((n_chk // g + n_chk * (n // g), 2 * M + 1))
     dtn = np.empty((2 * M + 1, 2 * M + 1))
-    sv = factor(packing, M, g, X)
-    # lstsq's rank cut, with the full matrix's dimensions.
-    cut = np.finfo(float).eps * max(4 * M * (n + 1), n_unknown) * sv.max()
-    rank = np.count_nonzero(sv > cut)
-    condition = sv.max() / sv.min()
-    if sv.max() > 0 and (rank < n_unknown or condition > CONDITION_LIMIT):
-        raise IllConditionedError(
-            f"collocation system condition estimate {condition:.3g} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-
+    if not (condition := factor(packing, M, g, X)) <= CONDITION_LIMIT:
+        raise IllConditionedError(f"Galerkin system condition estimate {condition:.3g} "
+                                  f"exceeds {CONDITION_LIMIT:.0e}")
     _residual_table(packing, M, g, X, residual)
     # Lambda = sym(G X), with the flux projection G in closed form.
     form = _flux_projection(packing, M) @ X[:n_basis]
@@ -311,10 +344,10 @@ def _residual_table(packing: Packing, M: int, g: int, X: np.ndarray, out: np.nda
     n_basis = (2 * M + 1) + 2 * M * packing.n
     t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
     t_outer = t[: n_chk // g] + 0.5 * math.pi / n_chk
-    targets = [_modes(t_outer, M), *X[n_basis : n_basis + nr]]
-    rows = np.cumsum([0, t_outer.size] + [n_chk] * nr)
-    for lo, hi, y, z in zip(rows, rows[1:], targets, _circle_points(packing, t_outer, t)):
-        out[lo:hi] = _basis_columns(z, packing, M) @ X[:n_basis] - y
+    z = np.concatenate(list(_circle_points(packing, t_outer, t))[: nr + 1])
+    out[...] = -np.concatenate([_modes(t_outer, M), np.repeat(X[n_basis:][:nr], n_chk, 0)])
+    for a in range(0, z.size, _CHUNK):
+        out[a : a + _CHUNK] += _basis_columns(z[a : a + _CHUNK], packing, M) @ X[:n_basis]
 
 
 def _rotated(c: np.ndarray, M: int, alpha: float) -> np.ndarray:
@@ -333,7 +366,7 @@ def _checked_operator(packing: Packing, M: int, K: int) -> _Operator:
 
 
 def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> SpectralSolution:
-    """Least-squares collocation solve of the composite Dirichlet problem."""
+    """Fourier-Galerkin solve of the composite Dirichlet problem."""
     op = _checked_operator(packing, M, psi.K)
     c = _mode_vector(psi, M)
     n_basis = (2 * M + 1) + 2 * M * packing.n

@@ -54,9 +54,9 @@ def two_ring_packing() -> Packing:
     return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
 
 
-def reference_dense_factor(packing, M, g, X):
-    """The full collocation system A X = B in one lstsq, whatever the rotation
-    order g: the reference for the oracle's orbit factor. Returns A's singular values."""
+def reference_collocation(packing, M):
+    """The full collocation system A X = B, whatever the rotation order: rows at
+    4M points on the outer circle, then 4M on each inclusion."""
     n = packing.n
     n_per = 4 * M
     n_basis = (2 * M + 1) + 2 * M * n
@@ -68,13 +68,41 @@ def reference_dense_factor(packing, M, g, X):
         A[i * n_per : (i + 1) * n_per, :n_basis] = oracle._basis_columns(z, packing, M)
     A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
     B[:n_per] = oracle._modes(t, M)
+    return A, B
+
+
+def reference_galerkin(packing, M):
+    """The collocation system projected circle by circle onto the Fourier modes
+    |m| <= M of its 4M values: rows c_0, sqrt(2) Re c_m, sqrt(2) Im c_m, with c the
+    forward-normalized DFT. Square, (2M+1)(n+1) rows and unknowns."""
+    def project(V):
+        c = np.fft.rfft(V.reshape(packing.n + 1, 4 * M, -1), axis=1, norm="forward")[:, : M + 1]
+        rows = [c[:, :1].real, math.sqrt(2) * c[:, 1:].real, math.sqrt(2) * c[:, 1:].imag]
+        return np.concatenate(rows, axis=1).reshape(-1, V.shape[1])
+
+    A, B = reference_collocation(packing, M)
+    return project(A), project(B)
+
+
+def reference_dense_factor(packing, M, g, X):
+    """The full Galerkin system in one dense solve, whatever the rotation order g:
+    the reference for the oracle's orbit factor. Returns its exact 1-norm condition."""
+    G, B = reference_galerkin(packing, M)
+    X[...] = np.linalg.solve(G, B)
+    return float(np.linalg.cond(G, 1))
+
+
+def reference_lstsq_factor(packing, M, g, X):
+    """The oversampled collocation system in one least-squares solve: a second
+    reference, the factor before the Galerkin projection. Returns its 2-norm condition."""
+    A, B = reference_collocation(packing, M)
     X[...], _, _, sv = np.linalg.lstsq(A, B, rcond=None)
-    return sv
+    return float(sv.max() / sv.min())
 
 
-def reference_operator(packing, M):
-    """The oracle's operator with the reference dense factor."""
-    return oracle._solve(packing, M, reference_dense_factor)
+def reference_operator(packing, M, factor=reference_dense_factor):
+    """The oracle's operator with a reference factor."""
+    return oracle._solve(packing, M, factor)
 
 
 def reference_residual(packing, M, X):

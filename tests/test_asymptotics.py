@@ -32,7 +32,6 @@ def handmade_analysis(delta=1e-4, R=1e-2, L=1.0) -> GeometryAnalysis:
     p = Packing(L, (Disk(0.5, 0.0, R), Disk(-0.5, 0.0, R)))
     return GeometryAnalysis(
         packing=p,
-        neighbor_sets=(frozenset({1}), frozenset({0})),
         gap_widths={(0, 1): delta},
         boundary_count=2,
         boundary_gaps=np.array([delta, delta]),

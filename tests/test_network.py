@@ -280,6 +280,7 @@ class TestFactorization:
         cached = [v for value in vars(net).values()
                   for v in (value if isinstance(value, tuple) else (value,))]
         assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in cached)
+        assert not any(scipy.sparse.issparse(v) for v in cached)  # nor the Kirchhoff matrix
         # The boundary map keeps n_b x n_b numbers, not the n-node factor.
         lam, R = net._boundary_map[:2]
         assert lam.shape == (net.boundary_count,) * 2

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (equal_gap_ring, reference_dense_factor, reference_operator,
-                      reference_residual, two_ring_packing)
+from conftest import (equal_gap_ring, reference_galerkin, reference_lstsq_factor,
+                      reference_operator, reference_residual, two_ring_packing)
 
 from dtnnet.asymptotics import FourierPotential
 from dtnnet.cli import main
@@ -145,6 +145,45 @@ def rel(a, b):
 
 
 RING8 = ring_packing(8, 0.85, 0.1, 1.0)
+# The oracle_batch rings of perfbench at their smallest gap: (disks, gap/R, M).
+ORACLE_BATCH = ((16, 0.02, 48), (8, 0.08, 24), (12, 0.05, 32), (8, 0.02, 48),
+                (16, 0.08, 24), (12, 0.08, 24), (8, 0.05, 32))
+
+
+def lapack_spy(monkeypatch, edit=None):
+    """Record every block that the oracle passes to LAPACK gesv (a copy, taken
+    after ``edit`` changed it in place), gesv's info and gecon's rcond."""
+    calls = []
+    real = oracle.get_lapack_funcs
+
+    def funcs(names, arrays):
+        gesv, gecon = real(names, arrays)
+
+        def spy_gesv(a, b, **kwargs):
+            if edit is not None:
+                edit(a)
+            calls.append({"block": a.copy()})
+            out = gesv(a, b, **kwargs)
+            calls[-1]["info"] = out[3]
+            return out
+
+        def spy_gecon(lu, anorm, **kwargs):
+            out = gecon(lu, anorm, **kwargs)
+            calls[-1]["rcond"] = out[0]
+            return out
+
+        return spy_gesv, spy_gecon
+
+    monkeypatch.setattr(oracle, "get_lapack_funcs", funcs)
+    return calls
+
+
+def block_sizes(n, M, g):
+    """Rows (= unknowns) of the C_g blocks 0..g/2: the outer modes f = j (mod g),
+    |f| <= M, and the 2M+1 modes of each of the n/g representative disks."""
+    f = np.arange(-M, M + 1)
+    return [(np.count_nonzero((f - j) % g == 0) + (n // g) * (2 * M + 1),) * 2
+            for j in range(g // 2 + 1)]
 
 
 class TestOperatorReuse:
@@ -152,51 +191,39 @@ class TestOperatorReuse:
     MIXED = FourierPotential(np.array([0.3, 1.0, -0.5, 0.0, 0.25]),
                              np.array([0.0, 0.7, 0.0, -0.4, 0.1]))
 
-    def test_one_lstsq_per_packing_and_truncation(self, monkeypatch):
-        shapes = []
-        real = np.linalg.lstsq
-
-        def spy(A, b, **kwargs):
-            shapes.append(A.shape)
-            return real(A, b, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+    def test_one_gesv_per_packing_and_truncation(self, monkeypatch):
+        calls = lapack_spy(monkeypatch)
         oracle._operator.cache_clear()
         p, M = moved(self.RING, 5, dr=-0.01), 15
         n = p.n
-        assert oracle._rotation_order(p, M) == 1  # one block: the full matrix
+        assert oracle._rotation_order(p, M) == 1  # one block: the full system
         for k in (1, 2, 4):
             solve_dirichlet(p, FourierPotential.single_cos(k), M)
         quad_form_oracle(p, self.MIXED, M)
         cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
-        assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
+        assert [c["block"].shape for c in calls] == [((2 * M + 1) * (n + 1),) * 2]
         solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
-        assert len(shapes) == 2
+        assert len(calls) == 2
 
     def test_one_block_factor_per_packing_and_truncation(self, monkeypatch):
-        shapes = []
-        real = oracle._factor_block
-
-        def spy(A, b):
-            shapes.append(A.shape)
-            return real(A, b)
-
-        monkeypatch.setattr(oracle, "_factor_block", spy)
+        calls = lapack_spy(monkeypatch)
         for p, M, g in [(self.RING, 16, 8), (self.RING, 15, 4), (two_ring_packing(), 24, 4),
                         (moved(self.RING, 5, dr=-0.01), 16, 1)]:
             oracle._operator.cache_clear()
-            shapes.clear()
+            calls.clear()
             assert oracle._rotation_order(p, M) == g
             for k in (1, 2, 4):
                 solve_dirichlet(p, FourierPotential.single_cos(k), M)
             quad_form_oracle(p, self.MIXED, M)
             cross_form_oracle(p, self.MIXED, FourierPotential.single_sin(3), M)
-            # Blocks 0..g/2 of one orbit of rows; the blocks g/2+1..g-1 are their conjugates.
-            assert len(shapes) == g // 2 + 1
-            assert all(rows == 4 * M // g + 4 * M * p.n // g for rows, _ in shapes)
+            # One gesv for each of the square blocks 0..g/2; the blocks g/2+1..g-1
+            # are their conjugates, and all g hold the (2M+1)(n+1) unknowns.
+            assert [c["block"].shape for c in calls] == block_sizes(p.n, M, g)
+            assert sum(rows * (1 + (2 * j % g != 0)) for j, (rows, _) in
+                       enumerate(block_sizes(p.n, M, g))) == (2 * M + 1) * (p.n + 1)
             solve_dirichlet(p, FourierPotential.single_cos(1), M + 4)
             g4 = oracle._rotation_order(p, M + 4)
-            assert len(shapes) == g // 2 + 1 + g4 // 2 + 1
+            assert len(calls) == g // 2 + 1 + g4 // 2 + 1
 
     def test_solutions_do_not_share_state(self):
         psi = FourierPotential.single_cos(2)
@@ -321,7 +348,10 @@ class TestRingFactor:
         assert np.max(np.abs(blocks.residual - full[orbit])) <= tol
         if g == 1:
             assert np.array_equal(blocks.residual, reference_residual(p, M, blocks.coeffs))
-        assert blocks.condition == pytest.approx(dense.condition, rel=1e-12)
+            # The one block is the dense system up to a signed column order, so
+            # LAPACK's estimate bounds its exact 1-norm condition from below, and
+            # lies within a factor 3 of it here (g > 1: see the singular values).
+            assert dense.condition / 3.0 <= blocks.condition <= dense.condition * (1.0 + 1e-12)
         c = [oracle._mode_vector(psi, M) for psi in self.PSIS]
         for psi, ca in zip(self.PSIS, c):
             sol = solve_dirichlet(p, psi, M)
@@ -335,36 +365,42 @@ class TestRingFactor:
     @pytest.mark.parametrize("p, M", [(equal_gap_ring(4, 0.05), 8), (equal_gap_ring(4, 0.2), 16),
                                       (RING8, 4), (RING8, 16), (two_ring_packing(), 12)])
     def test_block_singular_values_are_those_of_the_matrix(self, monkeypatch, p, M):
-        matrices = []
-        real = np.linalg.lstsq
-
-        def spy(A, b, **kwargs):
-            matrices.append(A.copy())
-            return real(A, b, **kwargs)
-
-        X = np.empty(((2 * M + 1) + (2 * M + 1) * p.n, 2 * M + 1))
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        reference_dense_factor(p, M, 1, X)
-        monkeypatch.undo()
-        expected = np.linalg.svd(matrices[0], compute_uv=False)
-        blocks = np.sort(oracle._orbit_factor(p, M, oracle._rotation_order(p, M), X))[::-1]
+        calls = lapack_spy(monkeypatch)
+        oracle._operator.cache_clear()
+        op = oracle._operator(p, M)
+        g = op.order
+        expected = np.linalg.svd(reference_galerkin(p, M)[0], compute_uv=False)
+        # The split is unitary: blocks 0 and g/2 once, the others and their conjugates.
+        sv = [np.linalg.svd(c["block"], compute_uv=False) for c in calls]
+        blocks = np.sort(np.concatenate([np.tile(s, 1 + (2 * j % g != 0))
+                                         for j, s in enumerate(sv)]))[::-1]
         assert blocks.shape == expected.shape
         assert np.max(np.abs(blocks - expected)) <= 1e-12 * expected[0]
+        # The condition is the largest block estimate, each a lower bound of the
+        # block's 1-norm condition and within a factor 3 of it here.
+        estimates = [1.0 / c["rcond"] for c in calls]
+        assert op.condition == max(estimates)
+        for c, estimate in zip(calls, estimates):
+            exact = np.linalg.cond(c["block"], 1)
+            assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in DENSE.values()], ids=DENSE.keys())
     def test_other_packings_take_the_dense_factor(self, monkeypatch, p, M):
-        shapes = []
-        real = oracle._factor_block
-
-        def spy(A, b):
-            shapes.append(A.shape)
-            return real(A, b)
-
-        monkeypatch.setattr(oracle, "_factor_block", spy)
+        calls = lapack_spy(monkeypatch)
         oracle._operator.cache_clear()
         oracle._operator(p, M)
-        n = p.n
-        assert shapes == [(4 * M * (n + 1), (2 * M + 1) + 2 * M * n + n)]
+        assert [c["block"].shape for c in calls] == [((2 * M + 1) * (p.n + 1),) * 2]
+
+    LSTSQ = {**ALL, **{f"oracle_batch-{n}-{t}-M{M}": (equal_gap_ring(n, t), M, None)
+                       for n, t, M in ORACLE_BATCH}}
+
+    @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in LSTSQ.values()], ids=LSTSQ.keys())
+    def test_dtn_matches_the_collocation_lstsq_within_the_residual(self, p, M):
+        # The oversampled least-squares collocation that the Galerkin system replaced.
+        galerkin, lstsq = oracle._operator(p, M), reference_operator(p, M, reference_lstsq_factor)
+        residual = max(np.max(np.abs(reference_residual(p, M, op.coeffs)))
+                       for op in (galerkin, lstsq))
+        assert np.max(np.abs(galerkin.dtn - lstsq.dtn)) <= residual * np.max(np.abs(lstsq.dtn))
 
     @pytest.mark.parametrize("n, M", [(8, 16), (12, 24), (16, 4)])
     def test_generated_ring_file_takes_the_ring_path(self, tmp_path, n, M):
@@ -483,42 +519,40 @@ class TestGuards:
         assert capfd.readouterr() == ("", "")
 
     def test_rank_deficient_factor_refused(self, monkeypatch):
-        # One singular value below lstsq's rank cut, with the condition under its limit.
-        real = oracle._factor_block
-        conditions = []
+        # A zero column makes a block exactly singular: gesv stops at its pivot.
+        def zero_column(a):
+            a[:, -1] = 0.0
 
-        def spy(A, b):
-            y, sv = real(A, b)
-            sv = sv.copy()
-            sv[-1] = 0.75 * np.finfo(float).eps * max(A.shape) * sv.max()
-            conditions.append(sv.max() / sv.min())
-            return y, sv
-
-        monkeypatch.setattr(oracle, "_factor_block", spy)
-        p, M = Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16
-        oracle._operator.cache_clear()
-        assert oracle._rotation_order(p, M) == 1  # one block, of the full matrix's shape
-        for _ in range(2):  # a refusal is not cached
-            with pytest.raises(IllConditionedError):
-                solve_dirichlet(p, FourierPotential.single_cos(1), M)
-        assert len(conditions) == 2 and max(conditions) < oracle.CONDITION_LIMIT
+        calls = lapack_spy(monkeypatch, zero_column)
+        for p, M, g in [(Packing(1.0, (Disk(0.3, 0.1, 0.2),)), 16, 1), (RING8, 16, 8)]:
+            oracle._operator.cache_clear()
+            calls.clear()
+            assert oracle._rotation_order(p, M) == g
+            for _ in range(2):  # a refusal is not cached
+                with pytest.raises(IllConditionedError):
+                    solve_dirichlet(p, FourierPotential.single_cos(1), M)
+            # The first block is refused; no condition is estimated.
+            assert [c["info"] > 0 for c in calls] == [True, True]
+            assert not any("rcond" in c for c in calls)
 
     def test_full_rank_but_ill_conditioned_factor_refused(self, monkeypatch):
-        # sigma_min = 5e-15 sigma_max lies above the cut of 16 eps = 3.6e-15 (times sigma_max).
-        real = oracle._factor_block
-        shapes = []
+        # A column scaled by 1e-17 leaves the block nonsingular, with an rcond
+        # below 1/CONDITION_LIMIT; in the ring only the complex blocks are scaled.
+        def scale_column(a):
+            if np.iscomplexobj(a) or not ring:
+                a[:, -1] *= 1e-17
 
-        def spy(A, b):
-            y, _ = real(A, b)
-            shapes.append(A.shape)
-            return y, np.geomspace(1.0, 0.5e-14, A.shape[1])
-
-        monkeypatch.setattr(oracle, "_factor_block", spy)
-        oracle._operator.cache_clear()
-        for _ in range(2):
-            with pytest.raises(IllConditionedError):
-                solve_dirichlet(EMPTY, FourierPotential.single_cos(1), M=4)
-        assert shapes == [(16, 9)] * 2
+        calls = lapack_spy(monkeypatch, scale_column)
+        for p, M, ring in [(EMPTY, 4, False), (RING8, 16, True)]:
+            oracle._operator.cache_clear()
+            calls.clear()
+            for _ in range(2):
+                with pytest.raises(IllConditionedError):
+                    solve_dirichlet(p, FourierPotential.single_cos(1), M)
+            assert all(c["info"] == 0 for c in calls)
+            scaled = [c["rcond"] for c in calls if np.iscomplexobj(c["block"]) or not ring]
+            assert scaled and all(0.0 < r < 1.0 / oracle.CONDITION_LIMIT for r in scaled)
+        assert [c["block"].shape for c in calls] == block_sizes(RING8.n, 16, 8) * 2
 
     def test_truncation_below_max_frequency(self):
         with pytest.raises(ValueError):

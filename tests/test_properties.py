@@ -187,3 +187,27 @@ def test_orbit_residual_is_the_residual_at_every_check_point(case):
     expected = reference_residual(packing, M, op.coeffs)
     got = full_residual(op, packing.n, M)
     assert np.max(np.abs(got - expected)) <= max(1e-10 * np.max(np.abs(expected)), 1e-13)
+
+
+@st.composite
+def small_packings(draw):
+    """(packing, M): 1-5 equal disks placed at random, gaps at least 0.1 R, of
+    rotation order 1 at truncation M <= 12."""
+    n, M = draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    r = draw(st.floats(0.08, 0.2))
+    packing = random_packing(n, r, 0.1 * r, 1.0, seed=draw(st.integers(1, 10**6)))
+    assume(oracle._rotation_order(packing, M) == 1)
+    return packing, M
+
+
+@settings(max_examples=25)
+@given(small_packings(), SCALES, st.floats(0.0, 2.0 * math.pi))
+def test_oracle_dtn_is_scale_invariant_and_rotation_covariant(case, s, alpha):
+    # Scaling changes no Galerkin row; the points do not turn with the packing, so
+    # the turned packing's Lambda agrees to within the residual of the two solutions.
+    packing, M = case
+    op, turned = oracle._operator(packing, M), oracle._operator(rotated(packing, alpha), M)
+    assert_close(op.dtn, oracle._operator(scaled(packing, s), M).dtn, 1e-12)
+    residual = max(np.max(np.abs(o.residual)) for o in (op, turned))
+    Q = phase_shift(M, alpha)
+    assert_close(op.dtn, Q.T @ turned.dtn @ Q, residual)
