@@ -12,9 +12,10 @@ and minimum of those are recorded, and one more build under ``tracemalloc``
 gives its traced peak. One more cold build times its stages: the factor, the
 residual table and the flux projection, each a function of ``dtnnet.oracle``
 wrapped with a timer for that build, and the rest. Inside the factor it also
-times the FFTs of the Galerkin projection (``scipy.fft``), the LAPACK
-``gesv`` and ``gecon`` calls and, for code before the Galerkin factor,
-``np.linalg.lstsq``; a stage the imported dtnnet does not call reads 0. The
+times the closed-form coefficient tables (``_binomial_table``, which the flux
+projection also calls once), the LAPACK ``gesv`` and ``gecon`` calls and, for
+code that projected sampled values, the FFTs of that projection
+(``scipy.fft``); a part the imported dtnnet does not call or define reads 0. The
 record gives the bytes of the arrays the operator keeps, and of its residual
 table alone. The rungs are rings with equal gaps t R between neighbours and
 to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
@@ -59,8 +60,8 @@ REPEATS = 3
 STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
           "flux_projection": "_flux_projection"}
 # Parts of the factor: (module, function) pairs timed while it runs.
-FACTOR_PARTS = {"projection_fft": ((scipy.fft, "fft"), (scipy.fft, "ifft")),
-                "lstsq": ((np.linalg, "lstsq"),)}
+FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),),
+                "projection_fft": ((scipy.fft, "fft"), (scipy.fft, "ifft"))}
 
 
 def equal_gap_ring(n: int, t: float) -> Packing:
@@ -106,7 +107,8 @@ def stage_split(packing: Packing, M: int) -> tuple[dict, dict]:
     targets = [(oracle, name, timed(spent, stage, getattr(oracle, name)))
                for stage, name in STAGES.items() if hasattr(oracle, name)]
     targets += [(module, name, timed(parts, part, getattr(module, name)))
-                for part, fns in FACTOR_PARTS.items() for module, name in fns]
+                for part, fns in FACTOR_PARTS.items() for module, name in fns
+                if hasattr(module, name)]
     if hasattr(oracle, "get_lapack_funcs"):
         saved_lapack = oracle.get_lapack_funcs
         targets.append((oracle, "get_lapack_funcs", lapack))

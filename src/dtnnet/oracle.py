@@ -1,29 +1,25 @@
 """Direct numerical reference for the composite: partial-wave Fourier-Galerkin.
 
-The continuum potential is expanded in regular harmonics of the domain
-disk plus decaying harmonics centered at each inclusion. Decaying
-harmonics carry zero net flux through any circle enclosing their center,
-so the conservation condition on each inclusion holds identically and no
-logarithmic terms are needed. The boundary conditions (given trace on the
-outer circle, unknown constants on the inclusion circles) are taken at 4M
-points on each circle and projected onto that circle's Fourier modes |m| <= M
-(Rayleigh's multipole method): a square system, solved by LU once per
-(packing, M) for every outer-trace mode; boundary data up to frequency M
-combine them. The DtN matrix needs no quadrature: on the outer circle every
-harmonic has an exact Fourier series, so the flux of each basis column onto
-each mode is known in closed form.
+The continuum potential is expanded in regular harmonics of the domain disk
+plus decaying harmonics centered at each inclusion, which carry zero net flux
+through any circle enclosing their center, so the conservation condition on
+each inclusion holds identically and no logarithmic terms are needed. The
+boundary conditions (given trace on the outer circle, unknown constants on the
+inclusions) are projected onto each circle's Fourier modes |m| <= M (Rayleigh's
+multipole method) in closed form: on every circle each harmonic has a binomial
+re-expansion (Greengard and Moura's translation operators), as has its flux onto
+the outer modes, the DtN matrix; nothing is sampled. The square system is solved
+by LU once per (packing, M) for every outer-trace mode; data up to M combine them.
 
-When a rotation by 2 pi/g maps disk k onto disk k + n/g (mod n) for every k,
-with g | 4M, it also permutes the points and maps each harmonic to a multiple
-of another, so a discrete Fourier transform over each orbit of disks splits
-the system into g blocks of about 1/g of its rows and columns, those above g/2
-the conjugates of those below. Both changes of basis are unitary, so the
-blocks' singular values are exactly the full system's. Without such a rotation
-g = 1, and the one block is the full system. The condition limit applies to
-LAPACK's 1-norm estimate of each block. The rotation also carries one orbit of
-the residual's check points onto all of them: the error of psi at a rotated
-point is that of psi(theta + 2 pi p/g) at an orbit point, so the kept residual
-table holds 1/g of the check points.
+When a rotation by 2 pi/g maps disk k onto disk k + n/g (mod n) for every k, it
+maps each harmonic to a multiple of another, so a discrete Fourier transform over
+each orbit of disks splits the system into g blocks of about 1/g of its rows and
+columns, those above g/2 the conjugates of those below. Both changes of basis are
+unitary, so the blocks' singular values are exactly the full system's; without
+such a rotation g = 1. The condition limit applies to LAPACK's 1-norm estimate of
+each block. With g | 4M the rotation also carries one orbit of the residual's
+check points onto all of them: the error of psi at a rotated point is that of
+psi(theta + 2 pi p/g) at an orbit point, so the residual table holds 1/g of them.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.integrate
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -97,24 +92,33 @@ def _basis_columns(zc: np.ndarray, packing: Packing, M: int) -> np.ndarray:
     return cols
 
 
+def _binomial_table(c: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
+    """T[i, a, b] = binom(b, a) c_i^(b-a) r_i^a, 0 <= a <= b <= M, the coefficient of
+    e^{ia tau} in (c_i + r_i e^{i tau})^b: from T[a, a] = r^a, each entry is the one
+    before it in b times c b/(b - a), so none exceeds (|c| + r)^b."""
+    a = np.arange(M + 1)
+    T = np.zeros((c.size, M + 1, M + 1), dtype=complex)
+    for b in a:
+        T[:, :b, b] = T[:, :b, b - 1] * (b / (b - a[:b])) * c[:, None]
+        T[:, b, b] = r**b
+    return T
+
+
 def _flux_projection(packing: Packing, M: int) -> np.ndarray:
     """G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L.
 
     Domain harmonics (r/L)^f cos/sin(f theta) give pi f on their own mode.
     On |z| = L the binomial series (R/(z - c))^m = sum_f t_mf (L/z)^f, f >= m,
-    has t_mf = (R/L)^m binom(f-1, m-1) (c/L)^(f-m) and |t_mf| <= (R/(L-|c|))^m,
-    so only f <= M meets the modes and the row of cos 0 is zero.
+    has t_mf = (R/L)^m binom(f-1, m-1) (c/L)^(f-m) = (R/L) T[m-1, f-1], T the
+    ``_binomial_table`` of c/L and R/L, so only f <= M meets the modes and the row of
+    cos 0 is zero.
     """
-    n, L = packing.n, packing.L
+    n, c, r = packing.n, packing.centers() @ np.array([1.0, 1j]), packing.radii()
     f = np.arange(1, M + 1)
     G = np.zeros((2 * M + 1, (2 * M + 1) + 2 * M * n))
     G[f, f] = G[M + f, M + f] = math.pi * f
-    c, r = packing.centers() @ np.array([1.0, 1j]) / L, packing.radii() / L
-    t = np.zeros((n, M + 1, M + 1), dtype=complex)  # t[i, m, f]
-    for k in f:  # t_mk = t_m(k-1) (k-1)/(k-m) c/L, from t_mm = (R/L)^m
-        t[:, 1:k, k] = t[:, 1:k, k - 1] * ((k - 1) / (k - f[: k - 1])) * c[:, None]
-        t[:, k, k] = r**k
-    flux = t[:, 1:, 1:].transpose(2, 0, 1) * (-math.pi * f)[:, None, None]  # (f, i, m)
+    t = (r / packing.L)[:, None, None] * _binomial_table(c / packing.L, r / packing.L, M - 1)
+    flux = t.transpose(2, 0, 1) * (-math.pi * f)[:, None, None]  # (f, i, m)
     inc = G[:, 2 * M + 1 :].reshape(2 * M + 1, n, 2, M)  # a view: (cos, sin) per disk
     inc[1 : M + 1, :, 0], inc[1 : M + 1, :, 1] = flux.real, -flux.imag
     inc[M + 1 :, :, 0], inc[M + 1 :, :, 1] = flux.imag, flux.real
@@ -151,7 +155,8 @@ def _min_gap_ratio(packing: Packing) -> float:
 
 
 def _rotation_order(packing: Packing, M: int) -> int:
-    """The largest g | gcd(n, 4M) with disk k + n/g disk k rotated by 2 pi/g, else 1."""
+    """The largest g | gcd(n, 4M) with disk k + n/g disk k rotated by 2 pi/g, else 1 (the
+    factor needs g | n alone; only the residual table's orbit of check points needs g | 4M)."""
     n, d = packing.n, math.gcd(packing.n, 4 * M)
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
     for g in range(d if n else 1, 1, -1):
@@ -173,31 +178,20 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
     constant in block 0. Block g - j is the conjugate: its modes e^{imt} are solved
     here as e^{-imt}. In blocks 0 and g/2 the conjugate columns are conj(H), so they
     are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is the
-    whole system. Its rows, the DFT of the 4M collocation values on each circle, are the
-    outer modes e^{ift}, f = j mod g, then each representative's e^{im tau}, |m| <= M,
-    times sqrt(g) (real blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m); g is
-    ``_rotation_order(packing, M)``.
+    whole system. Its rows are each circle's Fourier coefficients: the outer modes e^{ift},
+    f = j mod g, then each representative's e^{im tau}, |m| <= M, times sqrt(g) (real
+    blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m). On disk r, q^l is sum_a T[r, a, l] e^{ia tau}
+    (``_binomial_table``), p_r^m is e^{-im tau}, and p_k^m, k != r, is (R_k/d)^m sum_a (-1)^a
+    binom(m+a-1, a) (R_r/d)^a e^{ia tau}, d = c_r - c_k; on |z| = L, p_k^m is sum_f t_mf
+    e^{-ift} (``_flux_projection``). g is ``_rotation_order(packing, M)``.
     """
     n, L = packing.n, packing.L
-    nr, n_per, s, rg, rt2 = n // g, 4 * M, 4 * M // g, math.sqrt(g), math.sqrt(2)
+    nr, rg, rt2 = n // g, math.sqrt(g), math.sqrt(2)
     n_basis = (2 * M + 1) + 2 * M * n
-    t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
-    # One orbit of outer points, then each representative disk's (offset against aliasing).
-    outer, *disks = _circle_points(packing, t, t + math.pi / n_per)
-    z = np.concatenate([outer[:s], *disks[:nr]])
     m, freq, k = np.arange(1, M + 1), np.arange(M + 1), np.arange(g)[:, None]
     modes = np.r_[0 : M + 1, -M:0]  # |m| <= M in FFT order: mode m is at m % (2M + 1)
-    demod = np.exp(-1j * np.multiply.outer(t[:s], np.arange(g)))
-
-    def spectra(V, j):  # sqrt(g)-weighted values V at z of columns of type w^j, overwritten
-        # On the outer orbit e^{-ift} = e^{-ijt} e^{-2 pi i u p/s}, f = j + g u.
-        S = np.empty((nr + 1, 2 * M + 1, *V.shape[1:]), dtype=complex)
-        O = scipy.fft.fft(V[:s] * demod[:, j], axis=0, norm="forward", overwrite_x=True)
-        u = (modes.reshape(-1, *[1] * (V.ndim - 1)) - j) // g % s
-        S[0] = np.take_along_axis(O, np.broadcast_to(u, S.shape[1:]), axis=0) / rg
-        S[1:] = scipy.fft.fft(V[s:].reshape(nr, n_per, *V.shape[1:]), axis=1, norm="forward",
-                              overwrite_x=True)[:, modes]
-        return S
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    T = _binomial_table(c[:nr] / L, radii[:nr] / L, M)
 
     def rows(S, Sc, f, real):  # spectra of v and conj(vbar) -> f's block rows of their columns
         if real:  # vbar = v: Re v, Im v, of rows c_0, sqrt(2) Re c_m, sqrt(2) Im c_m (m > 0)
@@ -210,7 +204,10 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
             S = [S[:1, f], S[1:]]
         return np.concatenate([a.reshape(a.shape[0] * a.shape[1], a.shape[2]) for a in S])
 
-    Sq = spectra(rg * np.stack(list(_powers(z / L, M)), axis=-1), m % g)
+    # Spectra S[circle, mode, l] of sqrt(g) q^l, the outer circle's over sqrt(g).
+    Sq = np.zeros((nr + 1, 2 * M + 1, M), dtype=complex)
+    Sq[0, m, m - 1] = 1.0
+    Sq[1:, : M + 1] = rg * T[:nr, :, 1:]
     blocks = []
     for j in range(g // 2 + 1):
         lp, lm = m[m % g == j] - 1, m[-m % g == j] - 1
@@ -227,28 +224,31 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
         if j == 0:
             A[[0, *d0], -1] = [1.0] + [rg] * nr
         blocks.append((j, lp, lm, f, o, A))
-    del Sq
-    # sum_k w^{hk} p_rk^m for every h: one FFT over k and one over each circle per
-    # representative and chunk of powers, a chunk an eighth of the blocks' bytes or 64 kB.
-    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    step = max(1 << 16, sum(b[-1].nbytes for b in blocks) // 8) // (16 * z.size * g) or 1
-    ji = np.arange(len(blocks))[:, None]
+    # Spectra S of sum_k w^{hk} p_rk^m, a representative r at a time. On the outer circle,
+    # at the modes -f that ``rows`` reads, they are sqrt(g) t_mf, as the rotation takes
+    # p_r^m's t_mf to p_rk^m's w^{k(f-m)} t_mf; on disk r' they sum the coefficients
+    # D[r', k, m, a] of p_rk^m, of e^{ia tau}, with each block's phases w^{hk}.
+    phase = np.exp(2j * math.pi * np.arange(g) / g)
+    ratio = (m[:, None] + m - 1) / m  # [m, a]: (m + a - 1)/a, a = 1..M
     for r in range(nr):
-        w = radii[r] / (z[:, None] - c[r::nr])
-        p = np.ones_like(w)  # w^i0
-        for i0 in range(0, M, step):
-            mm, ci = m[i0 : i0 + step], np.arange(min(step, M - i0))
-            P = p[..., None] * np.cumprod(np.broadcast_to(w[..., None], (*w.shape, ci.size)), -1)
-            p = P[..., -1].copy()  # P is overwritten below
-            S = spectra(scipy.fft.ifft(P, axis=1, norm="forward", overwrite_x=True), (k - mm) % g)
-            # Block j's columns: h = j + m and, conjugated, h = m - j.
-            Sp, Sm = S[:, :, (ji + mm) % g, ci], S[:, :, (mm - ji) % g, ci][:, -modes].conj()
-            for j, _, _, f, o, A in blocks:
-                a, b = o[1] + r * M + i0, o[3] + r * M + i0
-                R = rows(Sp[:, :, j], Sm[:, :, j], f, not np.iscomplexobj(A))
-                A[:, a : a + mm.size], A[:, b : b + mm.size] = R[:, : mm.size], R[:, mm.size :]
+        d = c[:nr, None] - c[r::nr]  # c_r' - c_rk, 0 for disk r itself
+        x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0)
+                for R in (radii[r], radii[:nr, None]))
+        # From x^m, each coefficient is the one before it in a times -y (m + a - 1)/a.
+        D = np.empty((nr, g, M, M + 1), dtype=complex)
+        D[..., 0] = np.cumprod(np.repeat(x[..., None], M, -1), -1)
+        np.multiply(-y[..., None, None], ratio, out=D[..., 1:])
+        np.cumprod(D, -1, out=D)
+        S = np.zeros((2, nr + 1, 2 * M + 1, M), dtype=complex)
+        S[:, 0, -m] = T[r, :M, :M].T * (radii[r] / L * rg)
+        S[:, 1 + r, -m, m - 1] = 1.0  # disk r's own p_r^m is e^{-im tau}
+        for j, _, _, f, o, A in blocks:  # block j's columns: h = j + m and, conjugated, m - j
+            np.einsum("hkm,rkma->hram", phase[k * np.stack([j + m, m - j])[:, None] % g], D,
+                      out=S[:, 1:, : M + 1])
+            R = rows(S[0], S[1][:, -modes].conj(), f, not np.iscomplexobj(A))
+            A[:, np.r_[o[1] : o[1] + M, o[3] : o[3] + M] + r * M] = R
 
-    condition, phase = 1.0, np.exp(2j * math.pi * np.arange(g) / g)
+    condition = 1.0
     while blocks:  # each block is freed once solved
         j, lp, lm, f, o, A = blocks.pop(0)
         # The outer trace e^{ift} (real blocks: cos ft, sin ft); a block with no
@@ -257,7 +257,6 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
         Se = np.zeros((nr + 1, 2 * M + 1, max(f.size, 1)), dtype=complex)
         Se[0, f, np.arange(f.size)] = 1.0 if real else rt2
         rhs = rows(Se, Se[:, -modes].conj(), f, real)[:, : (1 + real) * Se.shape[2]]
-        rhs = np.asfortranarray(rhs)
         gesv, gecon = get_lapack_funcs(("gesv", "gecon"), (A,))
         anorm = max(np.abs(A[:, i : i + 256]).sum(axis=0).max() for i in range(0, A.shape[1], 256))
         lu, _, y, info = gesv(A, rhs, overwrite_a=True, overwrite_b=True)
