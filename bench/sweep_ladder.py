@@ -10,8 +10,9 @@ runs the geometry, builds the network and writes the CSV, as the command
 line does. Then, in process on the analysed grid and on a new network each
 time (median of five): the first ``total_energy`` (cos theta), which builds
 what the network keeps for every later energy, then ``cosine_sweep`` of
-k = 1..100 and ``dtn_matrix`` on that warm network. The result is merged
-into ``--out`` under ``--label``, so two
+k = 1..100, ``dtn_matrix``, ``interior_gap_energy`` of cos theta on the
+boundary inclusions and ``total_energy_decomposed(5)`` on that warm
+network. The result is merged into ``--out`` under ``--label``, so two
 checkouts measured one after the other share one file. It records the
 thread variables, the Python, numpy and scipy versions, and the git commit
 of the dtnnet that was imported (with a hash of its sources, since a
@@ -90,14 +91,19 @@ def time_grid(n: int, workdir: str) -> dict:
 
 def time_network(analysis) -> dict:
     """Median seconds of the first energy on a new network, then of a warm
-    100-mode cosine sweep and a warm dtn_matrix on it."""
-    stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_dtn_matrix_s": []}
+    100-mode cosine sweep, dtn_matrix, interior gap energy and k = 5
+    energy decomposition on it."""
+    stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_dtn_matrix_s": [],
+              "interior_gap_energy_s": [], "decomposed_s": []}
+    u_gamma = np.cos(analysis.boundary_angles)
     for _ in range(REPEATS):
         net = network.build_network(analysis)
         for times, call in zip(stages.values(), (
                 lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
                 lambda: asymptotics.cosine_sweep(np.arange(1, 101), analysis, net),
-                lambda: network.dtn_matrix(net))):
+                lambda: network.dtn_matrix(net),
+                lambda: network.interior_gap_energy(net, u_gamma),
+                lambda: asymptotics.total_energy_decomposed(5, analysis, net))):
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
@@ -143,7 +149,9 @@ def main() -> None:
         print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
               f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s  "
               f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
-              f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s")
+              f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "
+              f"interior gap energy {g['interior_gap_energy_s']:.4f} s  "
+              f"decomposed {g['decomposed_s']:.4f} s")
 
 
 if __name__ == "__main__":

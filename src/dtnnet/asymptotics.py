@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import GeometryAnalysis
-from .network import (
-    Network,
-    energy_factor,
-    interior_gap_energy,
-    net_energy,
-    solve_kirchhoff,
-)
+from .network import Network, dtn_matrix, energy_factor, interior_gap_energy, net_energy
 from .specfun import polylog_half
 
 
@@ -364,13 +358,16 @@ def total_energy_decomposed(
     inclusion potentials, and report the gap to the three-term total.
 
     The discrepancy is the documented exponential mismatch
-    sum_i (sigma_i/4)(e^{-kappa_i} - e^{-2 kappa_i}).
+    sum_i (sigma_i/4)(e^{-kappa_i} - e^{-2 kappa_i}). The minimizer and the
+    interior gap energy both come from the network's cached Lambda_net, so
+    nothing is factored.
     """
     psi = FourierPotential.single_cos(k)
-    # The joint quadratic in all inclusion potentials is exactly the network
-    # energy with the damped boundary excitation of psi, shifted by constants.
-    sol = solve_kirchhoff(network, boundary_excitation(psi, analysis))
-    u_gamma = sol.U[: analysis.boundary_count]
+    # The joint quadratic in all inclusion potentials is the network energy with the
+    # damped excitation Psi of psi, shifted by constants; its minimizer's U_gamma
+    # follows from Ohm's law on the boundary edges: Lambda_net Psi = sigma_b (Psi - U_gamma).
+    Psi = boundary_excitation(psi, analysis)
+    u_gamma = Psi - dtn_matrix(network) @ Psi / network.boundary_sigmas
     value = boundary_layer_energy(u_gamma, k, analysis, network) + interior_gap_energy(
         network, u_gamma
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -53,9 +54,8 @@ class Network:
         Lambda_net positive definite on the other nodes, and with zero row sums
         Psi^T Lambda_net Psi = |R (Psi[nodes] - Psi[grounds])|^2.
         """
-        A, ground = _kirchhoff(self)
         sig = self.boundary_sigmas
-        X = scipy.sparse.linalg.splu(A).solve(np.eye(self.n, self.boundary_count) * sig)
+        _, ground, X = _kirchhoff_solve(self, np.eye(self.n, self.boundary_count) * sig)
         lam = np.diag(sig) - sig[:, None] * X[: self.boundary_count]
         nodes = np.flatnonzero(ground != np.arange(self.boundary_count))
         R = np.linalg.cholesky(lam[nodes[:, None], nodes]).T
@@ -129,6 +129,13 @@ def _kirchhoff(network: Network) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
     return A, first[labels[: network.boundary_count]]
 
 
+def _kirchhoff_solve(network: Network, rhs: np.ndarray) -> tuple:
+    """A and the grounds (``_kirchhoff``), and X = A^{-1} rhs from one fresh
+    sparse LU of A, which is not kept."""
+    A, ground = _kirchhoff(network)
+    return A, ground, scipy.sparse.linalg.splu(A).solve(rhs)
+
+
 def _checked_psi(network: Network, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (network.boundary_count,):
@@ -138,30 +145,21 @@ def _checked_psi(network: Network, psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _drops(network: Network, Psi: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """sqrt(sigma)-weighted potential drops (n_b + E, p) over the boundary edges
-    and the gap edges, for columns of boundary data Psi and inclusion
-    potentials U (no minimization)."""
-    i, j = network._ends
-    d_b = (U[: network.boundary_count] - Psi) * np.sqrt(network.boundary_sigmas)[:, None]
-    d = (U[i] - U[j]) * np.sqrt(network.gap_sigmas)[:, None]
-    return np.concatenate([d_b, d])
-
-
 def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
-    """Inclusion potentials for boundary data psi, from a fresh build and
-    factorization of the Kirchhoff matrix, with their energy (1/2)|drops|^2 and
-    the Kirchhoff residual."""
+    """Inclusion potentials for boundary data psi from a fresh build and LU of the
+    Kirchhoff matrix, their energy (1/2)|d|^2 of the sqrt(sigma)-weighted drops d
+    over the boundary and gap edges, and the Kirchhoff residual. No energy calls
+    it: it is the independent reference for what Lambda_net gives."""
     psi = _checked_psi(network, psi)
-    A, _ = _kirchhoff(network)
+    n_b, sig = network.boundary_count, network.boundary_sigmas
     rhs = np.zeros(network.n)
-    rhs[: network.boundary_count] = network.boundary_sigmas * psi
-    U = scipy.sparse.linalg.splu(A).solve(rhs)
-    D = _drops(network, psi[:, None], U[:, None])
-    r = A @ U
-    r[: network.boundary_count] -= network.boundary_sigmas * psi
-    return KirchhoffSolution(U=U, energy=0.5 * float(D[:, 0] @ D[:, 0]),
-                             residual_norm=float(np.linalg.norm(r)))
+    rhs[:n_b] = sig * psi
+    A, _, U = _kirchhoff_solve(network, rhs)
+    i, j = network._ends
+    d = np.concatenate([(U[:n_b] - psi) * np.sqrt(sig),
+                        (U[i] - U[j]) * np.sqrt(network.gap_sigmas)])
+    return KirchhoffSolution(U=U, energy=0.5 * float(d @ d),
+                             residual_norm=float(np.linalg.norm(A @ U - rhs)))
 
 
 def energy_factor(network: Network, Psi: np.ndarray) -> np.ndarray:
@@ -188,20 +186,20 @@ def dtn_matrix(network: Network) -> np.ndarray:
 
 
 def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
-    """Minimum gap-edge energy with the boundary-inclusion potentials fixed."""
+    """Minimum gap-edge energy (1/2) U^T S U with the boundary-inclusion potentials
+    U = U_gamma fixed, S the Kron reduction of the gap Laplacian onto them.
+
+    With D = diag(sigma_b), Lambda_net = D - D (S + D)^{-1} D, so S + D =
+    D (D - Lambda_net)^{-1} D and the energy is (1/2)[(DU)^T (D - Lambda_net)^{-1}
+    (DU) - U^T D U]: one dense positive-definite n_b x n_b solve on the cached
+    Lambda_net, no sparse factorization. The difference loses ~sigma_b/|S| ulps."""
     U_gamma = np.asarray(U_gamma, dtype=float)
     n_b = network.boundary_count
     if U_gamma.shape != (n_b,):
         raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
-    # diag(sigma_b) sits on the first n_b rows only: the interior blocks are
-    # the gap Laplacian's, and _kirchhoff has checked the connectivity.
-    A, _ = _kirchhoff(network)
-    U = np.concatenate([U_gamma, np.zeros(network.n - n_b)])
-    if network.n > n_b:
-        U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))
-    # Psi = U_gamma: the boundary edges carry no energy.
-    d = _drops(network, U_gamma[:, None], U[:, None])
-    return 0.5 * float(d[:, 0] @ d[:, 0])
+    lam, sig = network._boundary_map[0], network.boundary_sigmas
+    f = sig * U_gamma
+    return 0.5 * float(f @ scipy.linalg.solve(np.diag(sig) - lam, f, assume_a="pos") - f @ U_gamma)
 
 
 def network_to_dict(network: Network) -> dict:

@@ -17,7 +17,7 @@ each orbit of disks splits the system into g blocks of about 1/g of its rows and
 columns, those above g/2 the conjugates of those below. Both changes of basis are
 unitary, so the blocks' singular values are exactly the full system's; without
 such a rotation g = 1. The condition limit applies to LAPACK's 1-norm estimate of
-each block. With g | 4M the rotation also carries one orbit of the residual's
+each block. With g | 8M the rotation also carries one orbit of the residual's
 check points onto all of them: the error of psi at a rotated point is that of
 psi(theta + 2 pi p/g) at an orbit point, so the residual table holds 1/g of them.
 """
@@ -155,9 +155,9 @@ def _min_gap_ratio(packing: Packing) -> float:
 
 
 def _rotation_order(packing: Packing, M: int) -> int:
-    """The largest g | gcd(n, 4M) with disk k + n/g disk k rotated by 2 pi/g, else 1 (the
-    factor needs g | n alone; only the residual table's orbit of check points needs g | 4M)."""
-    n, d = packing.n, math.gcd(packing.n, 4 * M)
+    """The largest g | gcd(n, 8M) with disk k + n/g disk k rotated by 2 pi/g, else 1 (the
+    factor needs g | n alone; the residual table's orbit of 8M/g check points, g | 8M)."""
+    n, d = packing.n, math.gcd(packing.n, 8 * M)
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
     for g in range(d if n else 1, 1, -1):
         if (d % g == 0 and np.array_equal(np.roll(radii, n // g), radii)

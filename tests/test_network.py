@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from dtnnet.asymptotics import FourierPotential, total_energy
+from dtnnet.asymptotics import FourierPotential, total_energy, total_energy_decomposed
 from dtnnet.errors import ModeError, SingularSystemError
-from dtnnet.generators import random_packing
+from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, Packing, analyze
 from dtnnet.network import (
     Network,
+    _kirchhoff,
     build_network,
     dtn_matrix,
     energy_factor,
@@ -42,6 +43,18 @@ def brute_force_dtn(net: Network) -> np.ndarray:
         U = solve_kirchhoff(net, psi).U
         lam[:, j] = net.boundary_sigmas * (psi - U[:n_b])
     return lam
+
+
+def interior_energy_reference(net: Network, U_gamma: np.ndarray) -> float:
+    """Minimum gap-edge energy with the boundary-inclusion potentials fixed, from
+    a fresh sparse LU of the interior block of the Kirchhoff matrix."""
+    A, _ = _kirchhoff(net)
+    n_b = net.boundary_count
+    U = np.concatenate([U_gamma, np.zeros(net.n - n_b)])
+    if net.n > n_b:
+        U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))
+    i, j = net._ends
+    return 0.5 * float(net.gap_sigmas @ (U[i] - U[j]) ** 2)
 
 
 def handmade_chain(sigma=2.0, with_interior_edges=True) -> Network:
@@ -233,6 +246,37 @@ class TestInteriorGapEnergy:
         with pytest.raises(ValueError):
             interior_gap_energy(net, np.zeros(3))
 
+    @pytest.mark.parametrize("packing", [
+        grid_packing(0.1, 0.02),  # 61 disks
+        ring_packing(8, 0.89999, 0.1),  # boundary gaps 1e-5: sigma_b >> S, the most cancellation
+    ], ids=["grid61", "ring8-tight"])
+    def test_matches_the_interior_solve(self, packing):
+        self.check_against_reference(build_network(analyze(packing), mode="identical"))
+
+    def test_matches_the_interior_solve_on_random_networks(self, random_net):
+        self.check_against_reference(random_net)
+
+    @staticmethod
+    def check_against_reference(net):
+        rng = np.random.default_rng(3)
+        n_b = net.boundary_count
+        for U_gamma in (rng.standard_normal(n_b), np.cos(net.boundary_angles), np.eye(n_b)[0]):
+            ref = interior_energy_reference(net, U_gamma)
+            assert abs(interior_gap_energy(net, U_gamma) - ref) <= 1e-12 * ref
+
+
+class TestBoundaryPotentials:
+    def test_ohms_law_on_the_boundary_edges(self, random_net):
+        # Lambda_net Psi = diag(sigma_b) (Psi - U_gamma): the potentials of the
+        # boundary inclusions follow from the cached map.
+        rng = np.random.default_rng(13)
+        lam, n_b = dtn_matrix(random_net), random_net.boundary_count
+        for _ in range(5):
+            psi = rng.standard_normal(n_b)
+            U = solve_kirchhoff(random_net, psi).U[:n_b]
+            assert np.allclose(psi - lam @ psi / random_net.boundary_sigmas, U,
+                               rtol=0.0, atol=1e-12 * np.abs(psi).max())
+
 
 class TestConnectivity:
     def test_unreachable_interior_component(self):
@@ -264,6 +308,9 @@ class TestFactorization:
         for k in range(1, 21):
             total_energy(FourierPotential.single_cos(k), a, net)
         dtn_matrix(net)
+        interior_gap_energy(net, np.cos(net.boundary_angles))
+        for k in (1, 5, 20):
+            total_energy_decomposed(k, a, net)
         assert calls == [(net.n, net.n)]
 
     def test_solved_network_pickles(self, ring8):

@@ -207,7 +207,7 @@ class TestOperatorReuse:
 
     def test_one_block_factor_per_packing_and_truncation(self, monkeypatch):
         calls = lapack_spy(monkeypatch)
-        for p, M, g in [(self.RING, 16, 8), (self.RING, 15, 4), (two_ring_packing(), 24, 4),
+        for p, M, g in [(self.RING, 16, 8), (self.RING, 15, 8), (two_ring_packing(), 24, 4),
                         (moved(self.RING, 5, dr=-0.01), 16, 1)]:
             oracle._operator.cache_clear()
             calls.clear()
@@ -307,10 +307,10 @@ class TestRingFactor:
         "n8": (ring_packing(8, 0.85, 0.1, 1.0, phase=0.2), 16, 8),
         "n16-one-point-per-orbit": (equal_gap_ring(16, 0.1), 4, 16),
         "n16-gap0.02": (equal_gap_ring(16, 0.02), 24, 16),
+        "ring8-M15": (RING8, 15, 8),  # 8 divides 8M = 120, though not 4M = 60
     }
     ORBITS = {  # 1 < g < n
-        "n12-M32": (equal_gap_ring(12, 0.05), 32, 4),  # 12 does not divide 4M = 128
-        "ring8-M15": (RING8, 15, 4),
+        "n12-M32": (equal_gap_ring(12, 0.05), 32, 4),  # 12 does not divide 8M = 256
         "two-rings": (two_ring_packing(), 24, 4),
         "reversed": (Packing(1.0, RING8.inclusions[::-1]), 16, 2),  # clockwise labels
     }
@@ -330,7 +330,7 @@ class TestRingFactor:
 
     def test_rotation_order_of_the_empty_packing_and_of_one_step_orders(self):
         assert oracle._rotation_order(EMPTY, 8) == 1
-        # gcd(6, 4M) = 2 at M = 1 and 6 at M = 3.
+        # gcd(6, 8M) = 2 at M = 1 and 6 at M = 3.
         assert oracle._rotation_order(equal_gap_ring(6, 0.1), 1) == 2
         assert oracle._rotation_order(equal_gap_ring(6, 0.1), 3) == 6
 

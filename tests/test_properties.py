@@ -87,7 +87,7 @@ def test_asymptotic_dtn_is_scale_invariant(packing, s):
 def test_relabelling_the_disks_changes_no_dtn_matrix(data):
     ring = data.draw(rings())
     n = ring.n
-    step = n // math.gcd(n, 4)  # n | 4M: the oracle factors the ring as C_n blocks
+    step = n // math.gcd(n, 8)  # n | 8M: the oracle factors the ring as C_n blocks
     M = step * data.draw(st.integers(1, 12 // step))
     order = data.draw(st.permutations(range(n)))
     relabelled = Packing(ring.L, tuple(ring.inclusions[i] for i in order))
@@ -102,7 +102,7 @@ def test_relabelling_the_disks_changes_no_dtn_matrix(data):
 @settings(max_examples=40)
 @given(st.integers(2, 12), st.floats(0.05, 0.5), st.floats(0.0, 1.0), st.integers(1, 16))
 def test_orbit_factor_matches_the_dense_reference(n, t, phase, M):
-    # gcd(n, 4M) < n for many draws, so the factor runs at every order g | n.
+    # gcd(n, 8M) < n for many draws, so the factor runs at every order g | n.
     ring = equal_gap_ring(n, t, phase=2.0 * math.pi * phase / n)
     assert_close(reference_operator(ring, M).dtn, oracle._operator(ring, M).dtn, 1e-10)
 
