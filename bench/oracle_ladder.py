@@ -13,9 +13,8 @@ gives its traced peak. One more cold build times its stages: the factor, the
 residual table and the flux projection, each a function of ``dtnnet.oracle``
 wrapped with a timer for that build, and the rest. Inside the factor it also
 times the closed-form coefficient tables (``_binomial_table``, which the flux
-projection also calls once), the LAPACK ``gesv`` and ``gecon`` calls and, for
-code that projected sampled values, the FFTs of that projection
-(``scipy.fft``); a part the imported dtnnet does not call or define reads 0. The
+projection also calls once) and the LAPACK ``gesv`` and ``gecon`` calls; a
+part the imported dtnnet does not call or define reads 0. The
 record gives the bytes of the arrays the operator keeps, and of its residual
 table alone. The rungs are rings with equal gaps t R between neighbours and
 to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
@@ -41,7 +40,6 @@ import time
 import tracemalloc
 
 import numpy as np
-import scipy.fft
 from sweep_ladder import merge_run, provenance
 
 from dtnnet import generators, oracle
@@ -60,8 +58,7 @@ REPEATS = 3
 STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
           "flux_projection": "_flux_projection"}
 # Parts of the factor: (module, function) pairs timed while it runs.
-FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),),
-                "projection_fft": ((scipy.fft, "fft"), (scipy.fft, "ifft"))}
+FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),)}
 
 
 def equal_gap_ring(n: int, t: float) -> Packing:

@@ -7,12 +7,12 @@ Each run times ``dtnnet.cli.main`` on the hexagonal grids of 61, 265, 1789
 and 7291 disks (L = 1, gap/R = 0.2): the first call, then five more, and
 records their median and minimum. Every call loads the packing,
 runs the geometry, builds the network and writes the CSV, as the command
-line does. Then, in process on the analysed grid and on a new network each
-time (median of five): the first ``total_energy`` (cos theta), which builds
-what the network keeps for every later energy, then ``cosine_sweep`` of
-k = 1..100, ``dtn_matrix``, ``interior_gap_energy`` of cos theta on the
-boundary inclusions and ``total_energy_decomposed(5)`` on that warm
-network. The result is merged into ``--out`` under ``--label``, so two
+line does. Then, in process on the analysed grid (median of five):
+``build_network``, and on each new network the first ``total_energy``
+(cos theta), which builds what the network keeps for every later energy,
+then ``cosine_sweep`` of k = 1..100, ``dtn_matrix``, ``interior_gap_energy``
+of cos theta on the boundary inclusions and ``total_energy_decomposed(5)``
+on that warm network. The result is merged into ``--out`` under ``--label``, so two
 checkouts measured one after the other share one file. It records the
 thread variables, the Python, numpy and scipy versions, and the git commit
 of the dtnnet that was imported (with a hash of its sources, since a
@@ -90,14 +90,17 @@ def time_grid(n: int, workdir: str) -> dict:
 
 
 def time_network(analysis) -> dict:
-    """Median seconds of the first energy on a new network, then of a warm
-    100-mode cosine sweep, dtn_matrix, interior gap energy and k = 5
-    energy decomposition on it."""
+    """Median seconds of a network build, of the first energy on the new
+    network, then of a warm 100-mode cosine sweep, dtn_matrix, interior gap
+    energy and k = 5 energy decomposition on it."""
     stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_dtn_matrix_s": [],
               "interior_gap_energy_s": [], "decomposed_s": []}
+    builds = []
     u_gamma = np.cos(analysis.boundary_angles)
     for _ in range(REPEATS):
+        t0 = time.perf_counter()
         net = network.build_network(analysis)
+        builds.append(time.perf_counter() - t0)
         for times, call in zip(stages.values(), (
                 lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
                 lambda: asymptotics.cosine_sweep(np.arange(1, 101), analysis, net),
@@ -107,7 +110,7 @@ def time_network(analysis) -> dict:
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
-    return {k: statistics.median(v) for k, v in stages.items()}
+    return {k: statistics.median(v) for k, v in {"build_network_s": builds, **stages}.items()}
 
 
 def provenance() -> dict:
@@ -148,6 +151,7 @@ def main() -> None:
     for g in grids:
         print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
               f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s  "
+              f"build_network {g['build_network_s']:.4f} s  "
               f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
               f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "
               f"interior gap energy {g['interior_gap_energy_s']:.4f} s  "

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import GeometryAnalysis
-from .network import Network, dtn_matrix, energy_factor, interior_gap_energy, net_energy
+from .network import (
+    Network, _checked_psi, dtn_matrix, energy_factor, interior_gap_energy, net_energy,
+)
 from .specfun import polylog_half
 
 
@@ -249,7 +251,7 @@ def cosine_sweep(
 
 def characteristic_scales(analysis: GeometryAnalysis) -> tuple[float, float]:
     """(delta_char, R_char): geometric-mean gap and arithmetic-mean radius."""
-    gaps = np.array(list(analysis.gap_widths.values()) + list(analysis.boundary_gaps))
+    gaps = np.concatenate([analysis.gap_widths, analysis.boundary_gaps])
     delta_char = float(np.exp(np.mean(np.log(gaps))))
     r_char = float(np.mean(analysis.packing.radii()))
     return delta_char, r_char
@@ -332,10 +334,7 @@ def boundary_layer_energy(
     U_gamma: np.ndarray, k: int, analysis: GeometryAnalysis, network: Network
 ) -> float:
     """Leading-order boundary-layer energy for single-mode cos(k theta) data."""
-    U_gamma = np.asarray(U_gamma, dtype=float)
-    n_b = analysis.boundary_count
-    if U_gamma.shape != (n_b,):
-        raise ValueError(f"U_gamma must have length {n_b}")
+    U_gamma = _checked_psi(network, U_gamma)
     damp = _damping(analysis, k)  # e^{-kappa_i}, kappa_i = k mu_i
     target = np.cos(k * analysis.boundary_angles) * damp
     sig = network.boundary_sigmas

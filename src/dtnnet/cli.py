@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -77,13 +78,24 @@ def _load_geometry(path: str, mode: str, delta_max_edge: float | None):
     return packing, analysis, net
 
 
+@contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: the file at path, or stdout if path is
+    empty. Failing to open or write the file raises ParseError, as reading a
+    packing file does."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -106,10 +118,7 @@ def cmd_gen(args) -> int:
             L=args.domain_radius,
             seed=args.seed,
         )
-    if args.out:
-        geometry.save_packing(packing, args.out)
-    else:
-        _write_json(geometry.packing_to_dict(packing), None)
+    _write_json(geometry.packing_to_dict(packing), args.out)
     return 0
 
 
@@ -149,8 +158,7 @@ def cmd_sweep(args) -> int:
         "k", "epsilon", "eta", "regime",
         "E_net", "E_ref", "R_res", "total", "quad_form",
     ]
-    target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as target:
         writer = csv.writer(target)
         writer.writerow(header)
         for row in rows:
@@ -158,9 +166,6 @@ def cmd_sweep(args) -> int:
                 [row[0]] + [FLOAT_FMT % v for v in row[1:3]] + [row[3]]
                 + [FLOAT_FMT % v for v in row[4:]]
             )
-    finally:
-        if args.out:
-            target.close()
     return 0
 
 

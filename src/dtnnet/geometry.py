@@ -55,16 +55,16 @@ class GeometryAnalysis:
     """Derived structure of a validated packing, renumbered boundary-first."""
 
     packing: Packing
-    gap_widths: dict[tuple[int, int], float]  # keyed (i, j) with i < j
+    gap_edges: np.ndarray  # (E, 2) neighbor pairs, i < j, in lexicographic order
+    gap_widths: np.ndarray  # (E,) gap of each pair
     boundary_count: int
     boundary_gaps: np.ndarray  # delta_i, length boundary_count
     boundary_angles: np.ndarray  # theta_i in [0, 2pi)
-    boundary_nodes: np.ndarray  # (boundary_count, 2), points on |x| = L
 
     @property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         """Each disk's neighbors: the other ends of its gap edges."""
-        return _neighbor_sets(self.packing.n, self.gap_widths)
+        return _neighbor_sets(self.packing.n, self.gap_edges.tolist())
 
 
 @dataclass(frozen=True)
@@ -191,21 +191,20 @@ def classify_boundary(packing: Packing) -> GeometryAnalysis:
     inv[order] = np.arange(packing.n)
     new_packing = replace(packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
     # Every neighbor pair (i < j) in the new numbering, in lexicographic order.
-    i, j = np.unique(np.sort(inv[pairs], axis=1), axis=0).T
+    edges = np.unique(np.sort(inv[pairs], axis=1), axis=0)
+    i, j = edges.T
     centers = new_packing.centers()
     radii = new_packing.radii()
     d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
-    gap_widths = dict(zip(zip(i.tolist(), j.tolist()), (d - radii[i] - radii[j]).tolist()))
 
-    n_b, L = b_old.size, packing.L
-    boundary_gaps = L - np.hypot(centers[:n_b, 0], centers[:n_b, 1]) - radii[:n_b]
+    n_b = b_old.size
     return GeometryAnalysis(
         packing=new_packing,
-        gap_widths=gap_widths,
+        gap_edges=edges,
+        gap_widths=d - radii[i] - radii[j],
         boundary_count=n_b,
-        boundary_gaps=boundary_gaps,
+        boundary_gaps=packing.L - np.hypot(centers[:n_b, 0], centers[:n_b, 1]) - radii[:n_b],
         boundary_angles=angles,
-        boundary_nodes=L * np.column_stack([np.cos(angles), np.sin(angles)]),
     )
 
 
@@ -221,16 +220,17 @@ def analyze(packing: Packing, delta_max_edge: float | None = None) -> GeometryAn
     analysis = classify_boundary(packing)
     if delta_max_edge is None:
         return analysis
-    kept = {k: v for k, v in analysis.gap_widths.items() if v <= delta_max_edge}
-    return replace(analysis, gap_widths=kept)
+    kept = analysis.gap_widths <= delta_max_edge
+    return replace(analysis, gap_edges=analysis.gap_edges[kept],
+                   gap_widths=analysis.gap_widths[kept])
 
 
 def scale_report(analysis: GeometryAnalysis) -> ScaleReport:
     """Report scale separation ratios and warn when the asymptotics is doubtful."""
-    gaps = list(analysis.gap_widths.values()) + list(analysis.boundary_gaps)
+    gaps = np.concatenate([analysis.gap_widths, analysis.boundary_gaps])
     radii = analysis.packing.radii()
-    delta_max = float(max(gaps))
-    delta_min = float(min(gaps))
+    delta_max = float(gaps.max())
+    delta_min = float(gaps.min())
     r_min = float(radii.min())
     r_max = float(radii.max())
     ratio_delta_r = delta_max / r_min
@@ -244,12 +244,10 @@ def scale_report(analysis: GeometryAnalysis) -> ScaleReport:
         warnings.append(
             f"R_max/L = {ratio_r_l:.3g} > 0.3: inclusions are not small"
         )
-    for i in range(analysis.boundary_count):
-        d = analysis.packing.inclusions[i]
-        if d.x == 0.0 and d.y == 0.0:
-            warnings.append(
-                "boundary inclusion centered at the origin: angle 0 assigned by convention"
-            )
+    if (analysis.packing.centers()[: analysis.boundary_count] == 0.0).all(axis=1).any():
+        warnings.append(
+            "boundary inclusion centered at the origin: angle 0 assigned by convention"
+        )
     return ScaleReport(
         delta_max=delta_max,
         delta_min=delta_min,

@@ -27,9 +27,8 @@ from .geometry import GeometryAnalysis
 @dataclass(frozen=True)
 class Network:
     interior_nodes: np.ndarray  # (N, 2) inclusion centers
-    boundary_nodes: np.ndarray  # (N_b, 2) points on the outer circle
     boundary_count: int
-    gap_edges: tuple[tuple[int, int], ...]  # unordered pairs, stored once, i < j
+    gap_edges: np.ndarray  # (E, 2) index pairs, i < j, in lexicographic order
     gap_sigmas: np.ndarray  # conductivity per gap edge
     boundary_sigmas: np.ndarray  # conductivity of edge (boundary node i, inclusion i)
     boundary_angles: np.ndarray
@@ -37,12 +36,6 @@ class Network:
     @property
     def n(self) -> int:
         return self.interior_nodes.shape[0]
-
-    @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """End points (i, j) of the gap edges as index arrays."""
-        ij = np.array(self.gap_edges, dtype=np.intp).reshape(-1, 2)
-        return ij[:, 0], ij[:, 1]
 
     @cached_property
     def _boundary_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -88,15 +81,13 @@ def build_network(analysis: GeometryAnalysis, mode: str = "identical") -> Networ
         spread = radii.max() - radii.min()
         if spread > 1e-12 * radii.max():
             raise ModeError("identical mode requires equal radii")
-    edges = sorted(analysis.gap_widths)
-    delta = np.array([analysis.gap_widths[e] for e in edges])
-    r_i, r_j = radii[np.array(edges, dtype=np.intp).reshape(-1, 2)].T
+    r_i, r_j = radii[analysis.gap_edges].T
+    delta = analysis.gap_widths
     n_b = analysis.boundary_count
     return Network(
         interior_nodes=analysis.packing.centers(),
-        boundary_nodes=analysis.boundary_nodes,
         boundary_count=n_b,
-        gap_edges=tuple(edges),
+        gap_edges=analysis.gap_edges,
         gap_sigmas=math.pi * np.sqrt(2.0 * r_i * r_j / (delta * (r_i + r_j))),
         boundary_sigmas=math.pi * np.sqrt(2.0 * radii[:n_b] / analysis.boundary_gaps),
         boundary_angles=analysis.boundary_angles,
@@ -110,7 +101,7 @@ def _kirchhoff(network: Network) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
     node of its connected component (its ground). Built and checked on every
     call, so every solve on a disconnected network raises.
     """
-    i, j = network._ends
+    i, j = network.gap_edges.T
     s = network.gap_sigmas
     b = np.arange(network.boundary_count)
     rows = np.concatenate([i, j, i, j, b])
@@ -137,10 +128,11 @@ def _kirchhoff_solve(network: Network, rhs: np.ndarray) -> tuple:
 
 
 def _checked_psi(network: Network, psi: np.ndarray) -> np.ndarray:
+    """psi as a float array, checked to hold one value per boundary node."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (network.boundary_count,):
         raise ValueError(
-            f"psi must have length {network.boundary_count}, got shape {psi.shape}"
+            f"boundary vector must have length {network.boundary_count}, got shape {psi.shape}"
         )
     return psi
 
@@ -155,7 +147,7 @@ def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
     rhs = np.zeros(network.n)
     rhs[:n_b] = sig * psi
     A, _, U = _kirchhoff_solve(network, rhs)
-    i, j = network._ends
+    i, j = network.gap_edges.T
     d = np.concatenate([(U[:n_b] - psi) * np.sqrt(sig),
                         (U[i] - U[j]) * np.sqrt(network.gap_sigmas)])
     return KirchhoffSolution(U=U, energy=0.5 * float(d @ d),
@@ -193,10 +185,7 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
     D (D - Lambda_net)^{-1} D and the energy is (1/2)[(DU)^T (D - Lambda_net)^{-1}
     (DU) - U^T D U]: one dense positive-definite n_b x n_b solve on the cached
     Lambda_net, no sparse factorization. The difference loses ~sigma_b/|S| ulps."""
-    U_gamma = np.asarray(U_gamma, dtype=float)
-    n_b = network.boundary_count
-    if U_gamma.shape != (n_b,):
-        raise ValueError(f"U_gamma must have length {n_b}, got shape {U_gamma.shape}")
+    U_gamma = _checked_psi(network, U_gamma)
     lam, sig = network._boundary_map[0], network.boundary_sigmas
     f = sig * U_gamma
     return 0.5 * float(f @ scipy.linalg.solve(np.diag(sig) - lam, f, assume_a="pos") - f @ U_gamma)
@@ -207,7 +196,7 @@ def network_to_dict(network: Network) -> dict:
         "nodes": [[float(x), float(y)] for x, y in network.interior_nodes],
         "edges": [
             {"i": int(i), "j": int(j), "sigma": float(s)}
-            for (i, j), s in zip(network.gap_edges, network.gap_sigmas)
+            for (i, j), s in zip(network.gap_edges.tolist(), network.gap_sigmas)
         ],
         "boundary_edges": [
             {"i": int(i), "sigma": float(s), "theta": float(t)}

@@ -32,11 +32,11 @@ def handmade_analysis(delta=1e-4, R=1e-2, L=1.0) -> GeometryAnalysis:
     p = Packing(L, (Disk(0.5, 0.0, R), Disk(-0.5, 0.0, R)))
     return GeometryAnalysis(
         packing=p,
-        gap_widths={(0, 1): delta},
+        gap_edges=np.array([[0, 1]]),
+        gap_widths=np.array([delta]),
         boundary_count=2,
         boundary_gaps=np.array([delta, delta]),
         boundary_angles=np.array([0.0, math.pi]),
-        boundary_nodes=np.array([[L, 0.0], [-L, 0.0]]),
     )
 
 

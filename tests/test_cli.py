@@ -179,7 +179,7 @@ class TestAnalyze:
         assert out1 == out2
 
     def test_delta_max_edge_keeping_every_gap_changes_nothing(self, ring_file, capsys):
-        widest = max(analyze(load_packing(ring_file)).gap_widths.values())
+        widest = float(analyze(load_packing(ring_file)).gap_widths.max())
         args = ["analyze", "--packing", ring_file, "--cos", "2=1", "--sin", "3=0.5"]
         code, plain, _ = run(capsys, *args)
         assert code == 0
@@ -251,6 +251,25 @@ class TestDegenerateInputs:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gen", "ring", "--n", "8"],
+         ["analyze", "--packing", "RING", "--cos", "1=1"],
+         ["dtn", "--packing", "RING"],
+         ["sweep", "--packing", "RING", "--k-from", "0", "--k-to", "3"],
+         ["validate", "--packing", "RING", "--cos", "1=1", "--oracle-m", "4"]],
+        ids=["gen", "analyze", "dtn", "sweep", "validate"],
+    )
+    def test_unwritable_out_exit_2(self, ring_file, tmp_path, capsys, command):
+        path = str(tmp_path / "missing" / "out.json")
+        argv = [ring_file if arg == "RING" else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(f"cannot write output file {path}: ")
 
 
 class TestDtn:

@@ -191,7 +191,6 @@ class TestClassifyBoundary:
         assert np.allclose(a.boundary_gaps, 0.05)
         diffs = np.diff(a.boundary_angles)
         assert np.allclose(diffs, math.pi / 4)
-        assert np.allclose(np.hypot(a.boundary_nodes[:, 0], a.boundary_nodes[:, 1]), 1.0)
 
     def test_single_disk_at_origin(self):
         p = Packing(1.0, (Disk(0.0, 0.0, 0.1),))
@@ -229,7 +228,8 @@ class TestOnePass:
         assert built == [p.n + 4]
         second = analyze(p)  # the same packing again: no hidden cache
         assert built == [p.n + 4] * 2
-        assert second.gap_widths == first.gap_widths
+        assert np.array_equal(second.gap_edges, first.gap_edges)
+        assert np.array_equal(second.gap_widths, first.gap_widths)
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_renumbered_neighbors_match_adjacency(self, case):
@@ -246,12 +246,14 @@ class TestDeltaMaxEdge:
     def test_filters_gaps_and_neighbors(self):
         p = random_packing(n=30, disk_radius=0.05, delta_min=0.01, L=1.0, seed=2)
         full = analyze(p)
-        cut = float(np.median(list(full.gap_widths.values())))
+        cut = float(np.median(full.gap_widths))
         a = analyze(p, delta_max_edge=cut)
-        expected = {k: v for k, v in full.gap_widths.items() if v <= cut}
-        assert 0 < len(expected) < len(full.gap_widths)
-        assert a.gap_widths == expected
-        assert {(i, j) for i in range(p.n) for j in a.neighbor_sets[i] if i < j} == set(expected)
+        kept = full.gap_widths <= cut
+        assert 0 < kept.sum() < len(full.gap_widths)
+        assert np.array_equal(a.gap_edges, full.gap_edges[kept])
+        assert np.array_equal(a.gap_widths, full.gap_widths[kept])
+        expected = set(map(tuple, full.gap_edges[kept].tolist()))
+        assert {(i, j) for i in range(p.n) for j in a.neighbor_sets[i] if i < j} == expected
         assert a.packing == full.packing
         assert np.array_equal(a.boundary_angles, full.boundary_angles)
 
@@ -315,7 +317,7 @@ class TestGeometryProperties:
         shifted = np.sort((a0.boundary_angles + phi) % (2 * math.pi))
         assert np.allclose(np.sort(a1.boundary_angles), shifted, atol=1e-9)
         assert np.allclose(
-            sorted(a1.gap_widths.values()), sorted(a0.gap_widths.values()), atol=1e-12
+            np.sort(a1.gap_widths), np.sort(a0.gap_widths), atol=1e-12
         )
         assert np.allclose(np.sort(a1.boundary_gaps), np.sort(a0.boundary_gaps), atol=1e-12)
 
@@ -328,8 +330,8 @@ class TestGeometryProperties:
         a0, a1 = analyze(p), analyze(scaled)
         assert a0.neighbor_sets == a1.neighbor_sets
         assert np.allclose(a1.boundary_angles, a0.boundary_angles, atol=1e-9)
-        for key, v in a0.gap_widths.items():
-            assert a1.gap_widths[key] == pytest.approx(v * s, rel=1e-12)
+        assert np.array_equal(a1.gap_edges, a0.gap_edges)
+        assert a1.gap_widths == pytest.approx(a0.gap_widths * s, rel=1e-12)
         assert np.allclose(a1.boundary_gaps, a0.boundary_gaps * s, rtol=1e-12)
 
 

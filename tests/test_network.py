@@ -53,16 +53,15 @@ def interior_energy_reference(net: Network, U_gamma: np.ndarray) -> float:
     U = np.concatenate([U_gamma, np.zeros(net.n - n_b)])
     if net.n > n_b:
         U[n_b:] = scipy.sparse.linalg.splu(A[n_b:, n_b:]).solve(-(A[n_b:, :n_b] @ U_gamma))
-    i, j = net._ends
+    i, j = net.gap_edges.T
     return 0.5 * float(net.gap_sigmas @ (U[i] - U[j]) ** 2)
 
 
 def handmade_chain(sigma=2.0, with_interior_edges=True) -> Network:
     """Two boundary inclusions bridged by one interior inclusion."""
-    edges = ((0, 2), (1, 2)) if with_interior_edges else ()
+    edges = np.array([[0, 2], [1, 2]] if with_interior_edges else [], dtype=np.intp).reshape(-1, 2)
     return Network(
         interior_nodes=np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.4]]),
-        boundary_nodes=np.array([[-1.0, 0.0], [1.0, 0.0]]),
         boundary_count=2,
         gap_edges=edges,
         gap_sigmas=np.full(len(edges), sigma),
@@ -337,7 +336,7 @@ class TestFactorization:
         # delta_max_edge drops the only gap edge: two boundary disks, no path between them.
         a = analyze(two_disk_packing(delta=0.1), delta_max_edge=0.05)
         net = build_network(a, mode="identical")
-        assert net.gap_edges == ()
+        assert net.gap_edges.shape == (0, 2)
         lam = dtn_matrix(net)
         assert np.allclose(lam, 0.0, atol=1e-12 * net.boundary_sigmas.max())
         assert net_energy(net, np.array([1.0, -3.0])) == 0.0

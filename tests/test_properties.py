@@ -145,6 +145,36 @@ def test_raising_a_conductivity_never_lowers_the_network_energy(data):
 
 
 @st.composite
+def grown_disks(draw):
+    """(packing, grown): a random packing, and the same packing with one disk
+    grown by up to half its smallest gap, to another disk or to |x| = L."""
+    packing = random_packing(20, 0.08, 0.01, 1.0, seed=draw(st.integers(1, 10**6)))
+    k = draw(st.integers(0, packing.n - 1))
+    centers, radii = packing.centers(), packing.radii()
+    gaps = np.hypot(*(centers - centers[k]).T) - radii - radii[k]
+    gaps[k] = packing.L - np.hypot(*centers[k]) - radii[k]
+    disks = list(packing.inclusions)
+    disks[k] = dataclasses.replace(disks[k], r=disks[k].r + draw(st.floats(0.0, 0.5)) * gaps.min())
+    return packing, Packing(packing.L, tuple(disks))
+
+
+@settings(max_examples=30)
+@given(grown_disks(), st.data())
+def test_growing_a_disk_never_lowers_the_network_energy(case, data):
+    """Rayleigh monotonicity through the geometry: the centers fix the Voronoi
+    graph and the boundary, and every conductance at the grown disk rises."""
+    a, b = map(analyze, case)
+    assert np.array_equal(b.gap_edges, a.gap_edges)
+    assert b.boundary_count == a.boundary_count
+    assert np.array_equal(b.boundary_angles, a.boundary_angles)
+    n_b = a.boundary_count
+    psi = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_b, max_size=n_b)))
+    before = net_energy(build_network(a, "generalized"), psi)
+    after = net_energy(build_network(b, "generalized"), psi)
+    assert after >= before - 1e-12 * abs(before)
+
+
+@st.composite
 def symmetric_packings(draw):
     """(packing, M) of rotation order g > 1: a ring, a ring with its labels
     reversed, or the two-ring packing turned by a drawn angle."""
