@@ -7,16 +7,18 @@ Each run times ``dtnnet.cli.main`` on the hexagonal grids of 61, 265, 1789
 and 7291 disks (L = 1, gap/R = 0.2): the first call, then five more, and
 records their median and minimum. Every call loads the packing,
 runs the geometry, builds the network and writes the CSV, as the command
-line does. Then, in process on the analysed grid (median of five):
-``build_network``, and on each new network the first ``total_energy``
-(cos theta), which builds what the network keeps for every later energy,
-then ``cosine_sweep`` of k = 1..100, ``dtn_matrix``, ``interior_gap_energy``
-of cos theta on the boundary inclusions and ``total_energy_decomposed(5)``
-on that warm network. The result is merged into ``--out`` under ``--label``, so two
-checkouts measured one after the other share one file. It records the
-thread variables, the Python, numpy and scipy versions, and the git commit
-of the dtnnet that was imported (with a hash of its sources, since a
-working tree can differ from its commit).
+line does. Then, in process (median of five): ``geometry.analyze``, each time
+on a fresh ``Packing`` of the same disks, so that no array a packing keeps
+carries over from an earlier call; on the analysed grid ``build_network``,
+and on each new network the first ``total_energy`` (cos theta), which builds
+what the network keeps for every later energy, then ``cosine_sweep`` of
+k = 1..100, ``dtn_matrix``, ``interior_gap_energy`` of cos theta on the
+boundary inclusions and ``total_energy_decomposed(5)`` on that warm network.
+The result is merged into ``--out`` under ``--label``, so two checkouts
+measured one after the other share one file. It records the thread variables,
+the Python, numpy and scipy versions, and the git commit of the dtnnet that
+was imported (with a hash of its sources, since a working tree can differ
+from its commit).
 """
 
 from __future__ import annotations
@@ -85,8 +87,20 @@ def time_grid(n: int, workdir: str) -> dict:
         "median_s": statistics.median(times[1:]),
         "min_s": min(times[1:]),
         "repeats": REPEATS,
+        "analyze_s": time_analyze(packing),
         **time_network(geometry.analyze(packing)),
     }
+
+
+def time_analyze(packing) -> float:
+    """Median seconds of ``geometry.analyze`` on a fresh copy of the packing."""
+    times = []
+    for _ in range(REPEATS):
+        fresh = geometry.Packing(packing.L, packing.inclusions)
+        t0 = time.perf_counter()
+        geometry.analyze(fresh)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def time_network(analysis) -> dict:
@@ -151,6 +165,7 @@ def main() -> None:
     for g in grids:
         print(f"{args.label}: n = {g['n']:5d}  first {g['first_call_s']:.3f} s  "
               f"median {g['median_s']:.3f} s  min {g['min_s']:.3f} s  "
+              f"analyze {g['analyze_s']:.4f} s  "
               f"build_network {g['build_network_s']:.4f} s  "
               f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
               f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import asymptotics, generators, geometry, network, oracle
 from .errors import (
+    DomainError,
     DtnError,
     EmptyPackingError,
     IllConditionedError,
@@ -94,8 +95,12 @@ def _output(path: str | None):
 
 
 def _write_json(obj, path: str | None) -> None:
+    try:  # RFC 8259 JSON has no form for a non-finite number
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"the result holds a non-finite value: {exc}") from exc
     with _output(path) as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(text)
 
 
 def cmd_gen(args) -> int:
@@ -129,8 +134,7 @@ def cmd_analyze(args) -> int:
     out = breakdown.to_dict()
     if analysis is not None:
         out["excitation"] = list(asymptotics.boundary_excitation(psi, analysis))
-        report = geometry.scale_report(analysis)
-        out["scale_warnings"] = list(report.warnings)
+        out["scale_warnings"] = list(geometry.scale_report(analysis).warnings)
     else:
         out["excitation"] = []
         out["scale_warnings"] = []
@@ -283,7 +287,8 @@ _parser = lru_cache(maxsize=1)(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite JSON result is refused as a whole
+            return args.func(args)
     except (
         ParseError, EmptyPackingError, InfeasibleError, OverlapError, OutsideDomainError,
         MemoryError,  # numpy raises it for a request too large to allocate

@@ -46,17 +46,14 @@ def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
         raise InfeasibleError("disks do not fit inside the domain")
     if limit == math.inf:
         raise InfeasibleError(f"a grid patch needs a finite domain radius, got {L}")
-    disks = []
     n_rows = int(math.ceil(limit / (pitch * math.sqrt(3.0) / 2.0))) + 1
     n_cols = int(math.ceil(limit / pitch)) + 1
-    for row in range(-n_rows, n_rows + 1):
-        y = row * pitch * math.sqrt(3.0) / 2.0
-        x_off = 0.5 * pitch if row % 2 else 0.0
-        for col in range(-n_cols, n_cols + 1):
-            x = col * pitch + x_off
-            if math.hypot(x, y) <= limit:
-                disks.append(Disk(x, y, disk_radius))
-    return validate_packing(Packing(L=L, inclusions=tuple(disks)))
+    row = np.arange(-n_rows, n_rows + 1)[:, None]
+    x = np.arange(-n_cols, n_cols + 1) * pitch + np.where(row % 2, 0.5 * pitch, 0.0)
+    y = np.broadcast_to(row * pitch * math.sqrt(3.0) / 2.0, x.shape)
+    keep = np.hypot(x, y) <= limit
+    disks = tuple(Disk(a, b, disk_radius) for a, b in zip(x[keep].tolist(), y[keep].tolist()))
+    return validate_packing(Packing(L=L, inclusions=disks))
 
 
 def random_packing(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -43,11 +44,17 @@ class Packing:
     def n(self) -> int:
         return len(self.inclusions)
 
+    @cached_property
+    def _xyr(self) -> np.ndarray:  # (N, 3) x, y, r, converted once per packing; read-only
+        xyr = np.array([(d.x, d.y, d.r) for d in self.inclusions], dtype=float).reshape(-1, 3)
+        xyr.flags.writeable = False
+        return xyr
+
     def centers(self) -> np.ndarray:
-        return np.array([[d.x, d.y] for d in self.inclusions]).reshape(-1, 2)
+        return self._xyr[:, :2]
 
     def radii(self) -> np.ndarray:
-        return np.array([d.r for d in self.inclusions])
+        return self._xyr[:, 2]
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def validate_packing(packing: Packing) -> Packing:
     if not (packing.L > 0 and math.isfinite(packing.L)):
         raise ParseError(f"domain radius must be positive and finite, got {packing.L}")
     centers, radii = packing.centers(), packing.radii()
-    finite = np.isfinite(centers).all(axis=1) & np.isfinite(radii)
+    finite = np.isfinite(packing._xyr).all(axis=1)
     if not (finite.all() and radii.min() > 0.0):
         k = int(np.argmin(finite & (radii > 0.0)))
         if not finite[k]:

@@ -125,13 +125,6 @@ def _flux_projection(packing: Packing, M: int) -> np.ndarray:
     return G
 
 
-def _circle_points(packing: Packing, t_outer: np.ndarray, t_inner: np.ndarray):
-    """Points at angles t_outer on the outer circle, then t_inner on each inclusion."""
-    yield packing.L * np.exp(1j * t_outer)
-    for disk in packing.inclusions:
-        yield (disk.x + 1j * disk.y) + disk.r * np.exp(1j * t_inner)
-
-
 class _Operator(NamedTuple):
     coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
     residual: np.ndarray  # (check points / g, 2M+1): collocation error of each mode
@@ -343,7 +336,9 @@ def _residual_table(packing: Packing, M: int, g: int, X: np.ndarray, out: np.nda
     n_basis = (2 * M + 1) + 2 * M * packing.n
     t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
     t_outer = t[: n_chk // g] + 0.5 * math.pi / n_chk
-    z = np.concatenate(list(_circle_points(packing, t_outer, t))[: nr + 1])
+    c = packing.centers()[:nr] @ np.array([1.0, 1j])
+    inner = c[:, None] + packing.radii()[:nr, None] * np.exp(1j * t)  # on the first n/g disks
+    z = np.concatenate([packing.L * np.exp(1j * t_outer), inner.ravel()])
     out[...] = -np.concatenate([_modes(t_outer, M), np.repeat(X[n_basis:][:nr], n_chk, 0)])
     for a in range(0, z.size, _CHUNK):
         out[a : a + _CHUNK] += _basis_columns(z[a : a + _CHUNK], packing, M) @ X[:n_basis]
@@ -461,9 +456,9 @@ def max_principle_check(sol: SpectralSolution, psi: FourierPotential) -> MaxPrin
     xs = np.linspace(-L, L, _GRID)
     xx, yy = np.meshgrid(xs, xs)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
+    d = pts[:, None] - sol.packing.centers()
     keep = np.hypot(pts[:, 0], pts[:, 1]) < L * (1.0 - 1e-9)
-    for disk in sol.packing.inclusions:
-        keep &= np.hypot(pts[:, 0] - disk.x, pts[:, 1] - disk.y) > disk.r * (1.0 + 1e-9)
+    keep &= (np.hypot(d[..., 0], d[..., 1]) > sol.packing.radii() * (1.0 + 1e-9)).all(axis=1)
     field = sol.evaluate(pts[keep])
     u_min = float(field.min()) if field.size else psi_min
     u_max = float(field.max()) if field.size else psi_max

@@ -3,12 +3,13 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from dtnnet import oracle
 from dtnnet.generators import ring_packing
-from dtnnet.geometry import Packing
+from dtnnet.geometry import Disk, Packing
 
 # Property tests draw the same examples on every run and keep no example database.
 settings.register_profile("dtnnet", derandomize=True, deadline=None, database=None)
@@ -46,12 +47,43 @@ def equal_gap_ring(n: int, gap_over_radius: float, L: float = 1.0, phase: float 
     return ring_packing(n, L - R - delta, R, L, phase)
 
 
+def bidisperse_ring(t: float, n: int = 16, ratio: float = 0.6, L: float = 1.0) -> Packing:
+    """n disks in angular order, radius R1 at even k and R2 = ratio * R1 at odd k, each
+    at the distance from the origin that leaves a boundary gap t * R2, big and small
+    disks on two circles. R1 is solved so that the gap between angular neighbours is
+    t * R2 too. Disk k + 2 is disk k rotated by 4 pi/n."""
+
+    def placed(R1):  # (centre distance, radius) of the big and the small disks
+        return [(L - R - t * ratio * R1, R) for R in (R1, ratio * R1)]
+
+    def excess(R1):  # neighbour gap minus t * R2
+        (c1, _), (c2, R2) = placed(R1)
+        distance = math.sqrt(c1**2 + c2**2 - 2.0 * c1 * c2 * math.cos(2.0 * math.pi / n))
+        return distance - R1 - R2 - t * R2
+
+    rings = placed(scipy.optimize.brentq(excess, 1e-6 * L, L / (2.0 * (1.0 + ratio)), xtol=1e-15))
+    disks = []
+    for k in range(n):
+        c, R = rings[k % 2]
+        a = 2.0 * math.pi * k / n
+        disks.append(Disk(c * math.cos(a), c * math.sin(a), R))
+    return Packing(L, tuple(disks))
+
+
 def two_ring_packing() -> Packing:
     """12 disks at radius 0.8 and 4 at 0.35, all of radius 0.1, listed
     [o0, o1, o2, i0, o3, ...]: disk k + 4 is disk k rotated by pi/2."""
     outer = ring_packing(12, 0.8, 0.1, 1.0).inclusions
     inner = ring_packing(4, 0.35, 0.1, 1.0).inclusions
     return Packing(1.0, sum((outer[3 * k : 3 * k + 3] + inner[k : k + 1] for k in range(4)), ()))
+
+
+def circle_points(packing, t_outer, t_inner):
+    """Points at angles t_outer on the outer circle, then t_inner on each inclusion,
+    one disk at a time."""
+    yield packing.L * np.exp(1j * t_outer)
+    for disk in packing.inclusions:
+        yield (disk.x + 1j * disk.y) + disk.r * np.exp(1j * t_inner)
 
 
 def reference_collocation(packing, M):
@@ -64,7 +96,7 @@ def reference_collocation(packing, M):
     B = np.zeros((n_per * (n + 1), 2 * M + 1))
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
     # Offset avoids symmetric aliasing against the outer-circle points.
-    for i, z in enumerate(oracle._circle_points(packing, t, t + math.pi / n_per)):
+    for i, z in enumerate(circle_points(packing, t, t + math.pi / n_per)):
         A[i * n_per : (i + 1) * n_per, :n_basis] = oracle._basis_columns(z, packing, M)
     A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
     B[:n_per] = oracle._modes(t, M)
@@ -87,7 +119,7 @@ def reference_galerkin(packing, M):
     # Circle i's rows: the basis columns, then -U_i on inclusion i.
     A = np.concatenate([project(np.hstack([oracle._basis_columns(z, packing, M),
                                            np.tile(-1.0 * (np.arange(1, n + 1) == i), (N, 1))]))
-                        for i, z in enumerate(oracle._circle_points(packing, t, t))])
+                        for i, z in enumerate(circle_points(packing, t, t))])
     B = np.zeros((A.shape[0], 2 * M + 1))
     B[: 2 * M + 1] = project(oracle._modes(t, M))
     return A, B
@@ -122,7 +154,7 @@ def reference_residual(packing, M, X):
     t_outer = t + 0.5 * math.pi / n_chk
     targets = [oracle._modes(t_outer, M), *X[n_basis:]]
     return np.concatenate([oracle._basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
-                           zip(oracle._circle_points(packing, t_outer, t), targets)])
+                           zip(circle_points(packing, t_outer, t), targets)])
 
 
 @pytest.fixture

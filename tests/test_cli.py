@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ class TestDegenerateInputs:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["validate", "--oracle-m", "8"]],
+                             ids=["analyze", "validate"])
+    def test_non_finite_result_exit_3_and_nothing_written(self, ring_file, tmp_path, capsys,
+                                                          command):
+        # cos theta at amplitude 1e200 has an energy of about 1e400: past the float range.
+        path = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for out_args in ([], ["--out", str(path)]):
+                code, out, err = run(capsys, command[0], "--packing", ring_file,
+                                     "--cos", "1=1e200", *command[1:], *out_args)
+                assert code == 3
+                assert out == ""
+                assert len(err.splitlines()) == 1
+                assert json.loads(err)["error"] == "DomainError"
+        assert [str(w.message) for w in caught] == []
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "command",

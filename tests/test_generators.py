@@ -6,6 +6,7 @@ import pytest
 
 from dtnnet.errors import InfeasibleError, ParseError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
+from dtnnet.geometry import Disk
 
 
 @pytest.mark.parametrize(
@@ -53,3 +54,32 @@ def test_random_packing_checks_the_radius_before_sampling(monkeypatch, radius, m
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         random_packing(5, radius, 0.01)
+
+
+def grid_by_loops(disk_radius, gap, L):
+    """The hexagonal patch one candidate at a time, row by row."""
+    pitch = 2.0 * disk_radius + gap
+    limit = L - disk_radius - gap
+    n_rows = int(math.ceil(limit / (pitch * math.sqrt(3.0) / 2.0))) + 1
+    n_cols = int(math.ceil(limit / pitch)) + 1
+    disks = []
+    for row in range(-n_rows, n_rows + 1):
+        y = row * pitch * math.sqrt(3.0) / 2.0
+        x_off = 0.5 * pitch if row % 2 else 0.0
+        for col in range(-n_cols, n_cols + 1):
+            x = col * pitch + x_off
+            if math.hypot(x, y) <= limit:
+                disks.append(Disk(x, y, disk_radius))
+    return tuple(disks)
+
+
+# Every grid of the tests, the benchmarks and the sweep ladder, and a few other domains.
+GRIDS = [(0.1, 0.02, 1.0), (0.05, 0.01, 1.0), (0.02, 0.004, 1.0), (0.01, 0.002, 1.0),
+         (0.1, 0.015, 1.0), (0.14, 0.02, 1.0), (0.12, 0.02, 1.0), (0.115, 0.015, 1.0),
+         (0.25, 0.05, 1.0), (0.1, 0.02, 2.5), (0.3, 0.1, 7.0), (0.03, 0.007, 1.0),
+         (0.07, 0.013, 0.9), (0.2, 0.2, 3.0), (1e-3, 1e-3, 0.05)]
+
+
+@pytest.mark.parametrize("disk_radius, gap, L", GRIDS)
+def test_grid_mask_keeps_the_disks_of_the_candidate_loop(disk_radius, gap, L):
+    assert grid_packing(disk_radius, gap, L).inclusions == grid_by_loops(disk_radius, gap, L)

@@ -358,3 +358,26 @@ class TestPackingIO:
             load_packing(str(path))
         with pytest.raises(ParseError):
             packing_from_dict({"inclusions": []})
+
+
+class TestArrayForm:
+    def test_centers_and_radii_are_read_only_views_of_one_array(self):
+        p = random_packing(n=12, disk_radius=0.06, delta_min=0.02, L=1.0, seed=1)
+        centers, radii = p.centers(), p.radii()
+        assert centers.base is not None and centers.base is radii.base
+        assert p.centers().base is centers.base and p.radii().base is centers.base
+        assert centers.tolist() == [[d.x, d.y] for d in p.inclusions]
+        assert radii.tolist() == [d.r for d in p.inclusions]
+        for view in (centers, radii):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+        assert p.inclusions[0].r == radii[0] == 0.06
+
+    def test_the_array_leaves_equality_and_hash_alone(self, ring8):
+        ring8.radii()
+        fresh = Packing(ring8.L, ring8.inclusions)
+        assert fresh == ring8 and hash(fresh) == hash(ring8)
+
+    def test_empty_packing_has_empty_arrays(self):
+        p = Packing(1.0, ())
+        assert p.centers().shape == (0, 2) and p.radii().shape == (0,)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (equal_gap_ring, reference_galerkin, reference_lstsq_factor,
-                      reference_operator, reference_residual, two_ring_packing)
+from conftest import (bidisperse_ring, equal_gap_ring, reference_galerkin,
+                      reference_lstsq_factor, reference_operator, reference_residual,
+                      two_ring_packing)
 
-from dtnnet.asymptotics import FourierPotential
+from dtnnet.asymptotics import FourierPotential, total_energy
 from dtnnet.cli import main
 from dtnnet.errors import DomainError, IllConditionedError, ParseError
 from dtnnet.generators import ring_packing
-from dtnnet.geometry import Disk, Packing, load_packing
+from dtnnet.geometry import Disk, Packing, analyze, load_packing
+from dtnnet.network import build_network
 from dtnnet import oracle
 from dtnnet.oracle import (
     cross_form_oracle,
@@ -485,6 +487,36 @@ class TestConvergence:
         assert energies[-1] >= energies[0] - 1e-6
         rel_shift = abs(energies[-1] - energies[-2]) / energies[-1]
         assert rel_shift <= 1e-4
+
+
+class TestBidisperseRing:
+    """The ``generalized`` network against the oracle at unequal radii."""
+
+    def test_the_ring_has_its_gaps_and_symmetry(self):
+        p = bidisperse_ring(0.1)
+        a = analyze(p)
+        R2 = p.radii()[1]
+        assert np.allclose(p.radii(), np.tile([R2 / 0.6, R2], 8), rtol=1e-15)
+        assert a.boundary_count == 16
+        assert np.allclose(a.boundary_gaps, 0.1 * R2, rtol=1e-12)
+        # The 16 angular neighbours, plus 8 long edges between big disks.
+        assert np.allclose(np.sort(a.gap_widths)[:16], 0.1 * R2, rtol=1e-12)
+        assert oracle._rotation_order(p, 96) == 8
+
+    def test_relative_error_record_at_gap_over_r2_0_1(self):
+        """Asymptotic quad_form over the oracle's, minus 1, at M = 96 (where doubling M
+        moves each oracle energy by at most 1.4e-6 relative). A record of today's
+        behaviour, not a tolerance on the asymptotics: a change beyond 1e-3 is a
+        change in the unequal-radius law or in the oracle."""
+        p = bidisperse_ring(0.1)
+        a = analyze(p)
+        net = build_network(a, "generalized")
+        for k, expected in {1: 0.2610, 2: 0.2984, 4: 0.1593, 8: 0.0431, 16: 0.0052}.items():
+            psi = FourierPotential.single_cos(k)
+            sol = solve_dirichlet(p, psi, 96)
+            assert sol.boundary_residual <= 1e-3
+            error = total_energy(psi, a, net).quad_form / (2.0 * sol.energy) - 1.0
+            assert error == pytest.approx(expected, abs=1e-3), k
 
 
 class TestGuards:
