@@ -8,7 +8,11 @@ Each packing's operator (``dtnnet.oracle._operator``: the factor of the
 system for every mode, the residual table and the DtN matrix) is built once
 as the first call of the process for that packing, then three more times
 with the cache cleared (none more for the grid at M = 32 and 48); the median
-and minimum of those are recorded, and one more build under ``tracemalloc``
+and minimum of those are recorded. On the last, cached operator,
+``warm_solve_s`` is the median of 50 ``solve_dirichlet`` calls of each of
+cos theta, cos 2 theta and cos 4 theta (150 calls; the median of each psi's 50
+is kept too): the solution, the energy and the boundary residual of one psi on
+an operator already factored. One more build under ``tracemalloc``
 gives its traced peak. One more cold build times its stages: the factor, the
 residual table and the flux projection, each a function of ``dtnnet.oracle``
 wrapped with a timer for that build, and the rest. Inside the factor it also
@@ -54,6 +58,8 @@ RINGS = {
     "criterion 5": ((4, 0.05, 258),),
 }
 REPEATS = 3
+WARM_SOLVES = 50  # solve_dirichlet calls of each warm psi on the cached operator
+WARM_KS = (1, 2, 4)  # the cosines of perfbench's oracle_batch
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
 STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
           "flux_projection": "_flux_projection"}
@@ -132,6 +138,13 @@ def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = RE
         t0 = time.perf_counter()
         op = oracle._operator(packing, M)
         times.append(time.perf_counter() - t0)
+    warm = {}
+    for k in WARM_KS:
+        psi, warm[f"cos {k} theta"] = FourierPotential.single_cos(k), []
+        for _ in range(WARM_SOLVES):
+            t0 = time.perf_counter()
+            oracle.solve_dirichlet(packing, psi, M)
+            warm[f"cos {k} theta"].append(time.perf_counter() - t0)
     oracle._operator.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -148,6 +161,8 @@ def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = RE
         "median_s": statistics.median(times[1:]) if repeats else None,
         "min_s": min(times[1:]) if repeats else None,
         "repeats": repeats,
+        "warm_solve_s": statistics.median(t for ts in warm.values() for t in ts),
+        "warm_solve_by_psi_s": {psi: statistics.median(ts) for psi, ts in warm.items()},
         "tracemalloc_peak_mb": peak / 1e6,
         "stages_s": stages,
         "factor_parts_s": parts,
@@ -193,6 +208,7 @@ def main() -> None:
     for r in rungs:
         print(f"{args.label}: {r['packing']:42s} M = {r['M']:3d}  g = {r['order']:2d}  "
               f"first {r['first_call_s']:.3f} s  median {r['median_s'] or 0.0:.3f} s  "
+              f"warm psi {r['warm_solve_s'] * 1e6:.0f} us  "
               f"peak {r['tracemalloc_peak_mb']:.1f} MB  "
               f"kept {r['kept_bytes'] / 1e6:.2f} MB  stages "
               + " ".join(f"{k} {v:.3f}" for k, v in {**r["stages_s"],

@@ -118,16 +118,9 @@ class EnergyBreakdown:
         }
 
 
-def _damping_rates(analysis: GeometryAnalysis) -> np.ndarray:
-    """mu_i = sqrt(2 R_i delta_i) / L per boundary inclusion."""
-    n_b = analysis.boundary_count
-    radii = analysis.packing.radii()[:n_b]
-    return np.sqrt(2.0 * radii * analysis.boundary_gaps) / analysis.packing.L
-
-
 def _damping(analysis: GeometryAnalysis, ks: np.ndarray) -> np.ndarray:
     """e^{-k mu_i} (N_b, len(ks)): the damping of frequency k at boundary inclusion i."""
-    return np.exp(-np.multiply.outer(_damping_rates(analysis), ks))
+    return np.exp(-np.multiply.outer(analysis._damping_rates, ks))
 
 
 def _excitation_matrix(analysis: GeometryAnalysis, K: int) -> np.ndarray:
@@ -162,7 +155,7 @@ def _resonance_table(analysis: GeometryAnalysis, sigmas, ks) -> np.ndarray:
     inclusion i, with gap conductivity sigmas[i]; zero at k = 0."""
     k = np.asarray(ks, dtype=float)
     x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
-    damp = np.exp(-2.0 * k * _damping_rates(analysis)[:, None])
+    damp = np.exp(-2.0 * k * analysis._damping_rates[:, None])
     return 0.25 * np.reshape(sigmas, (-1, 1)) * (_poly(x) - damp)
 
 
@@ -189,14 +182,15 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     """
     k = np.arange(K + 1)
     r = _resonance_table(analysis, network.boundary_sigmas, k)
-    km_min = np.minimum.outer(k, k)
-    km_diff = np.subtract.outer(k, k).astype(float)
-    C, S = np.zeros((2, K + 1, K + 1))
-    for i, (mu, theta) in enumerate(zip(_damping_rates(analysis), analysis.boundary_angles)):
+    km_min, km_diff = np.minimum.outer(k, k), np.subtract.outer(k, k).astype(float)
+    R, S = np.zeros((2 * K + 1, 2 * K + 1)), np.zeros((K + 1, K + 1))
+    C = R[: K + 1, : K + 1]  # a view: the cos-cos block
+    for i, (mu, theta) in enumerate(zip(analysis._damping_rates, analysis.boundary_angles)):
         W = np.exp(-np.abs(km_diff) * mu) * r[i, km_min]
         C += W * np.cos(km_diff * theta)
         S += W * np.sin(km_diff * theta)
-    return np.block([[C, -S[:, 1:]], [S[1:], C[1:, 1:]]])
+    R[: K + 1, K + 1 :], R[K + 1 :, : K + 1], R[K + 1 :, K + 1 :] = -S[:, 1:], S[1:], C[1:, 1:]
+    return R
 
 
 def resonance_general(
@@ -250,11 +244,9 @@ def cosine_sweep(
 
 
 def characteristic_scales(analysis: GeometryAnalysis) -> tuple[float, float]:
-    """(delta_char, R_char): geometric-mean gap and arithmetic-mean radius."""
-    gaps = np.concatenate([analysis.gap_widths, analysis.boundary_gaps])
-    delta_char = float(np.exp(np.mean(np.log(gaps))))
-    r_char = float(np.mean(analysis.packing.radii()))
-    return delta_char, r_char
+    """(delta_char, R_char): geometric-mean gap and arithmetic-mean radius, computed once
+    per analysis."""
+    return analysis._scales
 
 
 def _classify(k: int, scales: tuple[float, float], L: float) -> ModeRegime:

@@ -68,6 +68,16 @@ class GeometryAnalysis:
     boundary_gaps: np.ndarray  # delta_i, length boundary_count
     boundary_angles: np.ndarray  # theta_i in [0, 2pi)
 
+    @cached_property
+    def _damping_rates(self) -> np.ndarray:  # mu_i = sqrt(2 R_i delta_i) / L per boundary disk
+        radii = self.packing.radii()[: self.boundary_count]
+        return np.sqrt(2.0 * radii * self.boundary_gaps) / self.packing.L
+
+    @cached_property
+    def _scales(self) -> tuple[float, float]:  # see asymptotics.characteristic_scales
+        gaps = np.concatenate([self.gap_widths, self.boundary_gaps])
+        return float(np.exp(np.mean(np.log(gaps)))), float(np.mean(self.packing.radii()))
+
     @property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         """Each disk's neighbors: the other ends of its gap edges."""
@@ -197,8 +207,9 @@ def classify_boundary(packing: Packing) -> GeometryAnalysis:
     inv = np.empty(packing.n, dtype=np.intp)
     inv[order] = np.arange(packing.n)
     new_packing = replace(packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
-    # Every neighbor pair (i < j) in the new numbering, in lexicographic order.
-    edges = np.unique(np.sort(inv[pairs], axis=1), axis=0)
+    # Every neighbor pair (i < j), renumbered, in lexicographic order (no ridge repeats).
+    edges = np.sort(inv[pairs], axis=1)
+    edges = edges[np.lexsort(edges.T[::-1])]
     i, j = edges.T
     centers = new_packing.centers()
     radii = new_packing.radii()

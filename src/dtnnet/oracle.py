@@ -344,13 +344,14 @@ def _residual_table(packing: Packing, M: int, g: int, X: np.ndarray, out: np.nda
         out[a : a + _CHUNK] += _basis_columns(z[a : a + _CHUNK], packing, M) @ X[:n_basis]
 
 
-def _rotated(c: np.ndarray, M: int, alpha: float) -> np.ndarray:
-    """Mode vector of psi(theta + alpha), for the mode vector c of psi: the pair
-    (a_m, b_m) goes to (a_m cos m alpha + b_m sin m alpha, b_m cos m alpha - a_m sin m alpha)."""
-    m = np.arange(1, M + 1)
-    cos, sin = np.cos(m * alpha), np.sin(m * alpha)
-    a, b = c[1 : M + 1], c[M + 1 :]
-    return np.concatenate([c[:1], cos * a + sin * b, cos * b - sin * a])
+def _rotations(c: np.ndarray, M: int, g: int) -> np.ndarray:
+    """(2M+1, g): column p the mode vector of psi(theta + alpha_p), alpha_p = 2 pi p/g, for
+    the mode vector c of psi: the pair (a_m, b_m) goes to (a_m cos m alpha_p + b_m sin m
+    alpha_p, b_m cos m alpha_p - a_m sin m alpha_p), from one table of m alpha_p."""
+    arg = np.multiply.outer(np.arange(1, M + 1), 2.0 * math.pi * np.arange(g) / g)
+    cos, sin = np.cos(arg), np.sin(arg)
+    a, b = c[1 : M + 1, None], c[M + 1 :, None]
+    return np.concatenate([np.full((1, g), c[0]), cos * a + sin * b, cos * b - sin * a])
 
 
 def _checked_operator(packing: Packing, M: int, K: int) -> _Operator:
@@ -379,10 +380,10 @@ def _boundary_residual(op: _Operator, c: np.ndarray, M: int) -> float:
 
     The rotation by 2 pi p/g maps the packing onto itself, so the collocation
     solution of psi(theta + 2 pi p/g) is that of psi rotated, and its error at
-    a check point of the orbit is the error of psi at the rotated point.
+    a check point of the orbit is the error of psi at the rotated point: max|T C|,
+    T the residual table and C the g ``_rotations`` of c, from one product.
     """
-    return max(float(np.max(np.abs(op.residual @ _rotated(c, M, 2.0 * math.pi * p / op.order))))
-               for p in range(op.order))
+    return float(np.max(np.abs(op.residual @ _rotations(c, M, op.order))))
 
 
 def quad_form_oracle(packing: Packing, psi: FourierPotential, M: int) -> float:

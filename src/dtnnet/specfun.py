@@ -69,6 +69,7 @@ def polylog_half(x):
         raise DomainError(f"polylog_half needs a positive finite argument, got {x!r}")
     out = np.empty_like(arr)
     series = arr >= CROSSOVER
-    out[series] = _polylog_half_series(arr[series])
-    out[~series] = _polylog_half_expansion(arr[~series])
+    for part, branch in ((series, _polylog_half_series), (~series, _polylog_half_expansion)):
+        if part.any():  # an empty branch would still loop over its terms
+            out[part] = branch(arr[part])
     return float(out) if out.ndim == 0 else out

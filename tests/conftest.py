@@ -157,6 +157,20 @@ def reference_residual(packing, M, X):
                            zip(circle_points(packing, t_outer, t), targets)])
 
 
+def reference_boundary_residual(op, c, M):
+    """The oracle's boundary residual of mode vector c as one product per rotation: the
+    residual table times the mode vector of psi(theta + 2 pi p/g), p = 0..g-1."""
+    m = np.arange(1, M + 1)
+    worst = 0.0
+    for p in range(op.order):
+        alpha = 2.0 * math.pi * p / op.order
+        cos, sin = np.cos(m * alpha), np.sin(m * alpha)
+        a, b = c[1 : M + 1], c[M + 1 :]
+        rotated = np.concatenate([c[:1], cos * a + sin * b, cos * b - sin * a])
+        worst = max(worst, float(np.max(np.abs(op.residual @ rotated))))
+    return worst
+
+
 @pytest.fixture
 def ring8():
     """Standard ring fixture: 8 disks of radius 0.1 on radius 0.85, L = 1."""

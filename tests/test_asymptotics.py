@@ -9,6 +9,7 @@ from dtnnet.errors import DomainError, SingularSystemError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, GeometryAnalysis, Packing, analyze
 from dtnnet.network import build_network
+from dtnnet import asymptotics
 from dtnnet.asymptotics import (
     FourierPotential,
     boundary_excitation,
@@ -178,6 +179,33 @@ class TestResonance:
         )
         gen = resonance_general(psi, a, net)
         assert gen == pytest.approx(expected, rel=1e-12)
+
+
+def reference_resonance_matrix(analysis, network, K):
+    """The resonance matrix assembled from its four blocks by np.block, with the damping
+    rates mu_i = sqrt(2 R_i delta_i) / L computed here."""
+    k = np.arange(K + 1)
+    r = asymptotics._resonance_table(analysis, network.boundary_sigmas, k)
+    radii = analysis.packing.radii()[: analysis.boundary_count]
+    mus = np.sqrt(2.0 * radii * analysis.boundary_gaps) / analysis.packing.L
+    km_min, km_diff = np.minimum.outer(k, k), np.subtract.outer(k, k).astype(float)
+    C, S = np.zeros((2, K + 1, K + 1))
+    for i, (mu, theta) in enumerate(zip(mus, analysis.boundary_angles)):
+        W = np.exp(-np.abs(km_diff) * mu) * r[i, km_min]
+        C += W * np.cos(km_diff * theta)
+        S += W * np.sin(km_diff * theta)
+    return np.block([[C, -S[:, 1:]], [S[1:], C[1:, 1:]]])
+
+
+@pytest.mark.parametrize("packing", [ring_packing(8, 0.85, 0.1, 1.0), grid_packing(0.1, 0.02),
+                                     random_packing(20, 0.08, 0.01, 1.0, seed=1)],
+                         ids=["ring8", "grid61", "random20"])
+def test_resonance_matrix_is_the_block_assembly(packing):
+    a = analyze(packing)
+    net = build_network(a)
+    for K in (1, 4, 33, 128):
+        assert np.array_equal(asymptotics._resonance_matrix(a, net, K),
+                              reference_resonance_matrix(a, net, K))
 
 
 class TestRegimeClassify:

@@ -12,7 +12,7 @@ from dtnnet.errors import (
     OverlapError,
     ParseError,
 )
-from dtnnet.generators import random_packing, ring_packing
+from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import (
     Disk,
     Packing,
@@ -240,6 +240,35 @@ class TestOnePass:
         for new, ns in enumerate(a.neighbor_sets):
             mapped[old[new]] = frozenset(old[j] for j in ns)
         assert tuple(mapped) == compute_adjacency(p)
+
+
+SORT_CASES = {
+    **ORACLE_CASES,
+    "square5x5": Packing(
+        1.0, tuple(Disk(0.15 * i, 0.15 * j, 0.05) for i in range(-2, 3) for j in range(-2, 3))
+    ),
+    "ring8": ring_packing(8, 0.85, 0.1, 1.0),
+    "grid61": grid_packing(0.1, 0.02),
+    "n30-seed2": random_packing(n=30, disk_radius=0.05, delta_min=0.01, L=1.0, seed=2),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["as-given", "relabelled"])
+@pytest.mark.parametrize("case", list(SORT_CASES))
+def test_gap_edges_are_the_unique_sorted_pairs(case, relabel):
+    # The renumbered Voronoi pairs, sorted within each pair and then deduplicated
+    # and ordered by np.unique(axis=0), the form that no repeated ridge makes necessary.
+    p = SORT_CASES[case]
+    if relabel:
+        order = np.random.default_rng(len(p.inclusions)).permutation(p.n)
+        p = Packing(p.L, tuple(p.inclusions[i] for i in order))
+    a = classify_boundary(p)
+    new = {disk: k for k, disk in enumerate(a.packing.inclusions)}
+    inv = np.array([new[disk] for disk in p.inclusions], dtype=np.intp)
+    pairs, _ = geometry._clipped_voronoi(p)
+    expected = np.unique(np.sort(inv[pairs], axis=1), axis=0)
+    assert a.gap_edges.dtype == expected.dtype
+    assert np.array_equal(a.gap_edges, expected)
 
 
 class TestDeltaMaxEdge:

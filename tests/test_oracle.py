@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (bidisperse_ring, equal_gap_ring, reference_galerkin,
-                      reference_lstsq_factor, reference_operator, reference_residual,
-                      two_ring_packing)
+from conftest import (bidisperse_ring, equal_gap_ring, reference_boundary_residual,
+                      reference_galerkin, reference_lstsq_factor, reference_operator,
+                      reference_residual, two_ring_packing)
 
 from dtnnet.asymptotics import FourierPotential, total_energy
 from dtnnet.cli import main
@@ -385,6 +385,18 @@ class TestRingFactor:
         for c, estimate in zip(calls, estimates):
             exact = np.linalg.cond(c["block"], 1)
             assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in ALL.values()], ids=ALL.keys())
+    def test_boundary_residual_is_the_rotation_loop(self, p, M):
+        # All g rotated residuals come from one product; the loop takes one per rotation.
+        op, rng = oracle._operator(p, M), np.random.default_rng(M)
+        sin = rng.standard_normal(M + 1)
+        sin[0] = 0.0
+        for psi in (*self.PSIS, FourierPotential(rng.standard_normal(M + 1), sin)):
+            c = oracle._mode_vector(psi, M)
+            expected = reference_boundary_residual(op, c, M)
+            assert solve_dirichlet(p, psi, M).boundary_residual == pytest.approx(expected,
+                                                                                 rel=1e-13)
 
     @pytest.mark.parametrize("p, M", [(p, M) for p, M, _ in DENSE.values()], ids=DENSE.keys())
     def test_other_packings_take_the_dense_factor(self, monkeypatch, p, M):

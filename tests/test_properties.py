@@ -197,10 +197,10 @@ def full_residual(op: oracle._Operator, n: int, M: int) -> np.ndarray:
     g, n_chk = op.order, 8 * M
     s = n_chk // g
     full = np.empty((n_chk * (n + 1), 2 * M + 1))
+    # Q[:, e, p]: the unit mode vector e rotated by 2 pi p/g.
+    Q = np.stack([oracle._rotations(e, M, g) for e in np.eye(2 * M + 1)], axis=1)
     for p in range(g):
-        Q = np.column_stack([oracle._rotated(e, M, 2.0 * math.pi * p / g)
-                             for e in np.eye(2 * M + 1)])
-        rows = op.residual @ Q
+        rows = op.residual @ Q[..., p]
         full[p * s : (p + 1) * s] = rows[:s]
         for r in range(n // g):
             k = r + p * (n // g)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dtnnet import specfun
 from dtnnet.errors import DomainError
 from dtnnet.specfun import compute_zeta_constants, polylog_half
 
@@ -72,6 +73,28 @@ class TestPolylogHalf:
         assert isinstance(polylog_half(float(xs[0])), float)
         assert np.all(np.abs(vals - scalar) <= 1e-15 * np.abs(scalar))
         assert np.array_equal(polylog_half(xs.reshape(7, 9)), vals.reshape(7, 9))
+
+    @pytest.mark.parametrize("xs", [np.linspace(0.5, 40.0, 17), np.logspace(-4, -0.31, 17),
+                                    np.logspace(-4, 1.6, 17), np.array(3.0), np.array(0.2)],
+                             ids=["all-series", "all-expansion", "mixed", "series-0d",
+                                  "expansion-0d"])
+    def test_equals_the_two_branch_form(self, monkeypatch, xs):
+        # Both branches evaluated, one of them on an empty array where nothing is series
+        # or nothing is expansion.
+        series = xs >= specfun.CROSSOVER
+        expected = np.empty_like(xs)
+        expected[series] = specfun._polylog_half_series(xs[series])
+        expected[~series] = specfun._polylog_half_expansion(xs[~series])
+        calls = []
+        for name in ("_polylog_half_series", "_polylog_half_expansion"):
+            real = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name,
+                                lambda x, real=real, name=name: calls.append(name) or real(x))
+        got = polylog_half(xs)
+        assert np.array_equal(got, expected) and np.shape(got) == xs.shape
+        assert calls == [name for name, part in (("_polylog_half_series", series),
+                                                 ("_polylog_half_expansion", ~series))
+                         if part.any()]
 
     def test_array_rejects_any_bad_element(self):
         for bad in (0.0, -1.0, float("nan")):
