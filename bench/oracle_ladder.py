@@ -5,22 +5,25 @@
         --skip "grid_packing(0.1, 0.02) M=48"
 
 Each packing's operator (``dtnnet.oracle._operator``: the factor of the
-system for every mode, the residual table and the DtN matrix) is built once
+system for every mode, the residual's tail tables and the DtN matrix) is built once
 as the first call of the process for that packing, then three more times
 with the cache cleared (none more for the grid at M = 32 and 48); the median
 and minimum of those are recorded. On the last, cached operator,
 ``warm_solve_s`` is the median of 50 ``solve_dirichlet`` calls of each of
 cos theta, cos 2 theta and cos 4 theta (150 calls; the median of each psi's 50
 is kept too): the solution, the energy and the boundary residual of one psi on
-an operator already factored. One more build under ``tracemalloc``
-gives its traced peak. One more cold build times its stages: the factor, the
-residual table and the flux projection, each a function of ``dtnnet.oracle``
-wrapped with a timer for that build, and the rest. Inside the factor it also
+an operator already factored. For the same three psi, ``bound`` is the
+boundary residual and ``sampled_max`` the largest error at 4096 equally spaced
+points of every circle, summed from the operator's coefficients. One more build
+under ``tracemalloc`` gives its traced peak. One more cold build times its
+stages: the factor, the tail table and the flux projection, each a function of
+``dtnnet.oracle`` wrapped with a timer for that build, and the rest. Inside the factor it also
 times the closed-form coefficient tables (``_binomial_table``, which the flux
 projection also calls once) and the LAPACK ``gesv`` and ``gecon`` calls; a
-part the imported dtnnet does not call or define reads 0. The
-record gives the bytes of the arrays the operator keeps, and of its residual
-table alone. The rungs are rings with equal gaps t R between neighbours and
+part the imported dtnnet does not call or define reads 0 (an operator without
+``_tail_table`` spends its residual table's time in the rest). The record gives
+the bytes of the arrays the operator keeps, and of its tail tables alone (None
+without them). The rungs are rings with equal gaps t R between neighbours and
 to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
 at their smallest gap, criterion 4's three 16-disk rings and criterion 5's
 4-disk ring; then a 20-disk random packing and the 61-disk grid at M = 16, 32
@@ -47,7 +50,7 @@ import numpy as np
 from sweep_ladder import merge_run, provenance
 
 from dtnnet import generators, oracle
-from dtnnet.asymptotics import FourierPotential
+from dtnnet.asymptotics import FourierPotential, _mode_vector, _modes
 from dtnnet.geometry import Packing
 
 # (disks, gap/R, truncation M)
@@ -61,7 +64,7 @@ REPEATS = 3
 WARM_SOLVES = 50  # solve_dirichlet calls of each warm psi on the cached operator
 WARM_KS = (1, 2, 4)  # the cosines of perfbench's oracle_batch
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
-STAGES = {"factor": "_orbit_factor", "residual_table": "_residual_table",
+STAGES = {"factor": "_orbit_factor", "tail_table": "_tail_table",
           "flux_projection": "_flux_projection"}
 # Parts of the factor: (module, function) pairs timed while it runs.
 FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),)}
@@ -88,6 +91,32 @@ OTHERS = (  # (name, packing, M, repeats)
     ("grid_packing(0.1, 0.02)", lambda: generators.grid_packing(0.1, 0.02), 48, 0),
     ("two rings: 12 at 0.8, 4 at 0.35, R = 0.1", two_rings, 24, REPEATS),
 )
+
+
+def sampled_max(packing: Packing, op, C: np.ndarray, N: int = 4096) -> np.ndarray:
+    """The largest error of the solutions of the mode vectors C (columns) at N points of
+    every circle: the potential a_0 + Re sum_l (a_l - i b_l) (z/L)^l + Re sum_{k,m}
+    (c_km + i d_km) (R_k/(z - c_k))^m against psi on |z| = L and U_k on disk k."""
+    n, M = packing.n, (C.shape[0] - 1) // 2
+    n_basis = (2 * M + 1) + 2 * M * n
+    coeffs = op.coeffs @ C
+    domain = coeffs[1 : M + 1] - 1j * coeffs[M + 1 : 2 * M + 1]
+    inc = coeffs[2 * M + 1 : n_basis].reshape(n, 2, M, -1)
+    inc = (inc[:, 0] + 1j * inc[:, 1]).reshape(n * M, -1)
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    t = np.linspace(0.0, 2.0 * math.pi, N, endpoint=False)
+    circles = [(0.0, packing.L, _modes(t, M) @ C)]
+    circles += [(c[k], radii[k], coeffs[n_basis + k]) for k in range(n)]
+    worst = np.zeros(C.shape[1])
+    for centre, radius, target in circles:
+        for a in range(0, N, 512):  # 512 points at a time: the 61-disk powers take 24 MB
+            z = centre + radius * np.exp(1j * t[a : a + 512])
+            powers = [np.cumprod(np.repeat(w[..., None], M, -1), -1)
+                      for w in (z / packing.L, radii / (z[:, None] - c))]
+            u = powers[0] @ domain + powers[1].reshape(z.size, n * M) @ inc
+            y = target[a : a + 512] if target.ndim == 2 else target
+            worst = np.maximum(worst, np.abs(coeffs[0] + u.real - y).max(0))
+    return worst
 
 
 def stage_split(packing: Packing, M: int) -> tuple[dict, dict]:
@@ -145,6 +174,10 @@ def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = RE
             t0 = time.perf_counter()
             oracle.solve_dirichlet(packing, psi, M)
             warm[f"cos {k} theta"].append(time.perf_counter() - t0)
+    C = np.stack([_mode_vector(FourierPotential.single_cos(k), M) for k in WARM_KS], 1)
+    bound = {f"cos {k} theta": oracle.solve_dirichlet(packing, FourierPotential.single_cos(k),
+                                                        M).boundary_residual for k in WARM_KS}
+    sampled = dict(zip(bound, sampled_max(packing, op, C).tolist()))
     oracle._operator.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -155,7 +188,7 @@ def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = RE
     stages, parts = stage_split(packing, M)
     return {
         "group": group, "packing": name, "n": packing.n, **fields, "M": M,
-        "order": oracle._rotation_order(packing, M),
+        "order": op.order,
         "condition": op.condition,
         "first_call_s": times[0],
         "median_s": statistics.median(times[1:]) if repeats else None,
@@ -167,7 +200,10 @@ def time_rung(group: str, name: str, packing: Packing, M: int, repeats: int = RE
         "stages_s": stages,
         "factor_parts_s": parts,
         "kept_bytes": sum(a.nbytes for a in op if isinstance(a, np.ndarray)),
-        "residual_table_bytes": op.residual.nbytes,
+        "tail_table_bytes": (op.outer_tail.nbytes + op.disk_tail.nbytes
+                             if hasattr(op, "outer_tail") else None),
+        "bound": bound,
+        "sampled_max": sampled,
     }
 
 
@@ -210,7 +246,9 @@ def main() -> None:
               f"first {r['first_call_s']:.3f} s  median {r['median_s'] or 0.0:.3f} s  "
               f"warm psi {r['warm_solve_s'] * 1e6:.0f} us  "
               f"peak {r['tracemalloc_peak_mb']:.1f} MB  "
-              f"kept {r['kept_bytes'] / 1e6:.2f} MB  stages "
+              f"kept {r['kept_bytes'] / 1e6:.2f} MB  bound/sampled "
+              + " ".join(f"{r['bound'][k] / r['sampled_max'][k]:.4f}" for k in r["bound"])
+              + "  stages "
               + " ".join(f"{k} {v:.3f}" for k, v in {**r["stages_s"],
                                                       **r["factor_parts_s"]}.items()))
     print(f"{args.label}: skipped {skipped}; criterion 5, one psi: "

@@ -17,9 +17,14 @@ each orbit of disks splits the system into g blocks of about 1/g of its rows and
 columns, those above g/2 the conjugates of those below. Both changes of basis are
 unitary, so the blocks' singular values are exactly the full system's; without
 such a rotation g = 1. The condition limit applies to LAPACK's 1-norm estimate of
-each block. With g | 8M the rotation also carries one orbit of the residual's
-check points onto all of them: the error of psi at a rotated point is that of
-psi(theta + 2 pi p/g) at an orbit point, so the residual table holds 1/g of them.
+each block.
+
+The error of the solution on each circle (the trace error outside, the deviation
+from U_i on each disk) has no Fourier coefficient at |m| <= M, so it is the part of
+the same re-expansions past M, and the l1 norm of those coefficients bounds its
+largest value. They are kept up to a cut past which each column's terms sum to at
+most eps of its closed-form total, itself below 1; eps times the l1 of the
+solution's coefficients bounds the rest.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ import numpy as np
 import scipy.integrate
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .asymptotics import FourierPotential, _mode_vector, _modes, _slots
+from .asymptotics import FourierPotential, _mode_vector, _slots
 from .errors import DomainError, IllConditionedError
 from .geometry import Packing, _pair_gaps, validate_packing
 
 CONDITION_LIMIT = 1e14
 GAP_GUARD = 1e-3  # refuse solves below delta_min / R_min = 1e-3
 _GRID = 64  # points per side of the square that max_principle_check samples
-_CHUNK = 128  # check points per _basis_columns call in _residual_table
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,20 @@ def _binomial_table(c: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
     return T
 
 
+def _translation_table(x, y, M: int, A: int) -> np.ndarray:
+    """D[..., m - 1, a] = x^m (-y)^a binom(m + a - 1, a), m = 1..M, a = 0..A: from x^m, each
+    entry is the one before it in a times -y (m + a - 1)/a. With x = R_k/d, y = R_r/d and
+    d = c_r - c_k, the coefficient of e^{ia tau} in p_k^m on disk r; with x = R_k/L and
+    y = -c_k/L, t_{m, m+a} of p_k^m on |z| = L (``_flux_projection``)."""
+    m, a = np.arange(1, M + 1), np.arange(1, A + 1)
+    x, y = np.asarray(x), np.asarray(y)
+    D = np.empty((*x.shape, M, A + 1), dtype=complex)
+    D[..., 0] = np.cumprod(np.repeat(x[..., None], M, -1), -1)
+    np.multiply(-y[..., None, None], (m[:, None] + a - 1) / a, out=D[..., 1:])
+    np.cumprod(D, -1, out=D)
+    return D
+
+
 def _flux_projection(packing: Packing, M: int) -> np.ndarray:
     """G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L.
 
@@ -127,10 +146,11 @@ def _flux_projection(packing: Packing, M: int) -> np.ndarray:
 
 class _Operator(NamedTuple):
     coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
-    residual: np.ndarray  # (check points / g, 2M+1): collocation error of each mode
+    outer_tail: np.ndarray  # (2M+1, F-M): each mode's error on |z| = L, Re sum T_f e^{ift}, f > M
+    disk_tail: np.ndarray  # (2M+1, n/g, A-M): on each representative disk, Re sum T_a e^{ia tau}
     dtn: np.ndarray  # (2M+1, 2M+1): Lambda, c_a^T Lambda c_b is the DtN form
     condition: float
-    order: int  # g: a rotation by 2 pi/g maps the packing and the check points onto themselves
+    order: int  # g: a rotation by 2 pi/g maps the packing onto itself
 
 
 def _min_gap_ratio(packing: Packing) -> float:
@@ -147,13 +167,12 @@ def _min_gap_ratio(packing: Packing) -> float:
     return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
-def _rotation_order(packing: Packing, M: int) -> int:
-    """The largest g | gcd(n, 8M) with disk k + n/g disk k rotated by 2 pi/g, else 1 (the
-    factor needs g | n alone; the residual table's orbit of 8M/g check points, g | 8M)."""
-    n, d = packing.n, math.gcd(packing.n, 8 * M)
+def _rotation_order(packing: Packing) -> int:
+    """The largest g | n with disk k + n/g disk k rotated by 2 pi/g, else 1."""
+    n = packing.n
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    for g in range(d if n else 1, 1, -1):
-        if (d % g == 0 and np.array_equal(np.roll(radii, n // g), radii)
+    for g in range(n, 1, -1):
+        if (n % g == 0 and np.array_equal(np.roll(radii, n // g), radii)
                 and np.max(np.abs(np.roll(c, -(n // g)) - c * np.exp(2j * math.pi / g)))
                 <= 64 * np.finfo(float).eps * packing.L):
             return g
@@ -175,8 +194,8 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
     f = j mod g, then each representative's e^{im tau}, |m| <= M, times sqrt(g) (real
     blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m). On disk r, q^l is sum_a T[r, a, l] e^{ia tau}
     (``_binomial_table``), p_r^m is e^{-im tau}, and p_k^m, k != r, is (R_k/d)^m sum_a (-1)^a
-    binom(m+a-1, a) (R_r/d)^a e^{ia tau}, d = c_r - c_k; on |z| = L, p_k^m is sum_f t_mf
-    e^{-ift} (``_flux_projection``). g is ``_rotation_order(packing, M)``.
+    binom(m+a-1, a) (R_r/d)^a e^{ia tau}, d = c_r - c_k (``_translation_table``); on |z| = L,
+    p_k^m is sum_f t_mf e^{-ift} (``_flux_projection``). g is ``_rotation_order(packing)``.
     """
     n, L = packing.n, packing.L
     nr, rg, rt2 = n // g, math.sqrt(g), math.sqrt(2)
@@ -222,16 +241,11 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
     # p_r^m's t_mf to p_rk^m's w^{k(f-m)} t_mf; on disk r' they sum the coefficients
     # D[r', k, m, a] of p_rk^m, of e^{ia tau}, with each block's phases w^{hk}.
     phase = np.exp(2j * math.pi * np.arange(g) / g)
-    ratio = (m[:, None] + m - 1) / m  # [m, a]: (m + a - 1)/a, a = 1..M
     for r in range(nr):
         d = c[:nr, None] - c[r::nr]  # c_r' - c_rk, 0 for disk r itself
         x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0)
                 for R in (radii[r], radii[:nr, None]))
-        # From x^m, each coefficient is the one before it in a times -y (m + a - 1)/a.
-        D = np.empty((nr, g, M, M + 1), dtype=complex)
-        D[..., 0] = np.cumprod(np.repeat(x[..., None], M, -1), -1)
-        np.multiply(-y[..., None, None], ratio, out=D[..., 1:])
-        np.cumprod(D, -1, out=D)
+        D = _translation_table(x, y, M, M)
         S = np.zeros((2, nr + 1, 2 * M + 1, M), dtype=complex)
         S[:, 0, -m] = T[r, :M, :M].T * (radii[r] / L * rg)
         S[:, 1 + r, -m, m - 1] = 1.0  # disk r's own p_r^m is e^{-im tau}
@@ -293,11 +307,10 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     """The operator of ``factor``'s solution, refused when the Galerkin system is
     singular or ill-conditioned.
 
-    The matrix is freed before returning; only O(2M+1) columns per unknown
-    and per check point of one orbit, and the (2M+1)^2 DtN matrix, are kept,
-    read-only. An invalid packing raises the error of ``validate_packing``.
-    A refusal raises, so it is not cached and a refused packing is refused on
-    every call.
+    The matrix is freed before returning; only O(2M+1) columns per unknown and
+    per kept tail coefficient, and the (2M+1)^2 DtN matrix, are kept, read-only.
+    An invalid packing raises the error of ``validate_packing``. A refusal
+    raises, so it is not cached and a refused packing is refused on every call.
     """
     n = packing.n
     if n > 0 and _min_gap_ratio(validate_packing(packing)) < GAP_GUARD:
@@ -305,51 +318,124 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
         )
-    g = _rotation_order(packing, M)
-    n_basis = (2 * M + 1) + 2 * M * n
-    n_unknown, n_chk = n_basis + n, 8 * M
+    g = _rotation_order(packing)
+    nr, n_basis = n // g, (2 * M + 1) + 2 * M * n
+    # The cuts: the worst column's ratio on |z| = L is max |c|/L, on the disks max R_r/|d|.
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    d = np.abs(c[:nr, None] - c)
+    near = np.divide(radii[:nr, None], d, out=np.zeros_like(d), where=d > 0)
+    F = M + -(-_cut(np.abs(c).max(initial=0.0) / packing.L, M) // g) * g  # Qg columns
+    A = max(M, _cut(near.max(initial=0.0), M))
     # The kept tables come before the matrix, so that the matrix and the
     # solver's workspace lie above them on the heap and can be released.
-    X = np.empty((n_unknown, 2 * M + 1))
-    residual = np.empty((n_chk // g + n_chk * (n // g), 2 * M + 1))
+    X = np.empty((n_basis + n, 2 * M + 1))
+    outer_tail = np.empty((2 * M + 1, F - M), dtype=complex)
+    disk_tail = np.empty((2 * M + 1, nr, A - M), dtype=complex)
     dtn = np.empty((2 * M + 1, 2 * M + 1))
     if not (condition := factor(packing, M, g, X)) <= CONDITION_LIMIT:
         raise IllConditionedError(f"Galerkin system condition estimate {condition:.3g} "
                                   f"exceeds {CONDITION_LIMIT:.0e}")
-    _residual_table(packing, M, g, X, residual)
+    _tail_table(packing, M, g, X, outer_tail, disk_tail)
     # Lambda = sym(G X), with the flux projection G in closed form.
     form = _flux_projection(packing, M) @ X[:n_basis]
     dtn[...] = 0.5 * (form + form.T)
-    for a in (X, residual, dtn):
+    for a in (X, outer_tail, disk_tail, dtn):
         a.flags.writeable = False
-    return _Operator(X, residual, dtn, float(condition), g)
+    return _Operator(X, outer_tail, disk_tail, dtn, float(condition), g)
 
 
-def _residual_table(packing: Packing, M: int, g: int, X: np.ndarray, out: np.ndarray):
-    """Collocation error of each mode's solution X on denser, shifted check
-    points of one orbit, into out: the trace error on the first 8M/g of 8M
-    outer points, then the deviation from the constant U_i on the 8M points of
-    each of the first n/g inclusions. The rotations by 2 pi p/g carry them onto
-    all the others (see ``_boundary_residual``).
+def _cut(rho: float, M: int) -> int:
+    """The last index a kept of the terms binom(m + a - 1, a) rho_k^a (1 - rho_k)^m, a >= 0,
+    of every column m <= M at a ratio rho_k <= rho: they sum to 1, and past it to at most
+    eps, as the largest column's (m = M, rho_k = rho) is stochastically the largest. Past
+    its largest term the ratios r_a = rho (M + a - 1)/a fall, so its terms from a on
+    sum to at most the a-th over 1 - r_a."""
+    size = 0 if rho == 0.0 else int(2 * (M + 32) / (1.0 - rho))
+    while size:
+        r = rho * (M + np.arange(size)) / np.arange(1, size + 1)  # r_a, a = 1..size
+        log_term = M * math.log1p(-rho) + np.cumsum(np.log(r))
+        done = (r < 1.0) & (log_term - np.log1p(-np.where(r < 1.0, r, 0.0)) <= math.log(_EPS))
+        if done.any():
+            return int(np.argmax(done))
+        size *= 2
+    return 0
+
+
+def _tail_table(packing: Packing, M: int, g: int, X: np.ndarray, outer_tail: np.ndarray,
+                disk_tail: np.ndarray):
+    """The error of each mode's solution X past M, on |z| = L and on the first n/g disks,
+    into the tails T, up to the cuts their shapes give.
+
+    In the solution of e^{ift}, alpha_km and beta_km multiply p_k^m and conj(p_k^m)
+    (the columns Re p_k^m and -Im p_k^m have alpha + beta and i(beta - alpha)). The
+    rotation by 2 pi/g maps it to e^{2 pi i f/g} times itself, so alpha of disk r + kn/g
+    is w^{k(f+m)} that of disk r, and beta w^{k(f-m)} it, w = e^{2 pi i/g}. On disk r'
+    the error is then sum_a P_a e^{ia tau} + N_a e^{-ia tau}, a > M, with P_a = sum_{r,m}
+    alpha_rm Dh[(f+m) % g] and N_a = sum beta_rm conj(Dh[(m-f) % g]), Dh[h] = sum_k w^{hk}
+    D[r + kn/g, m, a] (``_translation_table``). On |z| = L, with t_mf' of disk r + kn/g
+    w^{k(f'-m)} that of disk r, P_f' (of e^{if't}) = g sum beta_rm conj(t_mf') if f' = f
+    and N_f' = g sum alpha_rm t_mf' if f' = -f (mod g); its f' > M are kept as F - M = Qg
+    columns (f' - M - 1) % g * Q + (f' - M - 1) // g. The error of cos ft, the real part, is
+    Re sum T e^{ia tau} with T = P + conj(N); that of sin ft, the imaginary part, has
+    T = -i(P - conj(N)).
     """
-    n_chk, nr = 8 * M, packing.n // g
-    n_basis = (2 * M + 1) + 2 * M * packing.n
-    t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
-    t_outer = t[: n_chk // g] + 0.5 * math.pi / n_chk
-    c = packing.centers()[:nr] @ np.array([1.0, 1j])
-    inner = c[:, None] + packing.radii()[:nr, None] * np.exp(1j * t)  # on the first n/g disks
-    z = np.concatenate([packing.L * np.exp(1j * t_outer), inner.ravel()])
-    out[...] = -np.concatenate([_modes(t_outer, M), np.repeat(X[n_basis:][:nr], n_chk, 0)])
-    for a in range(0, z.size, _CHUNK):
-        out[a : a + _CHUNK] += _basis_columns(z[a : a + _CHUNK], packing, M) @ X[:n_basis]
+    n, L, nr = packing.n, packing.L, packing.n // g
+    Q, A, q = outer_tail.shape[1] // g, M + disk_tail.shape[2], -(-(M + 1) // g)
+    F, m, j = M + Q * g, np.arange(1, M + 1), np.arange(g)
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    # alpha, beta[j, r * M + m - 1, i] of the representatives in the solution of e^{ift},
+    # f = j + ig.
+    Xr = X[2 * M + 1 : (2 * M + 1) + 2 * M * nr].reshape(nr, 2, M, 2 * M + 1)
+    Xf = np.zeros((nr, 2, M, q * g), dtype=complex)
+    Xf[..., : M + 1] = Xr[..., : M + 1]
+    Xf[..., 1 : M + 1] += 1j * Xr[..., M + 1 :]
+    Xf = Xf.reshape(nr, 2, M, q, g).transpose(1, 4, 0, 2, 3).reshape(2, g, nr * M, q)
+    alpha, beta = (Xf[0] + 1j * Xf[1]) / 2, (Xf[0] - 1j * Xf[1]) / 2
+    # Disk r: D[k, r', m - 1, a] of p^m of disk r' + kn/g. Times w^{km}, its DFT over k
+    # at h = j gives Dh[(j + m) % g], and at h = -j, the DFT's row -j, Dh[(m - j) % g].
+    P, N = np.empty((2, q, g, nr, A - M), dtype=complex)
+    phase, neg = np.exp(2j * math.pi * (np.outer(j, j) % g) / g), -j % g
+    for r in range(nr):
+        d = c[r] - c  # 0 for disk r itself
+        x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0) for R in (radii, radii[r]))
+        D = _translation_table(x, y, M, A)[..., M + 1 :].reshape(g, nr, M, A - M)
+        D = (D * phase[:, None, m % g, None]).reshape(g, -1)
+        D = (phase @ D).reshape(g, nr * M, A - M)
+        P[:, :, r] = np.swapaxes(alpha.transpose(0, 2, 1) @ D, 0, 1)
+        N[:, :, r] = np.swapaxes((beta[neg].conj().transpose(0, 2, 1) @ D)[neg], 0, 1)  # conj(N)
+    P, N = P.reshape(q * g, -1), N.reshape(q * g, -1)  # the modes f = j + ig
+    disk = disk_tail.reshape(2 * M + 1, -1)
+    disk[: M + 1], disk[M + 1 :] = (P + N)[: M + 1], -1j * (P - N)[1 : M + 1]
+    # |z| = L: t_mf' of the representatives at f' = M+1..F; of the modes f = j + ig, P at
+    # f' = j and conj(N) at f' = -j (mod g), (f' - M - 1) % g = rp[j] and rn[j].
+    t = _translation_table(radii[:nr] / L, -c[:nr] / L, M, F - 1)  # t[r, m - 1, f - m]
+    t = np.take_along_axis(t, (M + 1 - m[:, None] + np.arange(Q * g))[None], -1)
+    t = t.conj().reshape(nr * M, Q, g).transpose(2, 0, 1)
+    rp, rn = (j - M - 1) % g, (-j - M - 1) % g
+    Po, No = (g * (ab.transpose(0, 2, 1) @ t[rho]) for rho, ab in ((rp, beta), (rn, alpha.conj())))
+    f = j[:, None] + g * np.arange(q)
+    outer = outer_tail.reshape(2 * M + 1, g, Q)
+    outer[...] = 0.0
+    for rows, k, s in ((f, f <= M, 1.0), (M + f, (f <= M) & (f > 0), -1j)):  # cos ft, sin ft
+        for rho, value in ((rp, s * Po), (rn, np.conj(s) * No)):
+            outer[rows[k], np.broadcast_to(rho[:, None], f.shape)[k]] += value[k]
+
+
+@lru_cache(maxsize=None)
+def _turns(M: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of m alpha_p, m = 1..M, alpha_p = 2 pi p/g, read-only."""
+    arg = np.multiply.outer(np.arange(1, M + 1), 2.0 * math.pi * np.arange(g) / g)
+    turns = np.cos(arg), np.sin(arg)
+    for a in turns:
+        a.flags.writeable = False
+    return turns
 
 
 def _rotations(c: np.ndarray, M: int, g: int) -> np.ndarray:
     """(2M+1, g): column p the mode vector of psi(theta + alpha_p), alpha_p = 2 pi p/g, for
     the mode vector c of psi: the pair (a_m, b_m) goes to (a_m cos m alpha_p + b_m sin m
     alpha_p, b_m cos m alpha_p - a_m sin m alpha_p), from one table of m alpha_p."""
-    arg = np.multiply.outer(np.arange(1, M + 1), 2.0 * math.pi * np.arange(g) / g)
-    cos, sin = np.cos(arg), np.sin(arg)
+    cos, sin = _turns(M, g)
     a, b = c[1 : M + 1, None], c[M + 1 :, None]
     return np.concatenate([np.full((1, g), c[0]), cos * a + sin * b, cos * b - sin * a])
 
@@ -370,20 +456,30 @@ def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> Spectral
     return SpectralSolution(
         packing=packing, M=M, domain_cos=coeffs[: M + 1], domain_sin=coeffs[M + 1 : 2 * M + 1],
         inclusion_cos=inc[:, 0], inclusion_sin=inc[:, 1], U=coeffs[n_basis:],
-        energy=0.5 * float(c @ op.dtn @ c), boundary_residual=_boundary_residual(op, c, M),
+        energy=0.5 * float(c @ op.dtn @ c),
+        boundary_residual=_boundary_residual(op, c, psi.K, inc),
         condition=op.condition,
     )
 
 
-def _boundary_residual(op: _Operator, c: np.ndarray, M: int) -> float:
-    """Max collocation error of mode vector c over every check point.
+def _boundary_residual(op: _Operator, c: np.ndarray, K: int, w: np.ndarray) -> float:
+    """An upper bound of the error of mode vector c's solution on every circle, from
+    c's 2K+1 modes and its coefficients w of Re p_k^m and -Im p_k^m.
 
-    The rotation by 2 pi p/g maps the packing onto itself, so the collocation
-    solution of psi(theta + 2 pi p/g) is that of psi rotated, and its error at
-    a check point of the orbit is the error of psi at the rotated point: max|T C|,
-    T the residual table and C the g ``_rotations`` of c, from one product.
+    The error on a circle is Re sum T_a e^{ia tau}, a > M, so at most sum |T_a|: the
+    tails' l1 up to the cut, plus the terms past it. A column's terms on disk r sum
+    in modulus to (R_k/(|d| - R_r))^m and on |z| = L to (R_k/(L - |c_k|))^m, both below 1
+    (sum_j binom(m+j-1, j) rho^j = (1 - rho)^-m), and past the cut to at most eps of that
+    (``_cut``): eps times the l1 of w bounds them all. The rotation by 2 pi p/g maps the
+    packing onto itself, so the solution of psi(theta + 2 pi p/g) is that of psi
+    rotated, and its error on representative disk r is that of psi on disk r + pn/g:
+    the tails of all g rotations come from one product with the g ``_rotations`` of c.
     """
-    return float(np.max(np.abs(op.residual @ _rotations(c, M, op.order))))
+    idx, (_, nr, cut) = _slots(K, (op.dtn.shape[0] - 1) // 2), op.disk_tail.shape
+    outer = np.abs(c[idx] @ op.outer_tail[idx]).sum()
+    disks = _rotations(c[idx], K, op.order).T @ op.disk_tail[idx].reshape(idx.size, nr * cut)
+    disks = np.abs(disks).reshape(op.order, nr, cut).sum(-1)
+    return float(max(outer, disks.max(initial=0.0)) + _EPS * np.abs(w).sum())
 
 
 def quad_form_oracle(packing: Packing, psi: FourierPotential, M: int) -> float:
@@ -447,7 +543,8 @@ class MaxPrincipleReport:
 
 
 def max_principle_check(sol: SpectralSolution, psi: FourierPotential) -> MaxPrincipleReport:
-    """Inclusion potentials and sampled field bounded by the boundary data."""
+    """Inclusion potentials and sampled field bounded by the boundary data, within 10
+    times the boundary residual, an upper bound of the boundary error."""
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     vals = psi.evaluate(theta)
     psi_min, psi_max = float(vals.min()), float(vals.max())

@@ -8,6 +8,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from dtnnet import oracle
+from dtnnet.asymptotics import _modes
 from dtnnet.generators import ring_packing
 from dtnnet.geometry import Disk, Packing
 
@@ -99,7 +100,7 @@ def reference_collocation(packing, M):
     for i, z in enumerate(circle_points(packing, t, t + math.pi / n_per)):
         A[i * n_per : (i + 1) * n_per, :n_basis] = oracle._basis_columns(z, packing, M)
     A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
-    B[:n_per] = oracle._modes(t, M)
+    B[:n_per] = _modes(t, M)
     return A, B
 
 
@@ -121,7 +122,7 @@ def reference_galerkin(packing, M):
                                            np.tile(-1.0 * (np.arange(1, n + 1) == i), (N, 1))]))
                         for i, z in enumerate(circle_points(packing, t, t))])
     B = np.zeros((A.shape[0], 2 * M + 1))
-    B[: 2 * M + 1] = project(oracle._modes(t, M))
+    B[: 2 * M + 1] = project(_modes(t, M))
     return A, B
 
 
@@ -147,19 +148,23 @@ def reference_operator(packing, M, factor=reference_dense_factor):
 
 
 def reference_residual(packing, M, X):
-    """Collocation error of each mode (columns) of the solution X at every check
-    point: 8M shifted points on the outer circle, then 8M on each inclusion."""
+    """Collocation error of each mode (columns) of the solution X at 8M shifted points
+    on the outer circle, then at 8M points on each inclusion."""
     n_chk, n_basis = 8 * M, (2 * M + 1) + 2 * M * packing.n
     t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
     t_outer = t + 0.5 * math.pi / n_chk
-    targets = [oracle._modes(t_outer, M), *X[n_basis:]]
+    targets = [_modes(t_outer, M), *X[n_basis:]]
     return np.concatenate([oracle._basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
                            zip(circle_points(packing, t_outer, t), targets)])
 
 
 def reference_boundary_residual(op, c, M):
-    """The oracle's boundary residual of mode vector c as one product per rotation: the
-    residual table times the mode vector of psi(theta + 2 pi p/g), p = 0..g-1."""
+    """The oracle's boundary residual of mode vector c as one product per rotation and
+    circle: the largest l1 of the tail of psi(theta + 2 pi p/g), p = 0..g-1, on |z| = L
+    and on each representative disk, plus eps times the l1 of psi's coefficients of the
+    inclusion harmonics, which bounds every column's terms past the cut."""
+    n = op.disk_tail.shape[1] * op.order
+    inc = (op.coeffs[2 * M + 1 : (2 * M + 1) + 2 * M * n] @ c).reshape(n, 2, M)
     m = np.arange(1, M + 1)
     worst = 0.0
     for p in range(op.order):
@@ -167,8 +172,32 @@ def reference_boundary_residual(op, c, M):
         cos, sin = np.cos(m * alpha), np.sin(m * alpha)
         a, b = c[1 : M + 1], c[M + 1 :]
         rotated = np.concatenate([c[:1], cos * a + sin * b, cos * b - sin * a])
-        worst = max(worst, float(np.max(np.abs(op.residual @ rotated))))
-    return worst
+        worst = max(worst, float(np.sum(np.abs(rotated @ op.outer_tail))))
+        for r in range(op.disk_tail.shape[1]):
+            worst = max(worst, float(np.sum(np.abs(rotated @ op.disk_tail[:, r]))))
+    return worst + np.finfo(float).eps * float(np.sum(np.abs(inc)))
+
+
+def sampled_errors(packing, M, X, C, N=4096):
+    """The error of the solutions X C of the mode vectors C (columns) at N equally spaced
+    points of each circle: the trace error on |z| = L, then the deviation from U_i on
+    each disk, one (N, columns) array per circle. The potential is a_0 + Re sum_l
+    (a_l - i b_l) (z/L)^l + Re sum_{k,m} (c_km + i d_km) (R_k/(z - c_k))^m."""
+    n, n_basis = packing.n, (2 * M + 1) + 2 * M * packing.n
+    t = np.linspace(0.0, 2.0 * math.pi, N, endpoint=False)
+    coeffs = X @ C
+    domain = coeffs[1 : M + 1] - 1j * coeffs[M + 1 : 2 * M + 1]
+    inc = coeffs[2 * M + 1 : n_basis].reshape(n, 2, M, -1)
+    inc = (inc[:, 0] + 1j * inc[:, 1]).reshape(n * M, -1)
+    targets = [_modes(t, M) @ C, *coeffs[n_basis:, None]]
+    errors = []
+    for z, y in zip(circle_points(packing, t, t), targets):
+        q = z / packing.L
+        p = packing.radii() / (z[:, None] - packing.centers() @ np.array([1.0, 1j]))
+        powers = [np.cumprod(np.repeat(w[..., None], M, -1), -1) for w in (q, p)]
+        u = powers[0] @ domain + powers[1].reshape(N, n * M) @ inc
+        errors.append(coeffs[0] + u.real - y)
+    return errors
 
 
 @pytest.fixture

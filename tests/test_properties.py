@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import equal_gap_ring, reference_operator, reference_residual, two_ring_packing
+from conftest import equal_gap_ring, reference_operator, sampled_errors, two_ring_packing
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -86,14 +86,12 @@ def test_asymptotic_dtn_is_scale_invariant(packing, s):
 @given(st.data())
 def test_relabelling_the_disks_changes_no_dtn_matrix(data):
     ring = data.draw(rings())
-    n = ring.n
-    step = n // math.gcd(n, 8)  # n | 8M: the oracle factors the ring as C_n blocks
-    M = step * data.draw(st.integers(1, 12 // step))
+    n, M = ring.n, data.draw(st.integers(1, 12))
     order = data.draw(st.permutations(range(n)))
     relabelled = Packing(ring.L, tuple(ring.inclusions[i] for i in order))
     # A rotation of the labels is still a ring of the same order.
-    assume(oracle._rotation_order(relabelled, M) != oracle._rotation_order(ring, M))
-    assert oracle._rotation_order(ring, M) == n
+    assume(oracle._rotation_order(relabelled) != oracle._rotation_order(ring))
+    assert oracle._rotation_order(ring) == n
     lam = oracle._operator(ring, M).dtn
     assert_close(lam, oracle._operator(relabelled, M).dtn, 1e-10)
     assert_close(asymptotic(ring), asymptotic(relabelled), 1e-12)
@@ -102,7 +100,7 @@ def test_relabelling_the_disks_changes_no_dtn_matrix(data):
 @settings(max_examples=40)
 @given(st.integers(2, 12), st.floats(0.05, 0.5), st.floats(0.0, 1.0), st.integers(1, 16))
 def test_orbit_factor_matches_the_dense_reference(n, t, phase, M):
-    # gcd(n, 8M) < n for many draws, so the factor runs at every order g | n.
+    # The ring is factored as C_n blocks, whatever M.
     ring = equal_gap_ring(n, t, phase=2.0 * math.pi * phase / n)
     assert_close(reference_operator(ring, M).dtn, oracle._operator(ring, M).dtn, 1e-10)
 
@@ -186,37 +184,24 @@ def symmetric_packings(draw):
         packing = draw(rings())
         if kind == "reversed":
             packing = Packing(packing.L, packing.inclusions[::-1])
-    assume(oracle._rotation_order(packing, M) > 1)
+    assume(oracle._rotation_order(packing) > 1)
     return packing, M
 
 
-def full_residual(op: oracle._Operator, n: int, M: int) -> np.ndarray:
-    """The residual at every check point, from the operator's orbit rows: the
-    data rotated by 2 pi p/g at an orbit point is the data at the point rotated,
-    the outer point j + 8Mp/g or point j + 8Mp/g of inclusion r + np/g."""
-    g, n_chk = op.order, 8 * M
-    s = n_chk // g
-    full = np.empty((n_chk * (n + 1), 2 * M + 1))
-    # Q[:, e, p]: the unit mode vector e rotated by 2 pi p/g.
-    Q = np.stack([oracle._rotations(e, M, g) for e in np.eye(2 * M + 1)], axis=1)
-    for p in range(g):
-        rows = op.residual @ Q[..., p]
-        full[p * s : (p + 1) * s] = rows[:s]
-        for r in range(n // g):
-            k = r + p * (n // g)
-            full[n_chk * (k + 1) : n_chk * (k + 2)] = np.roll(
-                rows[s + r * n_chk : s + (r + 1) * n_chk], p * s, axis=0)
-    return full
-
-
 @settings(max_examples=30)
-@given(symmetric_packings())
-def test_orbit_residual_is_the_residual_at_every_check_point(case):
+@given(symmetric_packings(), st.data())
+def test_boundary_residual_bounds_the_sampled_error(case, data):
+    # The l1 of the error's coefficients past M, on every circle and for every
+    # rotation of psi, bounds the largest error at 1024 points of every circle.
     packing, M = case
+    K = data.draw(st.integers(1, M))
+    c = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * K + 1, max_size=2 * K + 1))
+    psi = FourierPotential(np.array(c[: K + 1]), np.array([0.0, *c[K + 1 :]]))
     op = oracle._operator(packing, M)
-    expected = reference_residual(packing, M, op.coeffs)
-    got = full_residual(op, packing.n, M)
-    assert np.max(np.abs(got - expected)) <= max(1e-10 * np.max(np.abs(expected)), 1e-13)
+    errors = sampled_errors(packing, M, op.coeffs, oracle._mode_vector(psi, M)[:, None], 1024)
+    largest = max(np.max(np.abs(e)) for e in errors)
+    bound = oracle.solve_dirichlet(packing, psi, M).boundary_residual
+    assert largest <= bound * (1.0 + 1e-10) + 1e-15  # up to the error's rounding
 
 
 @st.composite
@@ -226,7 +211,7 @@ def small_packings(draw):
     n, M = draw(st.integers(1, 5)), draw(st.integers(2, 12))
     r = draw(st.floats(0.08, 0.2))
     packing = random_packing(n, r, 0.1 * r, 1.0, seed=draw(st.integers(1, 10**6)))
-    assume(oracle._rotation_order(packing, M) == 1)
+    assume(oracle._rotation_order(packing) == 1)
     return packing, M
 
 
