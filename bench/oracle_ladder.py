@@ -18,10 +18,13 @@ points of every circle, summed from the operator's coefficients. One more build
 under ``tracemalloc`` gives its traced peak. One more cold build times its
 stages: the factor, the tail table and the flux projection, each a function of
 ``dtnnet.oracle`` wrapped with a timer for that build, and the rest. Inside the factor it also
-times the closed-form coefficient tables (``_binomial_table``, which the flux
-projection also calls once) and the LAPACK ``gesv`` and ``gecon`` calls; a
-part the imported dtnnet does not call or define reads 0 (an operator without
-``_tail_table`` spends its residual table's time in the rest). The record gives
+times the assembly of the blocks (``_block``), the LAPACK ``gesv`` and ``gecon`` calls
+and the back-transform of their solutions (``_unblock``); ``factor_rest`` is the rest of
+the factor (the blocks' 1-norms, and assembly and back-transform where the factor does
+them in its own body). Wherever the build makes it, it times the closed-form coefficient
+table (``_binomial_table``). A part the imported dtnnet does not call or define reads 0
+(an operator without ``_tail_table`` spends its residual table's time in the rest). The
+record gives
 the bytes of the arrays the operator keeps, and of its tail tables alone (None
 without them). The rungs are rings with equal gaps t R between neighbours and
 to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
@@ -66,8 +69,9 @@ WARM_KS = (1, 2, 4)  # the cosines of perfbench's oracle_batch
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
 STAGES = {"factor": "_orbit_factor", "tail_table": "_tail_table",
           "flux_projection": "_flux_projection"}
-# Parts of the factor: (module, function) pairs timed while it runs.
-FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),)}
+# Parts of the build: (module, function) pairs timed while it runs.
+FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),), "assembly": ((oracle, "_block"),),
+                "back_transform": ((oracle, "_unblock"),)}
 
 
 def equal_gap_ring(n: int, t: float) -> Packing:
@@ -156,6 +160,8 @@ def stage_split(packing: Packing, M: int) -> tuple[dict, dict]:
         for module, name, fn in saved:
             setattr(module, name, fn)
         oracle._operator.cache_clear()
+    parts["factor_rest"] = spent.get("factor", 0.0) - sum(
+        parts[p] for p in ("assembly", "gesv_gecon", "back_transform"))
     return {**spent, "rest": total - sum(spent.values()), "total": total}, parts
 
 

@@ -206,7 +206,9 @@ def classify_boundary(packing: Packing) -> GeometryAnalysis:
     order = np.concatenate([b_old[by_angle], np.nonzero(~boundary)[0]])  # new -> old
     inv = np.empty(packing.n, dtype=np.intp)
     inv[order] = np.arange(packing.n)
-    new_packing = replace(packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
+    # Rings listed by angle are already in this order: they keep their packing and its arrays.
+    new_packing = packing if np.array_equal(order, np.arange(packing.n)) else replace(
+        packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
     # Every neighbor pair (i < j), renumbered, in lexicographic order (no ridge repeats).
     edges = np.sort(inv[pairs], axis=1)
     edges = edges[np.lexsort(edges.T[::-1])]

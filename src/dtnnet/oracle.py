@@ -99,54 +99,40 @@ def _basis_columns(zc: np.ndarray, packing: Packing, M: int) -> np.ndarray:
 
 def _binomial_table(c: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
     """T[i, a, b] = binom(b, a) c_i^(b-a) r_i^a, 0 <= a <= b <= M, the coefficient of
-    e^{ia tau} in (c_i + r_i e^{i tau})^b: from T[a, a] = r^a, each entry is the one
-    before it in b times c b/(b - a), so none exceeds (|c| + r)^b."""
+    e^{ia tau} in (c_i + r_i e^{i tau})^b: from T[a, a] = r^a, each entry on a diagonal
+    b = a + e is the one before it times c (a + e)/e, so none exceeds (|c| + r)^b."""
     a = np.arange(M + 1)
-    T = np.zeros((c.size, M + 1, M + 1), dtype=complex)
-    for b in a:
-        T[:, :b, b] = T[:, :b, b - 1] * (b / (b - a[:b])) * c[:, None]
-        T[:, b, b] = r**b
+    D = np.empty((c.size, M + 1, M + 1), dtype=complex)  # D[i, a, e] = T[i, a, a + e]
+    D[..., 0] = r[:, None] ** a
+    np.multiply(c[:, None, None], (a[:, None] + a[1:]) / a[1:], out=D[..., 1:])
+    np.cumprod(D, -1, out=D)
+    T = np.zeros_like(D)
+    a, e = np.nonzero(a[:, None] + a <= M)
+    T[:, a, a + e] = D[:, a, e]
     return T
 
 
-def _translation_table(x, y, M: int, A: int) -> np.ndarray:
-    """D[..., m - 1, a] = x^m (-y)^a binom(m + a - 1, a), m = 1..M, a = 0..A: from x^m, each
-    entry is the one before it in a times -y (m + a - 1)/a. With x = R_k/d, y = R_r/d and
-    d = c_r - c_k, the coefficient of e^{ia tau} in p_k^m on disk r; with x = R_k/L and
-    y = -c_k/L, t_{m, m+a} of p_k^m on |z| = L (``_flux_projection``)."""
-    m, a = np.arange(1, M + 1), np.arange(1, A + 1)
+def _translation_table(x, y, M: int, A: int, a0: int = 0) -> np.ndarray:
+    """D[..., m - 1, a - a0] = x^m (-y)^a binom(m + a - 1, a), m = 1..M, a = a0..A: from
+    x (-y)^a0, each entry is the one before it in m times x (m + a0 - 1)/(m - 1), and the
+    one before it in a times -y (m + a - 1)/a. With x = R_k/d, y = R_r/d and d = c_r - c_k,
+    the coefficient of e^{ia tau} in p_k^m on disk r, none above the column's total
+    (R_k/(|d| - R_r))^m < 1."""
+    m, a = np.arange(1, M + 1), np.arange(a0 + 1, A + 1)
     x, y = np.asarray(x), np.asarray(y)
-    D = np.empty((*x.shape, M, A + 1), dtype=complex)
-    D[..., 0] = np.cumprod(np.repeat(x[..., None], M, -1), -1)
+    D = np.empty((*x.shape, M, A + 1 - a0), dtype=complex)
+    D[..., 0, 0] = x * (-y) ** a0
+    np.multiply(x[..., None], (m[1:] + a0 - 1) / (m[1:] - 1), out=D[..., 1:, 0])
+    np.cumprod(D[..., 0], -1, out=D[..., 0])
     np.multiply(-y[..., None, None], (m[:, None] + a - 1) / a, out=D[..., 1:])
     np.cumprod(D, -1, out=D)
     return D
 
 
-def _flux_projection(packing: Packing, M: int) -> np.ndarray:
-    """G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L.
-
-    Domain harmonics (r/L)^f cos/sin(f theta) give pi f on their own mode.
-    On |z| = L the binomial series (R/(z - c))^m = sum_f t_mf (L/z)^f, f >= m,
-    has t_mf = (R/L)^m binom(f-1, m-1) (c/L)^(f-m) = (R/L) T[m-1, f-1], T the
-    ``_binomial_table`` of c/L and R/L, so only f <= M meets the modes and the row of
-    cos 0 is zero.
-    """
-    n, c, r = packing.n, packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    f = np.arange(1, M + 1)
-    G = np.zeros((2 * M + 1, (2 * M + 1) + 2 * M * n))
-    G[f, f] = G[M + f, M + f] = math.pi * f
-    t = (r / packing.L)[:, None, None] * _binomial_table(c / packing.L, r / packing.L, M - 1)
-    flux = t.transpose(2, 0, 1) * (-math.pi * f)[:, None, None]  # (f, i, m)
-    inc = G[:, 2 * M + 1 :].reshape(2 * M + 1, n, 2, M)  # a view: (cos, sin) per disk
-    inc[1 : M + 1, :, 0], inc[1 : M + 1, :, 1] = flux.real, -flux.imag
-    inc[M + 1 :, :, 0], inc[M + 1 :, :, 1] = flux.imag, flux.real
-    return G
-
-
 class _Operator(NamedTuple):
     coeffs: np.ndarray  # (unknowns, 2M+1): the solution of each mode
-    outer_tail: np.ndarray  # (2M+1, F-M): each mode's error on |z| = L, Re sum T_f e^{ift}, f > M
+    outer_tail: np.ndarray  # (2M+1, S, Q): each mode's error on |z| = L (``_tail_table``)
+    outer_residue: np.ndarray  # (2M+1, S): the residue of f' - M - 1 mod g of each slot
     disk_tail: np.ndarray  # (2M+1, n/g, A-M): on each representative disk, Re sum T_a e^{ia tau}
     dtn: np.ndarray  # (2M+1, 2M+1): Lambda, c_a^T Lambda c_b is the DtN form
     condition: float
@@ -179,9 +165,39 @@ def _rotation_order(packing: Packing) -> int:
     return 1
 
 
-def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
+def _orbit_factor(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray) -> float:
     """Solve the Galerkin system for every outer-trace mode into X from its C_g blocks
-    0..g/2; return the largest LAPACK 1-norm condition estimate of a block (inf: singular).
+    0..g/2, one block at a time; return the largest LAPACK 1-norm condition estimate of a
+    block (inf: singular). T is the ``_binomial_table`` of the first n/g disks and g is
+    ``_rotation_order(packing)``; ``_block`` gives the blocks and ``_unblock`` reads back
+    their solutions."""
+    nr, rg = packing.n // g, math.sqrt(g)
+    # The spectra of sqrt(g) q^l on the disks and of the orbit sums of p_r^m on |z| = L,
+    # sqrt(g) t_mf, t_mf = (R_r/L) T[m-1, f-1], and each representative's orbit sums on
+    # the disks (made for block 0).
+    tables = (rg * T, rg * packing.radii()[:nr, None, None] / packing.L * T[:, :M, :M],
+              [None] * nr)
+    condition = 1.0
+    for j in range(g // 2 + 1):
+        A, rhs = _block(packing, M, g, j, tables)
+        gesv, gecon = get_lapack_funcs(("gesv", "gecon"), (A,))
+        anorm = max(np.abs(A[:, i : i + 256]).sum(axis=0).max() for i in range(0, A.shape[1], 256))
+        lu, _, y, info = gesv(A, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0 or not (rcond := gecon(lu, anorm)[0]) > 0.0:
+            return math.inf
+        condition = max(condition, 1.0 / rcond)
+        del A, lu, rhs
+        _unblock(M, g, j, y, X)
+    return condition
+
+
+def _block_modes(M: int, g: int, j: int) -> tuple[slice, slice, bool]:
+    """Block j's l = j and l = -j (mod g), 1 <= l <= M, and whether it is real (2j = 0 mod g)."""
+    return slice(j or g, M + 1, g), slice(-j % g or g, M + 1, g), 2 * j % g == 0
+
+
+def _block(packing: Packing, M: int, g: int, j: int, tables: tuple):
+    """C_g block j of the Galerkin system, Fortran-ordered, and its right-hand sides.
 
     Disk r + k n/g is disk r rotated by 2 pi k/g; w = e^{2 pi i/g}. Block j holds the
     columns that the rotation multiplies by w^j: q^l (l = j mod g) and conj(q)^l
@@ -191,110 +207,128 @@ def _orbit_factor(packing: Packing, M: int, g: int, X: np.ndarray) -> float:
     here as e^{-imt}. In blocks 0 and g/2 the conjugate columns are conj(H), so they
     are solved in real arithmetic as [Re H, Im H] sqrt(2); at g = 1 block 0 is the
     whole system. Its rows are each circle's Fourier coefficients: the outer modes e^{ift},
-    f = j mod g, then each representative's e^{im tau}, |m| <= M, times sqrt(g) (real
-    blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m). On disk r, q^l is sum_a T[r, a, l] e^{ia tau}
-    (``_binomial_table``), p_r^m is e^{-im tau}, and p_k^m, k != r, is (R_k/d)^m sum_a (-1)^a
-    binom(m+a-1, a) (R_r/d)^a e^{ia tau}, d = c_r - c_k (``_translation_table``); on |z| = L,
-    p_k^m is sum_f t_mf e^{-ift} (``_flux_projection``). g is ``_rotation_order(packing)``.
+    f = j mod g, f >= 0 first, then each representative's e^{im tau}, |m| <= M, times
+    sqrt(g) (real blocks: c_0, sqrt(2) Re c_m, sqrt(2) Im c_m). On disk r, q^l is sum_a
+    T[r, a, l] e^{ia tau} (``_binomial_table``), p_r^m is e^{-im tau}, and p_k^m, k != r, is
+    (R_k/d)^m sum_a (-1)^a binom(m+a-1, a) (R_r/d)^a e^{ia tau}, d = c_r - c_k
+    (``_translation_table``); its orbit sums over k at every w^{hk} come from one FFT
+    over k of that table, and block j reads h = j + m and m - j. On |z| = L, p_k^m is
+    sum_f t_mf e^{-ift}, and its orbit sum at the block's modes is sqrt(g) t_mf, as the
+    rotation takes p_r^m's t_mf to p_rk^m's w^{k(f-m)} t_mf.
+    ``tables`` holds these spectra; the columns are them over sqrt(2).
     """
-    n, L = packing.n, packing.L
-    nr, rg, rt2 = n // g, math.sqrt(g), math.sqrt(2)
-    n_basis = (2 * M + 1) + 2 * M * n
-    m, freq, k = np.arange(1, M + 1), np.arange(M + 1), np.arange(g)[:, None]
-    modes = np.r_[0 : M + 1, -M:0]  # |m| <= M in FFT order: mode m is at m % (2M + 1)
-    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    T = _binomial_table(c[:nr] / L, radii[:nr] / L, M)
+    nr, h = packing.n // g, math.sqrt(0.5)
+    (Tq, t, orbits), m = tables, np.arange(1, M + 1)
+    lp, lm, real = _block_modes(M, g, j)
+    a, am, z = len(range(M + 1)[lp]), len(range(M + 1)[lm]), int(j == 0)
+    # Column offsets: q^l at 0, the p sums (r-major), conj(q)^l, theirs, U, 1.
+    p0, cq, cp, u0 = a, a + M * nr, a + M * nr + am, a + 2 * M * nr + am
+    size = u0 + nr + z
+    A = np.zeros((size, size), dtype=float if real else complex, order="F")
+    n0 = size - nr * (2 * M + 1)  # the outer rows, then each representative's 2M + 1
+    disks = A[n0:].reshape(nr, 2 * M + 1, size)
 
-    def rows(S, Sc, f, real):  # spectra of v and conj(vbar) -> f's block rows of their columns
-        if real:  # vbar = v: Re v, Im v, of rows c_0, sqrt(2) Re c_m, sqrt(2) Im c_m (m > 0)
-            S, Sc = S[:, : M + 1], Sc[:, : M + 1]
-            S = np.concatenate([S + Sc, (Sc - S) * 1j], -1) / rt2  # sqrt(2) c_m, m >= 0
-            S = [np.concatenate([a[:, :z].real / rt2, a[:, z:].real, a[:, z:].imag], 1)
-                 for a, z in ((S[:1, f], np.count_nonzero(f == 0)), (S[1:], 1))]
-        else:  # v/sqrt(2), conj(vbar)/sqrt(2)
-            S = np.concatenate([S, Sc], -1) / rt2
-            S = [S[:1, f], S[1:]]
-        return np.concatenate([a.reshape(a.shape[0] * a.shape[1], a.shape[2]) for a in S])
+    # The outer circle: q^l at f = l, conj(q)^l at f = -l; sqrt(g) t_ml of the p sums at
+    # f = -l, and its conjugate of theirs at f = l (real blocks: Re and Im rows of f = l).
+    np.fill_diagonal(A[z : z + a, :a], h)
+    np.fill_diagonal(A[z + a : n0, cq:cp], -h if real else h)
+    tp, tm = (t[:, :, l.start - 1 :: g].transpose(2, 0, 1).reshape(k, nr * M)
+              for l, k in ((lp, a), (lm, am)))
+    if real:
+        A[z : z + a, p0:cq], A[z + a : n0, p0:cq] = h * tp.real, -h * tp.imag
+        A[z : z + a, cp:u0], A[z + a : n0, cp:u0] = h * tp.imag, h * tp.real
+    else:
+        A[a:n0, p0:cq], A[:a, cp:u0] = h * tm, h * tp.conj()
 
-    # Spectra S[circle, mode, l] of sqrt(g) q^l, the outer circle's over sqrt(g).
-    Sq = np.zeros((nr + 1, 2 * M + 1, M), dtype=complex)
-    Sq[0, m, m - 1] = 1.0
-    Sq[1:, : M + 1] = rg * T[:nr, :, 1:]
-    blocks = []
-    for j in range(g // 2 + 1):
-        lp, lm = m[m % g == j] - 1, m[-m % g == j] - 1
-        f = np.concatenate([freq[freq % g == j], -freq[(-freq % g == j) & (freq % g != j)]])
-        # Column offsets: q^l, the p sums (r-major), conj(q)^l, theirs, U, 1.
-        o = np.cumsum([0, lp.size, M * nr, lm.size, M * nr, nr])
-        real = 2 * j % g == 0
-        A = np.zeros((o[-1] + (j == 0),) * 2, dtype=float if real else complex, order="F")
-        A[:, o[0] : o[1]], A[:, o[2] : o[3]] = np.hsplit(
-            rows(Sq[..., lp], Sq[:, -modes][..., lm].conj(), f, real), [lp.size])
-        # Mode 0 of each representative: sum_k w^{jk} U_rk/sqrt(g), and the constant.
-        d0 = lp.size + lm.size + (j == 0) + (2 * M + 1) * np.arange(nr)
-        A[d0, o[4] + np.arange(nr)] = -1.0
-        if j == 0:
-            A[[0, *d0], -1] = [1.0] + [rg] * nr
-        blocks.append((j, lp, lm, f, o, A))
-    # Spectra S of sum_k w^{hk} p_rk^m, a representative r at a time. On the outer circle,
-    # at the modes -f that ``rows`` reads, they are sqrt(g) t_mf, as the rotation takes
-    # p_r^m's t_mf to p_rk^m's w^{k(f-m)} t_mf; on disk r' they sum the coefficients
-    # D[r', k, m, a] of p_rk^m, of e^{ia tau}, with each block's phases w^{hk}.
-    phase = np.exp(2j * math.pi * np.arange(g) / g)
+    def put(v, cv, Z, Zc):
+        """Rows on the disks of the columns v and cv, from the spectra at modes 0..M of
+        the columns v, Z, and of the conjugates' partners, Zc: (n/g, M+1, columns). Real
+        blocks: v and cv are sqrt(2) Re and sqrt(2) Im of the same H, and Zc = Z."""
+        if real:  # rows c_0, sqrt(2) Re c_m, sqrt(2) Im c_m
+            disks[:, 0, v], disks[:, 0, cv] = Z[:, 0].real, Z[:, 0].imag
+            for rows, part, cpart in ((slice(1, M + 1), Z[:, 1:].real, Z[:, 1:].imag),
+                                      (slice(M + 1, None), Z[:, 1:].imag, -Z[:, 1:].real)):
+                np.multiply(part, h, out=disks[:, rows, v])
+                np.multiply(cpart, h, out=disks[:, rows, cv])
+        else:  # modes 0..M, then -M..-1
+            np.multiply(Z, h, out=disks[:, : M + 1, v])
+            for rows, part in ((0, Zc[:, 0]), (slice(M + 1, None), Zc[:, M:0:-1])):
+                np.conjugate(np.multiply(part, h, out=disks[:, rows, cv]), out=disks[:, rows, cv])
+
+    # The disks: q^l, then the p sums of each representative r, from its orbit sums D[r', h,
+    # m - 1, a] = sum_k w^{hk} D of p_{r + kn/g}^m on disk r', made for block 0 and dropped
+    # after block g/2: the p sums at w^{(j+m)k}, and for the conjugates those at w^{(m-j)k}.
+    put(slice(0, a), slice(cq, cp), Tq[:, :, lp], Tq[:, :, lm])
     for r in range(nr):
-        d = c[:nr, None] - c[r::nr]  # c_r' - c_rk, 0 for disk r itself
-        x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0)
-                for R in (radii[r], radii[:nr, None]))
-        D = _translation_table(x, y, M, M)
-        S = np.zeros((2, nr + 1, 2 * M + 1, M), dtype=complex)
-        S[:, 0, -m] = T[r, :M, :M].T * (radii[r] / L * rg)
-        S[:, 1 + r, -m, m - 1] = 1.0  # disk r's own p_r^m is e^{-im tau}
-        for j, _, _, f, o, A in blocks:  # block j's columns: h = j + m and, conjugated, m - j
-            np.einsum("hkm,rkma->hram", phase[k * np.stack([j + m, m - j])[:, None] % g], D,
-                      out=S[:, 1:, : M + 1])
-            R = rows(S[0], S[1][:, -modes].conj(), f, not np.iscomplexobj(A))
-            A[:, np.r_[o[1] : o[1] + M, o[3] : o[3] + M] + r * M] = R
+        if orbits[r] is None:
+            c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+            d = c[:nr, None] - c[r::nr]  # c_r' - c_rk, 0 for disk r itself
+            x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0)
+                    for R in (radii[r], radii[:nr, None]))
+            D = _translation_table(x, y, M, M)
+            orbits[r] = np.fft.ifft(D, axis=1, norm="forward", out=D)
+        D = orbits[r]
+        if j == g // 2:
+            orbits[r] = None
+        Z = D[:, (j + m) % g, m - 1].transpose(0, 2, 1)
+        put(slice(p0 + r * M, p0 + r * M + M), slice(cp + r * M, cp + r * M + M),
+            Z, Z if real else D[:, (m - j) % g, m - 1].transpose(0, 2, 1))
+    # Disk r's own p_r^m at mode -m (real blocks: Re c_m), and conj(p_r^m) at m (Im c_m); U;
+    # the constant.
+    r, rm = np.arange(nr)[:, None], np.arange(nr * M).reshape(nr, M)
+    disks[r, m if real else 2 * M + 1 - m, p0 + rm] += h
+    disks[r, M + m if real else m, cp + rm] += h
+    np.fill_diagonal(disks[:, 0, u0 : u0 + nr], -1.0)
+    if z:
+        A[0, -1], disks[:, 0, -1] = 1.0, math.sqrt(g)
+    # The outer trace e^{ift} (real blocks: cos ft, then sin ft); a block with no outer
+    # mode gets one zero column, as gesv factors nothing without.
+    fs = z + a + (0 if real else am)
+    rhs = np.zeros((size, (1 + real) * max(fs, 1)), dtype=A.dtype, order="F")
+    np.fill_diagonal(rhs[:fs], h if real else 1.0)
+    if real:
+        np.fill_diagonal(rhs[z + a :, max(fs, 1) + z :], -h)
+        rhs[:z, :z] = 1.0
+    return A, rhs
 
-    condition = 1.0
-    while blocks:  # each block is freed once solved
-        j, lp, lm, f, o, A = blocks.pop(0)
-        # The outer trace e^{ift} (real blocks: cos ft, sin ft); a block with no
-        # outer mode gets one zero column, as gesv factors nothing without.
-        real = not np.iscomplexobj(A)
-        Se = np.zeros((nr + 1, 2 * M + 1, max(f.size, 1)), dtype=complex)
-        Se[0, f, np.arange(f.size)] = 1.0 if real else rt2
-        rhs = rows(Se, Se[:, -modes].conj(), f, real)[:, : (1 + real) * Se.shape[2]]
-        gesv, gecon = get_lapack_funcs(("gesv", "gecon"), (A,))
-        anorm = max(np.abs(A[:, i : i + 256]).sum(axis=0).max() for i in range(0, A.shape[1], 256))
-        lu, _, y, info = gesv(A, rhs, overwrite_a=True, overwrite_b=True)
-        if info > 0 or not (rcond := gecon(lu, anorm)[0]) > 0.0:
-            return math.inf
-        condition = max(condition, 1.0 / rcond)
-        del A, lu, rhs
-        y = y[:, : (1 + real) * f.size]
-        if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H)
-            y, h = y[:, : f.size] + 1j * y[:, f.size :], o[2]
-            y = np.concatenate([(y[:h] - 1j * y[h : 2 * h]) / rt2,
-                                (y[:h] + 1j * y[h : 2 * h]) / rt2, y[2 * h :]])
-        # Back to the basis columns, x = T y: q^l = Re + i Im, p^m = c - i d, U and 1 as they are.
-        yq, yp, yqbar, ypbar, yU, yc = np.split(y, o[1:])
-        x = np.zeros((n_basis + n, f.size), dtype=complex)
-        x[1 + lp], x[1 + M + lp] = yq / rt2, 1j * yq / rt2
-        x[1 + lm] += yqbar / rt2
-        x[1 + M + lm] -= 1j * yqbar / rt2
-        yp, ypbar = (a.reshape(nr, M, f.size) / math.sqrt(2 * g) for a in (yp, ypbar))
-        mu = phase[k * (j + m) % g][:, None, :, None] * yp
-        nu = phase[k * (j - m) % g][:, None, :, None] * ypbar
-        inc = x[2 * M + 1 : n_basis].reshape(g, nr, 2, M, f.size)
-        inc[:, :, 0], inc[:, :, 1] = mu + nu, 1j * (nu - mu)
-        U = phase[k * j % g][..., None] * yU / math.sqrt(g)
-        x[n_basis:] = U.reshape(n, f.size)
-        if j == 0:
-            x[0] = yc[0]
-        X[:, np.abs(f)] = x.real
-        X[:, M - f[f < 0]] = -x[:, f < 0].imag
-        X[:, M + f[f > 0]] = x[:, f > 0].imag
-    return condition
+
+def _unblock(M: int, g: int, j: int, y: np.ndarray, X: np.ndarray):
+    """Block j's solution y of its outer modes f into X's columns of cos |f| t and sin |f| t.
+    Back to the basis columns: q^l = Re + i Im, p^m = c - i d, U and 1 as they are; the
+    orbit sums give disk r + kn/g's coefficients w^{k(j+m)} and w^{k(j-m)} those of disk r."""
+    n = X.shape[0] // (2 * M + 1) - 1
+    nr, h = n // g, math.sqrt(0.5)
+    lp, lm, real = _block_modes(M, g, j)
+    a, am, z = len(range(M + 1)[lp]), len(range(M + 1)[lm]), int(j == 0)
+    fs, b = z + a + (0 if real else am), a + M * nr  # the outer modes; the conjugates from b
+    y = y[:, : (1 + real) * fs]
+    if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H)
+        y = y[:, :fs] + 1j * y[:, fs:]
+        y = np.concatenate([(y[:b] - 1j * y[b : 2 * b]) * h, (y[:b] + 1j * y[b : 2 * b]) * h,
+                            y[2 * b :]])
+    x = np.zeros((X.shape[0], fs), dtype=complex)
+    x[lp], x[M + lp.start : 2 * M + 1 : g] = h * y[:a], 1j * h * y[:a]
+    x[lm] += h * y[b : b + am]
+    x[M + lm.start : 2 * M + 1 : g] -= 1j * h * y[b : b + am]
+    # w^{k(j+m)}/sqrt(g), m = -M..M, of disk r + kn/g.
+    w = np.exp(2j * math.pi / g * (np.arange(g)[:, None] * (j + np.arange(-M, M + 1)) % g))
+    w /= math.sqrt(g)
+    mu = w[:, None, M + 1 :, None] * y[a:b].reshape(nr, M, fs)
+    nu = w[:, None, M - 1 :: -1, None] * y[b + am : b + am + M * nr].reshape(nr, M, fs)
+    inc = x[2 * M + 1 : 2 * M + 1 + 2 * M * n].reshape(g, nr, 2, M, fs)
+    np.multiply(mu + nu, h, out=inc[:, :, 0])
+    np.multiply(nu - mu, 1j * h, out=inc[:, :, 1])
+    np.multiply(w[:, M, None, None], y[b + am + M * nr :][:nr],
+                out=x[X.shape[0] - n :].reshape(g, nr, fs))
+    if z:
+        x[0] = y[-1]
+    # X: f = l >= 0 (cos and sin), then f = -l, e^{-ilt} = cos lt - i sin lt.
+    X[:, lp], X[:, M + lp.start : 2 * M + 1 : g] = x[:, z : z + a].real, x[:, z : z + a].imag
+    if not real:
+        X[:, lm] = x[:, a:].real
+        np.negative(x[:, a:].imag, out=X[:, M + lm.start : 2 * M + 1 : g])
+    if z:
+        X[:, 0] = x[:, 0].real
 
 
 @lru_cache(maxsize=1)
@@ -312,7 +346,7 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     An invalid packing raises the error of ``validate_packing``. A refusal
     raises, so it is not cached and a refused packing is refused on every call.
     """
-    n = packing.n
+    n, L = packing.n, packing.L
     if n > 0 and _min_gap_ratio(validate_packing(packing)) < GAP_GUARD:
         raise IllConditionedError(
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
@@ -320,105 +354,168 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
         )
     g = _rotation_order(packing)
     nr, n_basis = n // g, (2 * M + 1) + 2 * M * n
-    # The cuts: the worst column's ratio on |z| = L is max |c|/L, on the disks max R_r/|d|.
+    # The cuts: the worst column's ratio on |z| = L is max |c|/L; on disk r, source k's is R_r/|d|.
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
     d = np.abs(c[:nr, None] - c)
-    near = np.divide(radii[:nr, None], d, out=np.zeros_like(d), where=d > 0)
-    F = M + -(-_cut(np.abs(c).max(initial=0.0) / packing.L, M) // g) * g  # Qg columns
-    A = max(M, _cut(near.max(initial=0.0), M))
+    cuts = np.array([_cut(row, M) for row in np.divide(radii[:nr, None], d, out=np.zeros_like(d),
+                                                        where=d > 0)], dtype=int).reshape(nr, n)
+    Q = -(-int(_cut(np.abs(c).max(initial=0.0) / L, M)) // g)
+    T = _binomial_table(c[:nr] / L, radii[:nr] / L, M)
     # The kept tables come before the matrix, so that the matrix and the
     # solver's workspace lie above them on the heap and can be released.
-    X = np.empty((n_basis + n, 2 * M + 1))
-    outer_tail = np.empty((2 * M + 1, F - M), dtype=complex)
-    disk_tail = np.empty((2 * M + 1, nr, A - M), dtype=complex)
+    X = np.empty((n_basis + n, 2 * M + 1), order="F")
+    outer_tail = np.empty((2 * M + 1, 1 + (g > 2), Q), dtype=complex)
+    disk_tail = np.empty((2 * M + 1, nr, cuts.max(initial=M) - M), dtype=complex)
     dtn = np.empty((2 * M + 1, 2 * M + 1))
-    if not (condition := factor(packing, M, g, X)) <= CONDITION_LIMIT:
+    if not (condition := factor(packing, M, g, T, X)) <= CONDITION_LIMIT:
         raise IllConditionedError(f"Galerkin system condition estimate {condition:.3g} "
                                   f"exceeds {CONDITION_LIMIT:.0e}")
-    _tail_table(packing, M, g, X, outer_tail, disk_tail)
-    # Lambda = sym(G X), with the flux projection G in closed form.
-    form = _flux_projection(packing, M) @ X[:n_basis]
+    form = _flux_projection(M, g, X, _tail_table(packing, M, g, T, X, cuts, outer_tail, disk_tail))
     dtn[...] = 0.5 * (form + form.T)
-    for a in (X, outer_tail, disk_tail, dtn):
+    residue = _residues(np.arange(2 * M + 1), M, g, M + 1)
+    for a in (X, outer_tail, residue, disk_tail, dtn):
         a.flags.writeable = False
-    return _Operator(X, outer_tail, disk_tail, dtn, float(condition), g)
+    return _Operator(X, outer_tail, residue, disk_tail, dtn, float(condition), g)
 
 
-def _cut(rho: float, M: int) -> int:
-    """The last index a kept of the terms binom(m + a - 1, a) rho_k^a (1 - rho_k)^m, a >= 0,
-    of every column m <= M at a ratio rho_k <= rho: they sum to 1, and past it to at most
-    eps, as the largest column's (m = M, rho_k = rho) is stochastically the largest. Past
-    its largest term the ratios r_a = rho (M + a - 1)/a fall, so its terms from a on
-    sum to at most the a-th over 1 - r_a."""
-    size = 0 if rho == 0.0 else int(2 * (M + 32) / (1.0 - rho))
-    while size:
+def _cut(rho, M: int) -> np.ndarray:
+    """For each ratio of rho, the last index a kept of the terms binom(m + a - 1, a)
+    rho_k^a (1 - rho_k)^m, a >= 0, of every column m <= M at a ratio rho_k <= rho: they
+    sum to 1, and past it to at most eps, as the largest column's (m = M, rho_k = rho) is
+    stochastically the largest. Past its largest term the ratios r_a = rho (M + a - 1)/a
+    fall, so its terms from a on sum to at most the a-th over 1 - r_a."""
+    rho = np.asarray(rho, dtype=float)[..., None]
+    size = int(2 * (M + 32) / (1.0 - rho.max(initial=0.0)))
+    while True:
         r = rho * (M + np.arange(size)) / np.arange(1, size + 1)  # r_a, a = 1..size
-        log_term = M * math.log1p(-rho) + np.cumsum(np.log(r))
+        with np.errstate(divide="ignore"):  # rho = 0 keeps a = 0 alone
+            log_term = M * np.log1p(-rho) + np.cumsum(np.log(r), -1)
         done = (r < 1.0) & (log_term - np.log1p(-np.where(r < 1.0, r, 0.0)) <= math.log(_EPS))
-        if done.any():
-            return int(np.argmax(done))
+        if done.any(-1).all():
+            return np.argmax(done, -1)
         size *= 2
-    return 0
 
 
-def _tail_table(packing: Packing, M: int, g: int, X: np.ndarray, outer_tail: np.ndarray,
-                disk_tail: np.ndarray):
-    """The error of each mode's solution X past M, on |z| = L and on the first n/g disks,
-    into the tails T, up to the cuts their shapes give.
-
-    In the solution of e^{ift}, alpha_km and beta_km multiply p_k^m and conj(p_k^m)
-    (the columns Re p_k^m and -Im p_k^m have alpha + beta and i(beta - alpha)). The
-    rotation by 2 pi/g maps it to e^{2 pi i f/g} times itself, so alpha of disk r + kn/g
-    is w^{k(f+m)} that of disk r, and beta w^{k(f-m)} it, w = e^{2 pi i/g}. On disk r'
-    the error is then sum_a P_a e^{ia tau} + N_a e^{-ia tau}, a > M, with P_a = sum_{r,m}
-    alpha_rm Dh[(f+m) % g] and N_a = sum beta_rm conj(Dh[(m-f) % g]), Dh[h] = sum_k w^{hk}
-    D[r + kn/g, m, a] (``_translation_table``). On |z| = L, with t_mf' of disk r + kn/g
-    w^{k(f'-m)} that of disk r, P_f' (of e^{if't}) = g sum beta_rm conj(t_mf') if f' = f
-    and N_f' = g sum alpha_rm t_mf' if f' = -f (mod g); its f' > M are kept as F - M = Qg
-    columns (f' - M - 1) % g * Q + (f' - M - 1) // g. The error of cos ft, the real part, is
-    Re sum T e^{ia tau} with T = P + conj(N); that of sin ft, the imaginary part, has
-    T = -i(P - conj(N)).
-    """
-    n, L, nr = packing.n, packing.L, packing.n // g
-    Q, A, q = outer_tail.shape[1] // g, M + disk_tail.shape[2], -(-(M + 1) // g)
-    F, m, j = M + Q * g, np.arange(1, M + 1), np.arange(g)
-    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    # alpha, beta[j, r * M + m - 1, i] of the representatives in the solution of e^{ift},
-    # f = j + ig.
+def _amplitudes(X: np.ndarray, M: int, g: int):
+    """alpha, beta[j, r * M + m - 1, i]: in the solution of e^{ift}, f = j + ig (zero past
+    M), the coefficients of p_r^m and conj(p_r^m) of each representative r. The columns
+    Re p^m and -Im p^m have alpha + beta and i(beta - alpha)."""
+    nr, q = (X.shape[0] // (2 * M + 1) - 1) // g, -(-(M + 1) // g)
     Xr = X[2 * M + 1 : (2 * M + 1) + 2 * M * nr].reshape(nr, 2, M, 2 * M + 1)
     Xf = np.zeros((nr, 2, M, q * g), dtype=complex)
     Xf[..., : M + 1] = Xr[..., : M + 1]
     Xf[..., 1 : M + 1] += 1j * Xr[..., M + 1 :]
     Xf = Xf.reshape(nr, 2, M, q, g).transpose(1, 4, 0, 2, 3).reshape(2, g, nr * M, q)
-    alpha, beta = (Xf[0] + 1j * Xf[1]) / 2, (Xf[0] - 1j * Xf[1]) / 2
-    # Disk r: D[k, r', m - 1, a] of p^m of disk r' + kn/g. Times w^{km}, its DFT over k
-    # at h = j gives Dh[(j + m) % g], and at h = -j, the DFT's row -j, Dh[(m - j) % g].
-    P, N = np.empty((2, q, g, nr, A - M), dtype=complex)
-    phase, neg = np.exp(2j * math.pi * (np.outer(j, j) % g) / g), -j % g
-    for r in range(nr):
-        d = c[r] - c  # 0 for disk r itself
-        x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0) for R in (radii, radii[r]))
-        D = _translation_table(x, y, M, A)[..., M + 1 :].reshape(g, nr, M, A - M)
-        D = (D * phase[:, None, m % g, None]).reshape(g, -1)
-        D = (phase @ D).reshape(g, nr * M, A - M)
-        P[:, :, r] = np.swapaxes(alpha.transpose(0, 2, 1) @ D, 0, 1)
-        N[:, :, r] = np.swapaxes((beta[neg].conj().transpose(0, 2, 1) @ D)[neg], 0, 1)  # conj(N)
-    P, N = P.reshape(q * g, -1), N.reshape(q * g, -1)  # the modes f = j + ig
-    disk = disk_tail.reshape(2 * M + 1, -1)
-    disk[: M + 1], disk[M + 1 :] = (P + N)[: M + 1], -1j * (P - N)[1 : M + 1]
-    # |z| = L: t_mf' of the representatives at f' = M+1..F; of the modes f = j + ig, P at
-    # f' = j and conj(N) at f' = -j (mod g), (f' - M - 1) % g = rp[j] and rn[j].
-    t = _translation_table(radii[:nr] / L, -c[:nr] / L, M, F - 1)  # t[r, m - 1, f - m]
-    t = np.take_along_axis(t, (M + 1 - m[:, None] + np.arange(Q * g))[None], -1)
-    t = t.conj().reshape(nr * M, Q, g).transpose(2, 0, 1)
-    rp, rn = (j - M - 1) % g, (-j - M - 1) % g
-    Po, No = (g * (ab.transpose(0, 2, 1) @ t[rho]) for rho, ab in ((rp, beta), (rn, alpha.conj())))
-    f = j[:, None] + g * np.arange(q)
-    outer = outer_tail.reshape(2 * M + 1, g, Q)
-    outer[...] = 0.0
-    for rows, k, s in ((f, f <= M, 1.0), (M + f, (f <= M) & (f > 0), -1j)):  # cos ft, sin ft
-        for rho, value in ((rp, s * Po), (rn, np.conj(s) * No)):
-            outer[rows[k], np.broadcast_to(rho[:, None], f.shape)[k]] += value[k]
+    return (Xf[0] + 1j * Xf[1]) / 2, (Xf[0] - 1j * Xf[1]) / 2
+
+
+def _residues(mode: np.ndarray, M: int, g: int, f0: int) -> np.ndarray:
+    """(f - f0) % g and, at g > 2, (-f - f0) % g for each mode (cos ft: f, sin ft: M + f):
+    the residues of f' - f0 at which a mode meets |z| = L."""
+    f = np.where(mode > M, mode - M, mode)
+    return (np.stack([f, -f], -1)[..., : 1 + (g > 2)] - f0) % g
+
+
+def _outer_coefficients(alpha: np.ndarray, beta: np.ndarray, M: int, t: np.ndarray) -> np.ndarray:
+    """C[mode, s, i]: the inclusion part of each mode's solution on |z| = L is Re sum C
+    e^{if't} over f' = 1 + rho_s + g i, rho the mode's ``_residues`` from 1; t[r * M + m - 1, i,
+    rho] is t_mf' of representative r at f' = 1 + rho + g i (conjugated in place). In the
+    solution of e^{ift}, with disk r + kn/g's t_mf' w^{k(f'-m)} that of disk r, P_f' (of
+    e^{if't}) = g sum beta_rm conj(t_mf') if f' = f and N_f' (of e^{-if't}) = g sum
+    alpha_rm t_mf' if f' = -f (mod g) (``_amplitudes``); cos ft has C = P + conj(N), sin ft
+    C = -i(P - conj(N)). Residue rho meets the modes f = 1 + rho and f = -1 - rho (mod g)."""
+    g, q, rho = alpha.shape[0], alpha.shape[2], np.arange(alpha.shape[0])
+    tc = np.conjugate(t, out=t).transpose(2, 0, 1)
+    PN = np.empty((q, g, 2, t.shape[1]), dtype=complex)
+    for s, a, j in ((0, beta, (1 + rho) % g), (1, alpha.conj(), (-1 - rho) % g)):
+        PN[:, j, s] = (a[j].transpose(0, 2, 1) @ tc).transpose(1, 0, 2)
+    PN = g * PN.reshape(q * g, 2, -1)[: M + 1]  # modes f = 0..M
+    C = np.zeros((2 * M + 1, 1 + (g > 2), t.shape[1]), dtype=complex)
+    C[: M + 1, 0], C[M + 1 :, 0] = PN[:, 0], -1j * PN[1:, 0]
+    C[: M + 1, -1] += PN[:, 1]
+    C[M + 1 :, -1] += 1j * PN[1:, 1]
+    return C
+
+
+def _tail_table(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray,
+                cuts: np.ndarray, outer_tail: np.ndarray, disk_tail: np.ndarray):
+    """The error of each mode's solution X past M, on |z| = L and on the first n/g disks,
+    into the tails, up to the cuts; returns the ``_outer_coefficients`` C of f' = 1..M + Qg,
+    whose f' <= M give Lambda (``_flux_projection``).
+
+    On |z| = L a mode of frequency f has terms only at f' = f and f' = -f (mod g), so the
+    outer tail keeps for each mode T[s, i] at f' = M + 1 + (+-f - M - 1) % g + g i, s = 0
+    for +f and 1 for -f (one at g <= 2), i < Q = outer_tail.shape[2]. On disk r' it keeps
+    the terms a > M of the disks k whose own cut ``cuts[r', k]`` passes M: one table takes
+    them all to the second largest of those cuts, one takes those at the largest on to it.
+
+    The error on disk r' is sum_a P_a e^{ia tau} + N_a e^{-ia tau}, a > M: in the solution
+    of e^{ift}, alpha_km and beta_km multiply p_k^m and conj(p_k^m), and the rotation by
+    2 pi/g maps it to e^{2 pi i f/g} times itself, so alpha of disk r + kn/g is w^{k(f+m)}
+    that of disk r and beta w^{k(f-m)} it, w = e^{2 pi i/g}. So P_a = sum_{k,m} alpha_km
+    D_k[m, a] and conj(N_a) = sum conj(beta_km) D_k[m, a], D_k the ``_translation_table``
+    of disk k on disk r'. The error of cos ft, the real part, is Re sum T e^{ia tau} with
+    T = P + conj(N); that of sin ft, the imaginary part, has T = -i(P - conj(N)).
+    """
+    nr, L, Q = packing.n // g, packing.L, outer_tail.shape[2] - (-M // g)
+    m, f, w = np.arange(1, M + 1), np.arange(M + 1), np.exp(2j * math.pi * np.arange(g) / g)
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    # |z| = L: t_mf', f' = 1..Qg, is (R/L) T[m-1, f'-1] up to M, and past it the one
+    # before times (c/L)(f' - 1)/(f' - m).
+    fp = np.arange(M + 1, Q * g + 1)
+    t = np.empty((nr, M, Q * g), dtype=complex)
+    t[..., :M] = radii[:nr, None, None] / L * T[:, :M, :M]
+    np.multiply(c[:nr, None, None] / L, (fp - 1) / (fp - m[:, None]), out=t[..., M:])
+    np.cumprod(t[..., M - 1 :], -1, out=t[..., M - 1 :])
+    alpha, beta = _amplitudes(X, M, g)
+    C = _outer_coefficients(alpha, beta, M, t.reshape(nr * M, Q, g))
+    del t
+    # Past M from i = (M - 1 - rho) // g + 1 on; the rest gives Lambda (``_flux_projection``).
+    i = (M - 1 - _residues(np.arange(2 * M + 1), M, g, 1)) // g + 1
+    outer_tail[...] = np.take_along_axis(C, i[..., None] + np.arange(outer_tail.shape[2]), 2)
+    # Disk r': P and conj(N), a band of a at a time; disk k = r + jn/g's w^{jm} is in its
+    # x = w^j R_k/d.
+    alpha, beta = (a.transpose(2, 0, 1).reshape(a.shape[2] * g, nr, M)[: M + 1]
+                   for a in (alpha, beta.conj()))
+    disk_tail[...] = 0.0
+    for r2 in range(nr):
+        k = np.flatnonzero(cuts[r2] > M)
+        top = cuts[r2, k].max(initial=M)
+        mid = cuts[r2, k][cuts[r2, k] < top].max(initial=M)
+        for k, a0, a1 in ((k, M + 1, mid), (k[cuts[r2, k] == top], mid + 1, top)):
+            if a1 < a0:
+                continue
+            d, j = c[r2] - c[k], k // nr
+            D = _translation_table(w[j] * radii[k] / d, radii[r2] / d, M, a1, a0)
+            P, N = np.empty((2, M + 1, a1 - a0 + 1), dtype=complex)
+            for out, sign, a in ((P, 1, alpha), (N, -1, beta)):
+                a = a[:, k % nr]
+                a *= w[sign * f[:, None] * j % g, None]
+                np.matmul(a.reshape(M + 1, -1), D.reshape(k.size * M, -1), out=out)
+            cols = slice(a0 - M - 1, a1 - M)
+            disk_tail[: M + 1, r2, cols], disk_tail[M + 1 :, r2, cols] = P + N, -1j * (P - N)[1:]
+    return C
+
+
+def _flux_projection(M: int, g: int, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """G X, G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L, from
+    the ``_outer_coefficients`` C of each mode's solution X.
+
+    Domain harmonics (r/L)^f cos/sin(f theta) give pi f on their own mode. On |z| = L
+    the binomial series (R/(z - c))^m = sum_f t_mf (L/z)^f, f >= m, so a mode's inclusion
+    part Re sum C_f e^{ift} has L d/dr -f times it: -pi f Re C_f on cos ft and pi f Im C_f
+    on sin ft; only f <= M meets the modes, and the row of cos 0 is zero.
+    """
+    mode, Q = np.arange(2 * M + 1), -(-M // g)
+    dense = np.zeros((2 * M + 1, g, Q), dtype=complex)  # C at every f' = 1 + rho + g i
+    for s, rho in enumerate(_residues(mode, M, g, 1).T):
+        dense[mode, rho] += C[:, s, :Q]
+    C = dense.transpose(2, 1, 0).reshape(Q * g, 2 * M + 1)[:M]
+    flux = math.pi * np.arange(1, M + 1)[:, None]
+    form = np.zeros((2 * M + 1, 2 * M + 1))
+    form[1 : M + 1] = flux * (X[1 : M + 1] - C.real)
+    form[M + 1 :] = flux * (X[M + 1 : 2 * M + 1] + C.imag)
+    return form
 
 
 @lru_cache(maxsize=None)
@@ -463,22 +560,28 @@ def solve_dirichlet(packing: Packing, psi: FourierPotential, M: int) -> Spectral
 
 
 def _boundary_residual(op: _Operator, c: np.ndarray, K: int, w: np.ndarray) -> float:
-    """An upper bound of the error of mode vector c's solution on every circle, from
-    c's 2K+1 modes and its coefficients w of Re p_k^m and -Im p_k^m.
+    """An upper bound of the truncation error of mode vector c's solution on every circle,
+    from c's 2K+1 modes and its coefficients w of Re p_k^m and -Im p_k^m.
 
     The error on a circle is Re sum T_a e^{ia tau}, a > M, so at most sum |T_a|: the
-    tails' l1 up to the cut, plus the terms past it. A column's terms on disk r sum
-    in modulus to (R_k/(|d| - R_r))^m and on |z| = L to (R_k/(L - |c_k|))^m, both below 1
-    (sum_j binom(m+j-1, j) rho^j = (1 - rho)^-m), and past the cut to at most eps of that
-    (``_cut``): eps times the l1 of w bounds them all. The rotation by 2 pi p/g maps the
-    packing onto itself, so the solution of psi(theta + 2 pi p/g) is that of psi
-    rotated, and its error on representative disk r is that of psi on disk r + pn/g:
-    the tails of all g rotations come from one product with the g ``_rotations`` of c.
+    tails' l1 up to the cut, plus the terms past it. On |z| = L each mode's tail sits at
+    its own residues of f' mod g, so the modes of c are summed at their f' first. A
+    column's terms on disk r sum in modulus to (R_k/(|d| - R_r))^m and on |z| = L to
+    (R_k/(L - |c_k|))^m, both below 1 (sum_j binom(m+j-1, j) rho^j = (1 - rho)^-m), and
+    past the cut to at most eps of that (``_cut``): eps times the l1 of w bounds them all.
+    The rotation by 2 pi p/g maps the packing onto itself, so the solution of
+    psi(theta + 2 pi p/g) is that of psi rotated, and its error on representative disk r
+    is that of psi on disk r + pn/g: the tails of all g rotations come from one product
+    with the g ``_rotations`` of c. The bound covers the truncation of the series, not the
+    rounding of the solve or of summing them: at convergence it can read below a
+    sampled error.
     """
-    idx, (_, nr, cut) = _slots(K, (op.dtn.shape[0] - 1) // 2), op.disk_tail.shape
-    outer = np.abs(c[idx] @ op.outer_tail[idx]).sum()
-    disks = _rotations(c[idx], K, op.order).T @ op.disk_tail[idx].reshape(idx.size, nr * cut)
-    disks = np.abs(disks).reshape(op.order, nr, cut).sum(-1)
+    M, g = (op.dtn.shape[0] - 1) // 2, op.order
+    idx, (_, S, Q), (_, nr, cut) = _slots(K, M), op.outer_tail.shape, op.disk_tail.shape
+    at = np.arange(g)[:, None] == op.outer_residue[idx].ravel()
+    outer = np.abs(at @ (c[idx, None, None] * op.outer_tail[idx]).reshape(idx.size * S, Q)).sum()
+    disks = _rotations(c[idx], K, g).T @ op.disk_tail[idx].reshape(idx.size, nr * cut)
+    disks = np.abs(disks).reshape(g, nr, cut).sum(-1)
     return float(max(outer, disks.max(initial=0.0)) + _EPS * np.abs(w).sum())
 
 

@@ -126,7 +126,7 @@ def reference_galerkin(packing, M):
     return A, B
 
 
-def reference_dense_factor(packing, M, g, X):
+def reference_dense_factor(packing, M, g, T, X):
     """The full Galerkin system in one dense solve, whatever the rotation order g:
     the reference for the oracle's orbit factor. Returns its exact 1-norm condition."""
     G, B = reference_galerkin(packing, M)
@@ -134,7 +134,7 @@ def reference_dense_factor(packing, M, g, X):
     return float(np.linalg.cond(G, 1))
 
 
-def reference_lstsq_factor(packing, M, g, X):
+def reference_lstsq_factor(packing, M, g, T, X):
     """The oversampled collocation system in one least-squares solve: a second
     reference, the factor before the Galerkin projection. Returns its 2-norm condition."""
     A, B = reference_collocation(packing, M)
@@ -158,12 +158,27 @@ def reference_residual(packing, M, X):
                            zip(circle_points(packing, t_outer, t), targets)])
 
 
+def dense_outer_tail(op):
+    """The operator's outer tail of each mode at every f' = M+1..M+Qg, in the order of
+    (f' - M - 1) % g, then (f' - M - 1) // g: a mode of frequency f keeps its columns at
+    f' = f and f' = -f (mod g), one column block of Q each."""
+    M, g = (op.dtn.shape[0] - 1) // 2, op.order
+    dense = np.zeros((2 * M + 1, g, op.outer_tail.shape[2]), dtype=complex)
+    for mode in range(2 * M + 1):
+        f = mode if mode <= M else mode - M
+        for s, sign in enumerate((1, -1)[: op.outer_tail.shape[1]]):
+            assert op.outer_residue[mode, s] == (sign * f - M - 1) % g
+            dense[mode, (sign * f - M - 1) % g] += op.outer_tail[mode, s]
+    return dense.reshape(2 * M + 1, -1)
+
+
 def reference_boundary_residual(op, c, M):
     """The oracle's boundary residual of mode vector c as one product per rotation and
     circle: the largest l1 of the tail of psi(theta + 2 pi p/g), p = 0..g-1, on |z| = L
     and on each representative disk, plus eps times the l1 of psi's coefficients of the
     inclusion harmonics, which bounds every column's terms past the cut."""
     n = op.disk_tail.shape[1] * op.order
+    outer_tail = dense_outer_tail(op)
     inc = (op.coeffs[2 * M + 1 : (2 * M + 1) + 2 * M * n] @ c).reshape(n, 2, M)
     m = np.arange(1, M + 1)
     worst = 0.0
@@ -172,7 +187,7 @@ def reference_boundary_residual(op, c, M):
         cos, sin = np.cos(m * alpha), np.sin(m * alpha)
         a, b = c[1 : M + 1], c[M + 1 :]
         rotated = np.concatenate([c[:1], cos * a + sin * b, cos * b - sin * a])
-        worst = max(worst, float(np.sum(np.abs(rotated @ op.outer_tail))))
+        worst = max(worst, float(np.sum(np.abs(rotated @ outer_tail))))
         for r in range(op.disk_tail.shape[1]):
             worst = max(worst, float(np.sum(np.abs(rotated @ op.disk_tail[:, r]))))
     return worst + np.finfo(float).eps * float(np.sum(np.abs(inc)))

@@ -212,6 +212,18 @@ class TestClassifyBoundary:
         with pytest.raises(DegenerateAngleError):
             analyze(p)
 
+    def test_a_packing_in_boundary_order_keeps_its_object(self, ring8):
+        # Listed by angle, boundary disks first: the renumbering is the identity.
+        assert analyze(ring8).packing is ring8
+        p = Packing(1.0, ring8.inclusions + (Disk(0.0, 0.0, 0.1),))
+        assert analyze(p).packing is p
+
+    def test_a_relabelled_packing_is_renumbered(self, ring8):
+        p = Packing(1.0, ring8.inclusions[::-1])  # clockwise
+        a = analyze(p)
+        assert a.packing is not p
+        assert a.packing == ring8
+
 
 class TestOnePass:
     def test_one_voronoi_per_analyze(self, monkeypatch):

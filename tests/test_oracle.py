@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from conftest import (bidisperse_ring, equal_gap_ring, reference_boundary_residu
 from dtnnet.asymptotics import FourierPotential, _modes, total_energy
 from dtnnet.cli import main
 from dtnnet.errors import DomainError, IllConditionedError, ParseError
-from dtnnet.generators import ring_packing
+from dtnnet.generators import random_packing, ring_packing
 from dtnnet.geometry import Disk, Packing, analyze, load_packing
 from dtnnet.network import build_network
 from dtnnet import oracle
@@ -155,17 +157,18 @@ ORACLE_BATCH = ((16, 0.02, 48), (8, 0.08, 24), (12, 0.05, 32), (8, 0.02, 48),
 
 def lapack_spy(monkeypatch, edit=None):
     """Record every block that the oracle passes to LAPACK gesv (a copy, taken
-    after ``edit`` changed it in place), gesv's info and gecon's rcond."""
+    after ``edit`` changed it in place) and whether it was Fortran-ordered, gesv's info
+    and gecon's rcond."""
     calls = []
     real = oracle.get_lapack_funcs
 
     def funcs(names, arrays):
-        gesv, gecon = real(names, arrays)
+        gesv, gecon, *others = real(names, arrays)
 
         def spy_gesv(a, b, **kwargs):
             if edit is not None:
                 edit(a)
-            calls.append({"block": a.copy()})
+            calls.append({"block": a.copy(), "fortran": a.flags.f_contiguous})
             out = gesv(a, b, **kwargs)
             calls[-1]["info"] = out[3]
             return out
@@ -175,7 +178,7 @@ def lapack_spy(monkeypatch, edit=None):
             calls[-1]["rcond"] = out[0]
             return out
 
-        return spy_gesv, spy_gecon
+        return spy_gesv, spy_gecon, *others
 
     monkeypatch.setattr(oracle, "get_lapack_funcs", funcs)
     return calls
@@ -341,7 +344,7 @@ class TestRingFactor:
     def test_matches_the_dense_factor(self, p, M):
         blocks, dense = oracle._operator(p, M), reference_operator(p, M)
         for a, b in ((blocks.coeffs, dense.coeffs), (blocks.dtn, dense.dtn)):
-            assert rel(a, b) <= 1e-10
+            assert rel(a, b) <= 1e-13  # 3.2e-14 at worst, on the n16-gap0.02 ring
         # The tails, from the dense solution's coefficients of the same harmonics.
         for a, b in ((blocks.outer_tail, dense.outer_tail), (blocks.disk_tail, dense.disk_tail)):
             assert a.shape == b.shape
@@ -427,7 +430,8 @@ class TestRingFactor:
     # and cos 4 theta): 5 % on the oracle_batch rings that perfbench checks it on.
     BOUND = {**{key: (p, M, 2.0) for key, (p, M, _) in ALL.items()},
              **{f"oracle_batch-{n}-{t}-M{M}": (equal_gap_ring(n, t), M, 1.05)
-                for n, t, M in ORACLE_BATCH}}
+                for n, t, M in ORACLE_BATCH},
+             "random-20-M32": (random_packing(20, 0.08, 0.01, seed=1), 32, 2.0)}
 
     @pytest.mark.parametrize("p, M, ratio", BOUND.values(), ids=BOUND.keys())
     def test_boundary_residual_bounds_the_sampled_error(self, p, M, ratio):
@@ -458,7 +462,9 @@ class TestRingFactor:
             assert oracle._operator(p, M).dtn.shape == (2 * M + 1,) * 2
             sol = solve_dirichlet(p, TestOperatorReuse.MIXED, M)
             assert sol.boundary_residual > 0.0
-            assert cross_form_oracle(p, TestOperatorReuse.MIXED, self.PSIS[1], M) != 0.0
+            # MIXED has a cos theta part, so its cross form with cos theta is not zero; with
+            # sin 2 theta it is zero on the 12-disk ring, which y -> -y maps onto itself.
+            assert cross_form_oracle(p, TestOperatorReuse.MIXED, self.PSIS[0], M) != 0.0
             assert oracle.dtn_oracle(p, 4, M).shape == (9, 9)
 
     def test_twelve_disk_ring_is_factored_as_c12(self, monkeypatch):
@@ -497,6 +503,97 @@ class TestRingFactor:
         assert main(["gen", "ring", "--n", str(n), "--ring-radius", "0.8",
                      "--disk-radius", "0.1", "--out", path]) == 0
         assert oracle._rotation_order(load_packing(path)) == n
+
+
+class TestColdBuild:
+    """The operator built from cold: orbit sums from one FFT per representative, the C_g
+    blocks assembled, solved and freed one at a time, and tails only where they are kept."""
+
+    # Beyond the TestRingFactor cases, which test_matches_the_dense_factor checks alike.
+    AGREE = {**{f"oracle_batch-{n}-{t}-M{M}": (equal_gap_ring(n, t), M)
+                for n, t, M in ORACLE_BATCH},
+             "random-20-M32": (random_packing(20, 0.08, 0.01, seed=1), 32)}
+
+    @pytest.mark.parametrize("p, M", AGREE.values(), ids=AGREE.keys())
+    def test_agrees_with_the_dense_reference(self, p, M):
+        # The dense Galerkin solve with sampled projections agrees to 3.0e-14 at worst here.
+        op, dense = oracle._operator(p, M), reference_operator(p, M)
+        for a, b in ((op.coeffs, dense.coeffs), (op.dtn, dense.dtn)):
+            assert rel(a, b) <= 1e-13
+
+    # The condition estimate and the boundary residuals of cos theta, cos 2 theta and
+    # cos 4 theta as the per-block einsum factor built them, before the orbit FFT: the
+    # oracle_batch rings, the 20-disk random packing (g = 1) at M = 32, and criterion 5's
+    # 4-disk ring at M = 258, whose residual is the eps term at convergence.
+    PINNED = {
+        "16-0.02-48": (equal_gap_ring(16, 0.02), 48, 213.01955435938305,
+                       (0.023532769629208198, 0.06419402210157865, 0.12344233838005875)),
+        "8-0.08-24": (equal_gap_ring(8, 0.08), 24, 50.1542351673434,
+                      (0.011031766958188633, 0.020301188306498893, 0.025419725513687756)),
+        "12-0.05-32": (equal_gap_ring(12, 0.05), 32, 91.88405338622567,
+                       (0.015230444809498799, 0.03766454467458239, 0.043942059448839464)),
+        "8-0.02-48": (equal_gap_ring(8, 0.02), 48, 140.20501690091268,
+                      (0.012271980226942177, 0.02451633096529151, 0.03172835691479411)),
+        "16-0.08-24": (equal_gap_ring(16, 0.08), 24, 76.3569354106347,
+                       (0.015854750520808102, 0.0425786382940577, 0.08178589914265666)),
+        "12-0.08-24": (equal_gap_ring(12, 0.08), 24, 62.899778768054865,
+                       (0.019637894174108644, 0.043613555547194593, 0.06716374689325202)),
+        "8-0.05-32": (equal_gap_ring(8, 0.05), 32, 71.7250318193089,
+                      (0.009268812264650733, 0.017695519616673865, 0.022496895514375063)),
+        "random-20-M32": (random_packing(20, 0.08, 0.01, seed=1), 32, 441.00000000000057,
+                          (0.0027349293665544744, 0.006029245330577133, 0.010568263516057922)),
+        "criterion-5-M258": (equal_gap_ring(4, 0.05), 258, 57.925675660959975,
+                             (2.968033688845497e-15, 4.304173249621244e-15, 1.499986672579302e-15)),
+    }
+
+    @pytest.mark.parametrize("p, M, condition, residuals", PINNED.values(), ids=PINNED.keys())
+    def test_condition_and_residual_as_before(self, p, M, condition, residuals):
+        op = oracle._operator(p, M)
+        assert op.condition == pytest.approx(condition, rel=1e-10)
+        for k, residual in zip((1, 2, 4), residuals):
+            bound = solve_dirichlet(p, FourierPotential.single_cos(k), M).boundary_residual
+            assert bound == pytest.approx(residual, rel=1e-12)
+
+    def test_criterion_5_ring_keeps_its_dtn_matrix(self):
+        # Its dense reference takes 5 s and 0.4 GB, so its Lambda is pinned instead: the
+        # diagonal at cos theta, cos 2 theta, cos 4 theta and sin 8 theta.
+        M = 258
+        dtn = oracle._operator(equal_gap_ring(4, 0.05), M).dtn
+        expected = (25.385009275162083, 51.689681607659395, 29.932305062571224,
+                    49.578320077670135)
+        assert np.diagonal(dtn)[[1, 2, 4, 8]] == pytest.approx(expected, rel=1e-13)
+
+    def test_build_memory(self):
+        # With the blocks made and freed one at a time, and each mode's outer tail kept only
+        # at its own residues, the (16, 0.02, 48) build stays under these (6.55 MB and
+        # 2.47 MiB with every block held and a dense outer tail).
+        p, M = equal_gap_ring(16, 0.02), 48
+        oracle._operator.cache_clear()
+        oracle._operator(p, M)
+        oracle._operator.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = oracle._operator(p, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3e6
+        assert sum(a.nbytes for a in op if isinstance(a, np.ndarray)) <= 1.6 * 2**20
+
+    def test_one_binomial_table_and_gesv_per_block(self, monkeypatch):
+        tables, real = [], oracle._binomial_table
+        monkeypatch.setattr(oracle, "_binomial_table", lambda *a: tables.append(a) or real(*a))
+        calls = lapack_spy(monkeypatch)
+        for p, M, g in [(equal_gap_ring(16, 0.02), 48, 16), (two_ring_packing(), 24, 4),
+                        (random_packing(20, 0.08, 0.01, seed=1), 32, 1)]:
+            oracle._operator.cache_clear()
+            tables.clear()
+            calls.clear()
+            assert oracle._operator(p, M).order == g
+            assert len(tables) == 1
+            assert [c["block"].shape for c in calls] == block_sizes(p.n, M, g)
+            assert all(c["fortran"] for c in calls)  # gesv factors it in place
 
 
 class TestGapQuadrature:
