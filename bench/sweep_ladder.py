@@ -117,7 +117,7 @@ def time_network(analysis) -> dict:
         builds.append(time.perf_counter() - t0)
         for times, call in zip(stages.values(), (
                 lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
-                lambda: asymptotics.cosine_sweep(np.arange(1, 101), analysis, net),
+                lambda: list(asymptotics.cosine_sweep(np.arange(1, 101), analysis, net)),
                 lambda: network.dtn_matrix(net),
                 lambda: network.interior_gap_energy(net, u_gamma),
                 lambda: asymptotics.total_energy_decomposed(5, analysis, net))):

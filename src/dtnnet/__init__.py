@@ -4,13 +4,11 @@ from .asymptotics import (
     EnergyBreakdown,
     FourierPotential,
     boundary_excitation,
-    boundary_layer_energy,
     reference_energy,
     regime_classify,
     regime_estimate,
     resonance_general,
     resonance_mode,
-    resonance_single,
     total_energy,
     total_energy_decomposed,
 )
@@ -38,7 +36,6 @@ from .oracle import (
     SpectralSolution,
     cross_form_oracle,
     gap_energy_quadrature,
-    gap_energy_quadrature_wall,
     max_principle_check,
     quad_form_oracle,
     solve_dirichlet,
@@ -56,7 +53,6 @@ __all__ = [
     "ZetaConstants",
     "analyze",
     "boundary_excitation",
-    "boundary_layer_energy",
     "build_network",
     "classify_boundary",
     "compute_adjacency",
@@ -64,7 +60,6 @@ __all__ = [
     "cross_form_oracle",
     "dtn_matrix",
     "gap_energy_quadrature",
-    "gap_energy_quadrature_wall",
     "interior_gap_energy",
     "load_packing",
     "max_principle_check",
@@ -76,7 +71,6 @@ __all__ = [
     "regime_estimate",
     "resonance_general",
     "resonance_mode",
-    "resonance_single",
     "save_packing",
     "scale_report",
     "solve_dirichlet",

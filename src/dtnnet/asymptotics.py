@@ -10,11 +10,11 @@ boundary gaps.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .geometry import GeometryAnalysis
 from .network import (
     Network, _checked_psi, dtn_matrix, energy_factor, interior_gap_energy, net_energy,
@@ -145,8 +145,8 @@ def _poly(x: np.ndarray) -> np.ndarray:
     """sqrt(x / pi) Li_{1/2}(e^{-x}) elementwise, with its limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
-    nonzero = x != 0.0  # negative x reaches polylog_half, which rejects it
-    out[nonzero] = np.sqrt(x[nonzero] / math.pi) * polylog_half(x[nonzero])
+    nonzero = x != 0.0  # negative x reaches polylog_half, which rejects it before the sqrt
+    out[nonzero] = polylog_half(x[nonzero]) * np.sqrt(x[nonzero] / math.pi)
     return out
 
 
@@ -157,15 +157,6 @@ def _resonance_table(analysis: GeometryAnalysis, sigmas, ks) -> np.ndarray:
     x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
     damp = np.exp(-2.0 * k * analysis._damping_rates[:, None])
     return 0.25 * np.reshape(sigmas, (-1, 1)) * (_poly(x) - damp)
-
-
-def resonance_single(
-    i: int, k: int, analysis: GeometryAnalysis, sigma_i: float
-) -> float:
-    """Anomalous energy of mode k in the gap behind boundary inclusion i."""
-    if k < 0:
-        raise DomainError(f"frequency must be nonnegative, got {k}")
-    return float(_resonance_table(analysis, sigma_i, [k])[i, 0])
 
 
 def resonance_mode(k: int, analysis: GeometryAnalysis, network: Network) -> float:
@@ -218,35 +209,28 @@ _SWEEP_BLOCK = 128  # frequencies per block, so memory stays O(n_b * 128)
 
 def cosine_sweep(
     ks: np.ndarray, analysis: GeometryAnalysis | None, network: Network | None
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """Rows (k, epsilon, eta, regime, E_net, E_ref, R_res, total, quad_form) of
     the single modes cos(k theta), k in ks: the diagonal of Lambda_asym, from
     the network's energy factor on each block of the cosine columns of B and
-    the column sums of the resonance table."""
+    the column sums of the resonance table. Each block's rows are yielded
+    before the next block is computed."""
     ks = np.asarray(ks)
-    e_ref = 0.5 * math.pi * ks
-    e_net, r_res = np.zeros((2, len(ks)))
-    if analysis is None or network is None:
-        modes = [ModeRegime(int(k), 0.0, 0.0, 2) for k in ks]
-    else:
-        for lo in range(0, len(ks), _SWEEP_BLOCK):
-            kb = ks[lo : lo + _SWEEP_BLOCK]
+    for lo in range(0, len(ks), _SWEEP_BLOCK):
+        kb = ks[lo : lo + _SWEEP_BLOCK]
+        e_ref = 0.5 * math.pi * kb
+        if analysis is None or network is None:
+            e_net = r_res = np.zeros(len(kb))
+            modes = [ModeRegime(int(k), 0.0, 0.0, 2) for k in kb]
+        else:
             B = np.cos(np.multiply.outer(analysis.boundary_angles, kb)) * _damping(analysis, kb)
             G = energy_factor(network, B)
-            e_net[lo : lo + len(kb)] = 0.5 * np.einsum("ij,ij->j", G, G)
-            r_res[lo : lo + len(kb)] = _resonance_table(
-                analysis, network.boundary_sigmas, kb).sum(axis=0)
-        scales = characteristic_scales(analysis)
-        modes = [_classify(int(k), scales, analysis.packing.L) for k in ks]
-    total = e_net + e_ref + r_res
-    return [(m.k, m.epsilon, m.eta, m.regime, *map(float, row))
-            for m, *row in zip(modes, e_net, e_ref, r_res, total, 2.0 * total)]
-
-
-def characteristic_scales(analysis: GeometryAnalysis) -> tuple[float, float]:
-    """(delta_char, R_char): geometric-mean gap and arithmetic-mean radius, computed once
-    per analysis."""
-    return analysis._scales
+            e_net = 0.5 * np.einsum("ij,ij->j", G, G)
+            r_res = _resonance_table(analysis, network.boundary_sigmas, kb).sum(axis=0)
+            modes = [_classify(int(k), analysis._scales, analysis.packing.L) for k in kb]
+        total = e_net + e_ref + r_res
+        yield from ((m.k, m.epsilon, m.eta, m.regime, *map(float, row))
+                    for m, *row in zip(modes, e_net, e_ref, r_res, total, 2.0 * total))
 
 
 def _classify(k: int, scales: tuple[float, float], L: float) -> ModeRegime:
@@ -263,7 +247,7 @@ def _classify(k: int, scales: tuple[float, float], L: float) -> ModeRegime:
 
 
 def regime_classify(k: int, analysis: GeometryAnalysis) -> ModeRegime:
-    return _classify(k, characteristic_scales(analysis), analysis.packing.L)
+    return _classify(k, analysis._scales, analysis.packing.L)
 
 
 def total_energy(
@@ -282,7 +266,7 @@ def total_energy(
     else:
         e_net = net_energy(network, boundary_excitation(psi, analysis))
         r_res = resonance_general(psi, analysis, network)
-        scales = characteristic_scales(analysis)
+        scales = analysis._scales
         per_mode = tuple(
             _classify(k, scales, analysis.packing.L) for k in range(psi.K + 1)
         )
@@ -309,7 +293,7 @@ def regime_estimate(
 ) -> RegimeEstimate:
     """Leading-order single-mode energy with the negligible terms dropped:
     the terms of the ``cosine_sweep`` row of cos(k theta) that its regime keeps."""
-    _, eps, eta, regime, e_net, e_ref, _, total, _ = cosine_sweep([k], analysis, network)[0]
+    _, eps, eta, regime, e_net, e_ref, _, total, _ = next(cosine_sweep([k], analysis, network))
     approx = (e_net + e_ref, e_ref, total)[regime - 1]
     desc = (
         "network-dominated: resonance dropped, "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -158,6 +159,8 @@ def cmd_sweep(args) -> int:
         raise ParseError(f"bad sweep range [{args.k_from}, {args.k_to}]")
     _, analysis, net = _load_geometry(args.packing, args.mode, args.delta_max_edge)
     rows = asymptotics.cosine_sweep(np.arange(args.k_from, args.k_to + 1), analysis, net)
+    # The first block is computed before the output opens: a sweep that fails writes nothing.
+    first = next(rows)
     header = [
         "k", "epsilon", "eta", "regime",
         "E_net", "E_ref", "R_res", "total", "quad_form",
@@ -165,7 +168,7 @@ def cmd_sweep(args) -> int:
     with _output(args.out) as target:
         writer = csv.writer(target)
         writer.writerow(header)
-        for row in rows:
+        for row in itertools.chain([first], rows):
             writer.writerow(
                 [row[0]] + [FLOAT_FMT % v for v in row[1:3]] + [row[3]]
                 + [FLOAT_FMT % v for v in row[4:]]

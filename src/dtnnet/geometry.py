@@ -74,14 +74,10 @@ class GeometryAnalysis:
         return np.sqrt(2.0 * radii * self.boundary_gaps) / self.packing.L
 
     @cached_property
-    def _scales(self) -> tuple[float, float]:  # see asymptotics.characteristic_scales
+    def _scales(self) -> tuple[float, float]:
+        """(delta_char, R_char): the geometric-mean gap and the arithmetic-mean radius."""
         gaps = np.concatenate([self.gap_widths, self.boundary_gaps])
         return float(np.exp(np.mean(np.log(gaps)))), float(np.mean(self.packing.radii()))
-
-    @property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Each disk's neighbors: the other ends of its gap edges."""
-        return _neighbor_sets(self.packing.n, self.gap_edges.tolist())
 
 
 @dataclass(frozen=True)
@@ -93,21 +89,6 @@ class ScaleReport:
     ratio_delta_R: float
     ratio_R_L: float
     warnings: tuple[str, ...] = field(default=())
-
-
-def _pair_gaps(packing: Packing, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Disk pairs (i < j) and their gaps, covering every gap below ``reach``.
-
-    A KD-tree lists the center pairs within 2 R_max + reach; the 0.1 % margin
-    keeps pairs at exactly that distance despite rounding in the tree.
-    """
-    centers = packing.centers()
-    radii = packing.radii()
-    tree = cKDTree(centers)
-    pairs = tree.query_pairs(1.001 * (2.0 * radii.max() + reach), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
-    return pairs, d - radii[i] - radii[j]
 
 
 def validate_packing(packing: Packing) -> Packing:
@@ -127,8 +108,12 @@ def validate_packing(packing: Packing) -> Packing:
     outside = np.nonzero(norms + radii >= packing.L)[0]
     if outside.size:
         raise OutsideDomainError(int(outside[0]))
-    pairs, gaps = _pair_gaps(packing, 0.0)
-    touching = pairs[gaps <= 0.0].tolist()
+    # Only disk pairs (i < j) whose centers lie within 2 R_max can touch; the 0.1 %
+    # margin keeps pairs at exactly that distance despite rounding in the KD-tree.
+    pairs = cKDTree(centers).query_pairs(1.001 * 2.0 * radii.max(), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+    touching = pairs[d - radii[i] - radii[j] <= 0.0].tolist()
     if touching:
         raise OverlapError(*min(map(tuple, touching)))
     return packing
@@ -175,18 +160,13 @@ def _clipped_voronoi(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(sites[real & near], axis=1), boundary[:n]
 
 
-def _neighbor_sets(n: int, pairs) -> tuple[frozenset[int], ...]:
-    """Neighbor sets of n disks from an iterable of pairs (i, j)."""
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pairs:
+def compute_adjacency(packing: Packing) -> tuple[frozenset[int], ...]:
+    """Voronoi neighbor sets of the inclusion centers, clipped to the domain."""
+    neighbors: list[set[int]] = [set() for _ in range(packing.n)]
+    for i, j in _clipped_voronoi(packing)[0].tolist():
         neighbors[i].add(j)
         neighbors[j].add(i)
     return tuple(frozenset(s) for s in neighbors)
-
-
-def compute_adjacency(packing: Packing) -> tuple[frozenset[int], ...]:
-    """Voronoi neighbor sets of the inclusion centers, clipped to the domain."""
-    return _neighbor_sets(packing.n, _clipped_voronoi(packing)[0].tolist())
 
 
 def classify_boundary(packing: Packing) -> GeometryAnalysis:

@@ -40,7 +40,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .asymptotics import FourierPotential, _mode_vector, _slots
 from .errors import DomainError, IllConditionedError
-from .geometry import Packing, _pair_gaps, validate_packing
+from .geometry import Packing, validate_packing
 
 CONDITION_LIMIT = 1e14
 GAP_GUARD = 1e-3  # refuse solves below delta_min / R_min = 1e-3
@@ -137,20 +137,6 @@ class _Operator(NamedTuple):
     dtn: np.ndarray  # (2M+1, 2M+1): Lambda, c_a^T Lambda c_b is the DtN form
     condition: float
     order: int  # g: a rotation by 2 pi/g maps the packing onto itself
-
-
-def _min_gap_ratio(packing: Packing) -> float:
-    """delta_min / R_min over the boundary gaps and the pairs near the guard.
-
-    Pairs beyond the reach of the KD-tree query have gaps above
-    GAP_GUARD * R_min, so the comparison with GAP_GUARD is exact.
-    """
-    centers = packing.centers()
-    radii = packing.radii()
-    r_min = radii.min()
-    boundary = packing.L - np.hypot(centers[:, 0], centers[:, 1]) - radii
-    _, pair_gaps = _pair_gaps(packing, GAP_GUARD * r_min)
-    return min(boundary.min(), pair_gaps.min(initial=np.inf)) / r_min
 
 
 def _rotation_order(packing: Packing) -> int:
@@ -347,16 +333,22 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     raises, so it is not cached and a refused packing is refused on every call.
     """
     n, L = packing.n, packing.L
-    if n > 0 and _min_gap_ratio(validate_packing(packing)) < GAP_GUARD:
+    if n > 0:
+        validate_packing(packing)
+    g = _rotation_order(packing)
+    nr, n_basis = n // g, (2 * M + 1) + 2 * M * n
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
+    d = np.abs(c[:nr, None] - c)
+    # The guard's delta_min / R_min. The rotation takes every pair to a pair of a representative,
+    # within the 64 eps L that _rotation_order allows, so d holds every pair distance; d = 0
+    # is a representative with itself.
+    if n > 0 and min(np.where(d > 0, d - radii[:nr, None] - radii, np.inf).min(),
+                     (L - np.abs(c) - radii).min()) / radii.min() < GAP_GUARD:
         raise IllConditionedError(
             f"delta_min/R_min below {GAP_GUARD}: the dense basis cannot resolve "
             "this regime; use the asymptotic formula instead"
         )
-    g = _rotation_order(packing)
-    nr, n_basis = n // g, (2 * M + 1) + 2 * M * n
     # The cuts: the worst column's ratio on |z| = L is max |c|/L; on disk r, source k's is R_r/|d|.
-    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    d = np.abs(c[:nr, None] - c)
     cuts = np.array([_cut(row, M) for row in np.divide(radii[:nr, None], d, out=np.zeros_like(d),
                                                         where=d > 0)], dtype=int).reshape(nr, n)
     Q = -(-int(_cut(np.abs(c).max(initial=0.0) / L, M)) // g)
@@ -604,33 +596,22 @@ def dtn_oracle(packing: Packing, K: int, M: int) -> np.ndarray:
     return _checked_operator(packing, M, K).dtn[np.ix_(idx, idx)]
 
 
-def _gap_energy(delta: float, radii: tuple[float, ...]) -> float:
-    """(1/2) integral of dx / h(x) over |x| <= min(radii), where the gap height
-    h is delta plus the sag R (1 - sqrt(1 - (x/R)^2)) of each curved side R."""
+def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:
+    """(1/2) integral of dx / h(x) across the gap between two disks, over |x| <=
+    min(R_i, R_j), where the gap height h is delta plus the sag R (1 - sqrt(1 -
+    (x/R)^2)) of each curved side R."""
+    if not (R_i > 0 and R_j > 0 and delta > 0):
+        raise DomainError("radii and gap width must be positive")
 
     def inv_h(x):
         h = delta
-        for R in radii:
+        for R in (R_i, R_j):
             h = h + R * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - (x / R) ** 2)))
         return 1.0 / h
 
-    X = min(radii)
+    X = min(R_i, R_j)
     val, _ = scipy.integrate.quad(inv_h, -X, X, epsabs=0.0, epsrel=1e-10, limit=200)
     return 0.5 * val
-
-
-def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:
-    """(1/2) integral of dx / h(x) across the gap between two disks."""
-    if not (R_i > 0 and R_j > 0 and delta > 0):
-        raise DomainError("radii and gap width must be positive")
-    return _gap_energy(delta, (R_i, R_j))
-
-
-def gap_energy_quadrature_wall(R: float, delta: float) -> float:
-    """Flat-wall variant: disk of radius R at distance delta from a wall."""
-    if not (R > 0 and delta > 0):
-        raise DomainError("radius and gap width must be positive")
-    return _gap_energy(delta, (R,))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from dtnnet.asymptotics import (
     regime_estimate,
     resonance_general,
     resonance_mode,
-    resonance_single,
     total_energy,
     total_energy_decomposed,
 )
@@ -107,12 +106,12 @@ class TestReferenceEnergy:
 class TestResonance:
     def test_zero_mode(self, ring8):
         a = analyze(ring8)
-        assert resonance_single(0, 0, a, 10.0) == 0.0
+        assert asymptotics._resonance_table(a, 10.0, [0])[0, 0] == 0.0
 
     def test_negative_mode_rejected(self, ring8):
         a = analyze(ring8)
-        with pytest.raises(DomainError):
-            resonance_single(0, -1, a, 10.0)
+        with pytest.raises(DomainError):  # from polylog_half
+            resonance_mode(-1, a, build_network(a))
 
     def test_composition(self, ring8):
         a = analyze(ring8)
@@ -125,7 +124,8 @@ class TestResonance:
             math.sqrt(x / math.pi) * polylog_half(x)
             - math.exp(-2.0 * k * math.sqrt(2.0 * 0.1 * delta) / a.packing.L)
         )
-        assert resonance_single(i, k, a, sig) == pytest.approx(expected, rel=1e-13)
+        got = asymptotics._resonance_table(a, sig, [k])[i, 0]
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_small_in_regime_one(self, ring8):
         a = analyze(ring8)
@@ -133,7 +133,7 @@ class TestResonance:
         for k in range(1, 6):
             sig = float(net.boundary_sigmas[0])
             eps = k * float(a.boundary_gaps[0]) / a.packing.L
-            assert abs(resonance_single(0, k, a, sig)) <= sig * math.sqrt(eps)
+            assert abs(asymptotics._resonance_table(a, sig, [k])[0, 0]) <= sig * math.sqrt(eps)
 
     def test_single_mode_collapse(self, ring8):
         a = analyze(ring8)
@@ -315,7 +315,7 @@ class TestDtnMatrix:
     def test_sweep_rows_match_single_mode_totals(self, ring8):
         a = analyze(ring8)
         net = build_network(a)
-        rows = cosine_sweep(np.arange(101), a, net)
+        rows = list(cosine_sweep(np.arange(101), a, net))
         for k, row in enumerate(rows):
             bd = total_energy(FourierPotential.single_cos(k), a, net)
             mode = bd.per_mode[k]
@@ -328,7 +328,7 @@ class TestDtnMatrix:
     def test_wide_sweep_matches_single_mode_totals_across_blocks(self, ring8):
         a = analyze(ring8)
         net = build_network(a)
-        rows = cosine_sweep(np.arange(1001), a, net)
+        rows = list(cosine_sweep(np.arange(1001), a, net))
         assert [row[0] for row in rows] == list(range(1001))
         for k in (127, 128, 129, 255, 256, 600, 1000):
             bd = total_energy(FourierPotential.single_cos(k), a, net)
@@ -346,7 +346,7 @@ class TestDtnMatrix:
         ks = np.arange(1, 4001)
         tracemalloc.start()
         try:
-            rows = cosine_sweep(ks, a, net)
+            rows = list(cosine_sweep(ks, a, net))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -356,7 +356,7 @@ class TestDtnMatrix:
 
 def assert_is_sweep_row(est, k, a, net):
     """regime_estimate(k) is the cosine_sweep row of k, less the terms its regime drops."""
-    _, eps, eta, regime, e_net, e_ref, _, total, _ = cosine_sweep([k], a, net)[0]
+    _, eps, eta, regime, e_net, e_ref, _, total, _ = next(cosine_sweep([k], a, net))
     assert (est.regime.k, est.regime.epsilon, est.regime.eta, est.regime.regime) == (
         k, eps, eta, regime)
     assert est.approx_total == (e_net + e_ref, e_ref, total)[regime - 1]

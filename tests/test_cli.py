@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,9 +221,10 @@ class TestDegenerateInputs:
         # No gap of the 61-disk grid is below 0.001: every interior disk floats.
         path = str(tmp_path / "grid61.json")
         save_packing(grid_packing(0.1, 0.02), path)
-        code, _, err = run(capsys, command[0], "--packing", path, *command[1:],
-                           "--delta-max-edge", "0.001")
+        code, out, err = run(capsys, command[0], "--packing", path, *command[1:],
+                             "--delta-max-edge", "0.001")
         assert code == 3
+        assert out == ""
         assert json.loads(err)["error"] == "SingularSystemError"
 
     @pytest.mark.parametrize(
@@ -347,6 +349,23 @@ class TestSweep:
                            "--k-from", "5", "--k-to", "2")
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
+
+    def test_wide_sweep_memory_is_bounded(self, tmp_path, capsys):
+        # Each block of rows is written before the next is computed: holding all 20 000
+        # rows before writing any peaks near 9.5 MB here.
+        path, out = str(tmp_path / "grid61.json"), tmp_path / "sweep.csv"
+        save_packing(grid_packing(0.1, 0.02), path)
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--packing", path, "--k-from", "1", "--k-to", "20000",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(out.read_text().splitlines()) == 20001
+        assert peak < 6e6
 
 
 class TestValidate:

@@ -15,11 +15,10 @@ from dtnnet.errors import DomainError, IllConditionedError, ParseError
 from dtnnet.generators import random_packing, ring_packing
 from dtnnet.geometry import Disk, Packing, analyze, load_packing
 from dtnnet.network import build_network
-from dtnnet import oracle
+from dtnnet import geometry, oracle
 from dtnnet.oracle import (
     cross_form_oracle,
     gap_energy_quadrature,
-    gap_energy_quadrature_wall,
     max_principle_check,
     quad_form_oracle,
     solve_dirichlet,
@@ -595,6 +594,15 @@ class TestColdBuild:
             assert [c["block"].shape for c in calls] == block_sizes(p.n, M, g)
             assert all(c["fortran"] for c in calls)  # gesv factors it in place
 
+    def test_one_pair_search_per_cold_build(self, monkeypatch):
+        # validate_packing's KD-tree is the only one: the gap guard reads the pair
+        # distances that the cuts use.
+        trees, real = [], geometry.cKDTree
+        monkeypatch.setattr(geometry, "cKDTree", lambda *a: trees.append(a) or real(*a))
+        oracle._operator.cache_clear()
+        oracle._operator(RING8, 16)
+        assert len(trees) == 1
+
 
 class TestGapQuadrature:
     def test_matches_sqrt_law_up_to_constant(self):
@@ -606,10 +614,6 @@ class TestGapQuadrature:
     def test_wide_gap_limit(self):
         val = gap_energy_quadrature(1.0, 1.0, 100.0)
         assert val == pytest.approx(1.0 / 100.0, rel=0.05)
-
-    def test_wall_variant(self):
-        val = gap_energy_quadrature_wall(1.0, 0.02)
-        assert abs(val - 5.0 * math.pi) <= 3.0
 
     def test_constant_offset_stabilizes(self):
         # The gap between integral and sqrt law settles to an O(1) constant.
@@ -623,8 +627,6 @@ class TestGapQuadrature:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             gap_energy_quadrature(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            gap_energy_quadrature_wall(-1.0, 0.1)
 
 
 class TestMaxPrinciple:
