@@ -50,13 +50,15 @@ class FourierPotential:
 
     @staticmethod
     def single_cos(k: int, amplitude: float = 1.0) -> "FourierPotential":
+        if k < 0:
+            raise ValueError("cos mode needs k >= 0")
         c = np.zeros(k + 1)
         c[k] = amplitude
         return FourierPotential(c, np.zeros(k + 1))
 
     @staticmethod
     def single_sin(k: int, amplitude: float = 1.0) -> "FourierPotential":
-        if k == 0:
+        if k < 1:
             raise ValueError("sin mode needs k >= 1")
         s = np.zeros(k + 1)
         s[k] = amplitude

@@ -64,6 +64,8 @@ def random_packing(
     seed: int = 0,
 ) -> Packing:
     """Rejection-sampled packing with all gaps at least delta_min."""
+    if not 0 < delta_min < math.inf:
+        raise InfeasibleError(f"delta_min must be positive and finite, got {delta_min}")
     limit = L - disk_radius - delta_min
     if limit <= 0:
         raise InfeasibleError("disks do not fit inside the domain")

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
+from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .asymptotics import FourierPotential, _mode_vector, _slots
@@ -62,39 +63,15 @@ class SpectralSolution:
     condition: float
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Potential at points of shape (..., 2) in the matrix region."""
-        z = np.asarray(points, dtype=float)
-        zc = z[..., 0] + 1j * z[..., 1]
-        coeffs = np.concatenate([self.domain_cos, self.domain_sin,
-                                 np.stack([self.inclusion_cos, self.inclusion_sin], 1).ravel()])
-        return (_basis_columns(zc.reshape(-1), self.packing, self.M) @ coeffs).reshape(zc.shape)
-
-
-def _powers(w: np.ndarray, M: int):
-    """Yield w^1..w^M, each the previous power times w, as a per-point loop would.
-
-    np.cumprod runs complex products through a kernel that can differ in the
-    last bit, and holding all M powers at once would need M times the memory.
-    """
-    p = w
-    for _ in range(M):
-        yield p
-        p = p * w
-
-
-def _basis_columns(zc: np.ndarray, packing: Packing, M: int) -> np.ndarray:
-    """Collocation matrix block for the harmonic basis (no U columns)."""
-    npts = zc.shape[0]
-    cols = np.empty((npts, (2 * M + 1) + 2 * M * packing.n))
-    cols[:, 0] = 1.0
-    inc = cols[:, 2 * M + 1 :].reshape(npts, packing.n, 2, M)  # a view: (cos, sin) per disk
-    w = packing.radii() / (zc[:, None] - packing.centers() @ np.array([1.0, 1j]))
-    for m, (q, p) in enumerate(zip(_powers(zc / packing.L, M), _powers(w, M))):
-        cols[:, 1 + m] = q.real
-        cols[:, M + 1 + m] = q.imag
-        inc[:, :, 0, m] = p.real
-        inc[:, :, 1, m] = -p.imag
-    return cols
+        """Potential at points of shape (..., 2) in the matrix region: a_0 + Re sum_l (a_l -
+        i b_l) (z/L)^l + Re sum_{k,m} (c_km + i d_km) (R_k/(z - c_k))^m, by Horner's rule."""
+        z = np.asarray(points, dtype=float) @ np.array([1.0, 1j])
+        p = self.packing
+        domain = np.concatenate([self.domain_cos[:1], self.domain_cos[1:] - 1j * self.domain_sin])
+        inc = np.zeros((self.M + 1, p.n), dtype=complex)
+        inc[1:] = (self.inclusion_cos + 1j * self.inclusion_sin).T
+        w = p.radii() / (z[..., None] - p.centers() @ np.array([1.0, 1j]))
+        return polyval(z / p.L, domain).real + polyval(w, inc, tensor=False).real.sum(-1)
 
 
 def _binomial_table(c: np.ndarray, r: np.ndarray, M: int) -> np.ndarray:
@@ -158,11 +135,12 @@ def _orbit_factor(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray
     ``_rotation_order(packing)``; ``_block`` gives the blocks and ``_unblock`` reads back
     their solutions."""
     nr, rg = packing.n // g, math.sqrt(g)
+    c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
     # The spectra of sqrt(g) q^l on the disks and of the orbit sums of p_r^m on |z| = L,
-    # sqrt(g) t_mf, t_mf = (R_r/L) T[m-1, f-1], and each representative's orbit sums on
-    # the disks (made for block 0).
-    tables = (rg * T, rg * packing.radii()[:nr, None, None] / packing.L * T[:, :M, :M],
-              [None] * nr)
+    # sqrt(g) t_mf, t_mf = (R_r/L) T[m-1, f-1], each representative's orbit sums on the
+    # disks (made for block 0), and the complex centres and radii they come from.
+    tables = (rg * T, rg * radii[:nr, None, None] / packing.L * T[:, :M, :M], [None] * nr,
+              c, radii)
     condition = 1.0
     for j in range(g // 2 + 1):
         A, rhs = _block(packing, M, g, j, tables)
@@ -177,9 +155,15 @@ def _orbit_factor(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray
     return condition
 
 
-def _block_modes(M: int, g: int, j: int) -> tuple[slice, slice, bool]:
-    """Block j's l = j and l = -j (mod g), 1 <= l <= M, and whether it is real (2j = 0 mod g)."""
-    return slice(j or g, M + 1, g), slice(-j % g or g, M + 1, g), 2 * j % g == 0
+def _layout(M: int, g: int, j: int, nr: int) -> tuple:
+    """C_g block j's layout (``_block``): its l = j and l = -j (mod g), 1 <= l <= M, as
+    slices lp and lm, whether it is real (2j = 0 mod g), their counts a and am, z = 1 in
+    block 0 (the constant), its fs outer modes, the column offsets p0, cq, cp and u0 of
+    the p sums, conj(q)^l, their p sums and U (q^l at 0, the constant last), and its order."""
+    lp, lm, real = slice(j or g, M + 1, g), slice(-j % g or g, M + 1, g), 2 * j % g == 0
+    a, am, z = len(range(M + 1)[lp]), len(range(M + 1)[lm]), int(j == 0)
+    p0, cq, cp, u0 = a, a + M * nr, a + M * nr + am, a + 2 * M * nr + am  # p sums r-major
+    return lp, lm, real, a, am, z, z + a + (0 if real else am), p0, cq, cp, u0, u0 + nr + z
 
 
 def _block(packing: Packing, M: int, g: int, j: int, tables: tuple):
@@ -201,15 +185,12 @@ def _block(packing: Packing, M: int, g: int, j: int, tables: tuple):
     over k of that table, and block j reads h = j + m and m - j. On |z| = L, p_k^m is
     sum_f t_mf e^{-ift}, and its orbit sum at the block's modes is sqrt(g) t_mf, as the
     rotation takes p_r^m's t_mf to p_rk^m's w^{k(f-m)} t_mf.
-    ``tables`` holds these spectra; the columns are them over sqrt(2).
+    ``tables`` holds these spectra (the columns are them over sqrt(2)), then the complex
+    centres and the radii.
     """
     nr, h = packing.n // g, math.sqrt(0.5)
-    (Tq, t, orbits), m = tables, np.arange(1, M + 1)
-    lp, lm, real = _block_modes(M, g, j)
-    a, am, z = len(range(M + 1)[lp]), len(range(M + 1)[lm]), int(j == 0)
-    # Column offsets: q^l at 0, the p sums (r-major), conj(q)^l, theirs, U, 1.
-    p0, cq, cp, u0 = a, a + M * nr, a + M * nr + am, a + 2 * M * nr + am
-    size = u0 + nr + z
+    (Tq, t, orbits, c, radii), m = tables, np.arange(1, M + 1)
+    lp, lm, real, a, am, z, fs, p0, cq, cp, u0, size = _layout(M, g, j, nr)
     A = np.zeros((size, size), dtype=float if real else complex, order="F")
     n0 = size - nr * (2 * M + 1)  # the outer rows, then each representative's 2M + 1
     disks = A[n0:].reshape(nr, 2 * M + 1, size)
@@ -247,7 +228,6 @@ def _block(packing: Packing, M: int, g: int, j: int, tables: tuple):
     put(slice(0, a), slice(cq, cp), Tq[:, :, lp], Tq[:, :, lm])
     for r in range(nr):
         if orbits[r] is None:
-            c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
             d = c[:nr, None] - c[r::nr]  # c_r' - c_rk, 0 for disk r itself
             x, y = (np.divide(R, d, out=np.zeros_like(d), where=d != 0)
                     for R in (radii[r], radii[:nr, None]))
@@ -269,7 +249,6 @@ def _block(packing: Packing, M: int, g: int, j: int, tables: tuple):
         A[0, -1], disks[:, 0, -1] = 1.0, math.sqrt(g)
     # The outer trace e^{ift} (real blocks: cos ft, then sin ft); a block with no outer
     # mode gets one zero column, as gesv factors nothing without.
-    fs = z + a + (0 if real else am)
     rhs = np.zeros((size, (1 + real) * max(fs, 1)), dtype=A.dtype, order="F")
     np.fill_diagonal(rhs[:fs], h if real else 1.0)
     if real:
@@ -284,27 +263,25 @@ def _unblock(M: int, g: int, j: int, y: np.ndarray, X: np.ndarray):
     orbit sums give disk r + kn/g's coefficients w^{k(j+m)} and w^{k(j-m)} those of disk r."""
     n = X.shape[0] // (2 * M + 1) - 1
     nr, h = n // g, math.sqrt(0.5)
-    lp, lm, real = _block_modes(M, g, j)
-    a, am, z = len(range(M + 1)[lp]), len(range(M + 1)[lm]), int(j == 0)
-    fs, b = z + a + (0 if real else am), a + M * nr  # the outer modes; the conjugates from b
+    lp, lm, real, a, am, z, fs, p0, cq, cp, u0, _ = _layout(M, g, j, nr)
     y = y[:, : (1 + real) * fs]
-    if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H)
+    if real:  # back from [Re H, Im H] sqrt(2) to (H, conj H); the conjugates from cq
         y = y[:, :fs] + 1j * y[:, fs:]
-        y = np.concatenate([(y[:b] - 1j * y[b : 2 * b]) * h, (y[:b] + 1j * y[b : 2 * b]) * h,
-                            y[2 * b :]])
+        y = np.concatenate([(y[:cq] - 1j * y[cq : 2 * cq]) * h, (y[:cq] + 1j * y[cq : 2 * cq]) * h,
+                            y[2 * cq :]])
     x = np.zeros((X.shape[0], fs), dtype=complex)
     x[lp], x[M + lp.start : 2 * M + 1 : g] = h * y[:a], 1j * h * y[:a]
-    x[lm] += h * y[b : b + am]
-    x[M + lm.start : 2 * M + 1 : g] -= 1j * h * y[b : b + am]
+    x[lm] += h * y[cq:cp]
+    x[M + lm.start : 2 * M + 1 : g] -= 1j * h * y[cq:cp]
     # w^{k(j+m)}/sqrt(g), m = -M..M, of disk r + kn/g.
     w = np.exp(2j * math.pi / g * (np.arange(g)[:, None] * (j + np.arange(-M, M + 1)) % g))
     w /= math.sqrt(g)
-    mu = w[:, None, M + 1 :, None] * y[a:b].reshape(nr, M, fs)
-    nu = w[:, None, M - 1 :: -1, None] * y[b + am : b + am + M * nr].reshape(nr, M, fs)
+    mu = w[:, None, M + 1 :, None] * y[p0:cq].reshape(nr, M, fs)
+    nu = w[:, None, M - 1 :: -1, None] * y[cp:u0].reshape(nr, M, fs)
     inc = x[2 * M + 1 : 2 * M + 1 + 2 * M * n].reshape(g, nr, 2, M, fs)
     np.multiply(mu + nu, h, out=inc[:, :, 0])
     np.multiply(nu - mu, 1j * h, out=inc[:, :, 1])
-    np.multiply(w[:, M, None, None], y[b + am + M * nr :][:nr],
+    np.multiply(w[:, M, None, None], y[u0 : u0 + nr],
                 out=x[X.shape[0] - n :].reshape(g, nr, fs))
     if z:
         x[0] = y[-1]
@@ -600,8 +577,8 @@ def gap_energy_quadrature(R_i: float, R_j: float, delta: float) -> float:
     """(1/2) integral of dx / h(x) across the gap between two disks, over |x| <=
     min(R_i, R_j), where the gap height h is delta plus the sag R (1 - sqrt(1 -
     (x/R)^2)) of each curved side R."""
-    if not (R_i > 0 and R_j > 0 and delta > 0):
-        raise DomainError("radii and gap width must be positive")
+    if not all(0 < v < math.inf for v in (R_i, R_j, delta)):
+        raise DomainError("radii and gap width must be positive and finite")
 
     def inv_h(x):
         h = delta

@@ -87,6 +87,27 @@ def circle_points(packing, t_outer, t_inner):
         yield (disk.x + 1j * disk.y) + disk.r * np.exp(1j * t_inner)
 
 
+def reference_basis_columns(zc, packing, M):
+    """The collocation columns at the points zc, built one (disk, power) at a time."""
+    cols = np.empty((zc.shape[0], (2 * M + 1) + 2 * M * packing.n))
+    q = zc / packing.L
+    powers = np.empty((zc.shape[0], M + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    for m in range(1, M + 1):
+        powers[:, m] = powers[:, m - 1] * q
+    cols[:, : M + 1] = powers.real
+    cols[:, M + 1 : 2 * M + 1] = powers[:, 1:].imag
+    off = 2 * M + 1
+    for i, disk in enumerate(packing.inclusions):
+        w = disk.r / (zc - (disk.x + 1j * disk.y))
+        p = w.copy()
+        for m in range(M):
+            cols[:, off + 2 * i * M + m] = p.real
+            cols[:, off + (2 * i + 1) * M + m] = -p.imag
+            p = p * w
+    return cols
+
+
 def reference_collocation(packing, M):
     """The full collocation system A X = B, whatever the rotation order: rows at
     4M points on the outer circle, then 4M on each inclusion."""
@@ -98,7 +119,7 @@ def reference_collocation(packing, M):
     t = np.linspace(0.0, 2.0 * math.pi, n_per, endpoint=False)
     # Offset avoids symmetric aliasing against the outer-circle points.
     for i, z in enumerate(circle_points(packing, t, t + math.pi / n_per)):
-        A[i * n_per : (i + 1) * n_per, :n_basis] = oracle._basis_columns(z, packing, M)
+        A[i * n_per : (i + 1) * n_per, :n_basis] = reference_basis_columns(z, packing, M)
     A[n_per:, n_basis:] = -np.repeat(np.eye(n), n_per, axis=0)
     B[:n_per] = _modes(t, M)
     return A, B
@@ -118,7 +139,7 @@ def reference_galerkin(packing, M):
 
     t = np.linspace(0.0, 2.0 * math.pi, N, endpoint=False)
     # Circle i's rows: the basis columns, then -U_i on inclusion i.
-    A = np.concatenate([project(np.hstack([oracle._basis_columns(z, packing, M),
+    A = np.concatenate([project(np.hstack([reference_basis_columns(z, packing, M),
                                            np.tile(-1.0 * (np.arange(1, n + 1) == i), (N, 1))]))
                         for i, z in enumerate(circle_points(packing, t, t))])
     B = np.zeros((A.shape[0], 2 * M + 1))
@@ -154,7 +175,7 @@ def reference_residual(packing, M, X):
     t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
     t_outer = t + 0.5 * math.pi / n_chk
     targets = [_modes(t_outer, M), *X[n_basis:]]
-    return np.concatenate([oracle._basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
+    return np.concatenate([reference_basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
                            zip(circle_points(packing, t_outer, t), targets)])
 
 

@@ -50,8 +50,10 @@ class TestFourierPotential:
             FourierPotential(np.array([np.nan]), np.array([0.0]))
         with pytest.raises(ValueError):
             FourierPotential([], [])
-        with pytest.raises(ValueError):
-            FourierPotential.single_sin(0)
+        for make, k in ((FourierPotential.single_sin, 0), (FourierPotential.single_sin, -1),
+                        (FourierPotential.single_cos, -1)):
+            with pytest.raises(ValueError, match="mode needs k >="):
+                make(k)
 
     def test_evaluate(self):
         psi = FourierPotential(np.array([0.5, 0.0, 2.0]), np.array([0.0, 1.0, 0.0]))

@@ -9,6 +9,10 @@ from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk
 
 
+def no_sampling(seed):
+    raise AssertionError("random_packing drew candidates for an invalid request")
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -21,13 +25,21 @@ from dtnnet.geometry import Disk
         (lambda: grid_packing(0.6, 0.5), "do not fit"),
         (lambda: grid_packing(0.1, 0.02, math.inf), "finite domain radius"),
         (lambda: random_packing(3, 0.6, 0.5), "do not fit"),
+        (lambda: random_packing(3, 0.1, 0.0), "must be positive and finite, got 0.0"),
+        (lambda: random_packing(3, 0.1, -1.0), "must be positive and finite, got -1.0"),
+        (lambda: random_packing(3, 0.1, math.nan), "must be positive and finite, got nan"),
+        (lambda: random_packing(3, 0.1, math.inf), "must be positive and finite, got inf"),
         # Three disks 0.97 apart need a circle of radius 0.56 for their centres; 0.51 is left.
         (lambda: random_packing(3, 0.48, 0.01, seed=1), "could not place 3 disks"),
     ],
     ids=["ring-empty", "ring-outside", "ring-overlap", "grid-zero-gap", "grid-negative-radius",
-         "grid-nan-gap", "grid-too-large", "grid-infinite-domain", "random-too-large", "random-no-room"],
+         "grid-nan-gap", "grid-too-large", "grid-infinite-domain", "random-too-large",
+         "random-zero-gap", "random-negative-gap", "random-nan-gap", "random-infinite-gap",
+         "random-no-room"],
 )
-def test_infeasible_requests_raise(make, message):
+def test_infeasible_requests_raise(monkeypatch, make, message):
+    if "could not place" not in message:  # every other request is refused before drawing
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
     with pytest.raises(InfeasibleError, match=message):
         make()
 
@@ -48,9 +60,6 @@ def test_invalid_disk_values_raise_parse_error(make):
     (math.nan, "inclusion 0: non-finite coordinate or radius"),
     (-0.1, "inclusion 0: radius must be positive, got -0.1")])
 def test_random_packing_checks_the_radius_before_sampling(monkeypatch, radius, message):
-    def no_sampling(seed):
-        raise AssertionError("random_packing drew candidates for an invalid radius")
-
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         random_packing(5, radius, 0.01)

@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (bidisperse_ring, equal_gap_ring, reference_boundary_residual,
-                      reference_galerkin, reference_lstsq_factor, reference_operator,
-                      reference_residual, sampled_errors, two_ring_packing)
+from conftest import (bidisperse_ring, equal_gap_ring, reference_basis_columns,
+                      reference_boundary_residual, reference_galerkin, reference_lstsq_factor,
+                      reference_operator, reference_residual, sampled_errors, two_ring_packing)
 
 from dtnnet.asymptotics import FourierPotential, _modes, total_energy
 from dtnnet.cli import main
@@ -86,27 +86,6 @@ class TestCrossForm:
         assert cross_form_oracle(p, a, a, M=16) == pytest.approx(q, rel=1e-8)
 
 
-def reference_basis_columns(zc, packing, M):
-    """The collocation columns built one (disk, power) at a time."""
-    cols = np.empty((zc.shape[0], (2 * M + 1) + 2 * M * packing.n))
-    q = zc / packing.L
-    powers = np.empty((zc.shape[0], M + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    for m in range(1, M + 1):
-        powers[:, m] = powers[:, m - 1] * q
-    cols[:, : M + 1] = powers.real
-    cols[:, M + 1 : 2 * M + 1] = powers[:, 1:].imag
-    off = 2 * M + 1
-    for i, disk in enumerate(packing.inclusions):
-        w = disk.r / (zc - (disk.x + 1j * disk.y))
-        p = w.copy()
-        for m in range(M):
-            cols[:, off + 2 * i * M + m] = p.real
-            cols[:, off + (2 * i + 1) * M + m] = -p.imag
-            p = p * w
-    return cols
-
-
 def reference_flux_table(packing, coeffs, M, n_q):
     """Radial derivative on the outer circle at n_q nodes of each mode's solution."""
     L = packing.L
@@ -121,11 +100,13 @@ def reference_flux_table(packing, coeffs, M, n_q):
     # Inclusion harmonics: d/dz (R/(z - x))^m = -m (R/(z - x))^m / (z - x).
     d = L * nhat[:, None] - packing.centers() @ np.array([1.0, 1j])
     inc = D[:, 2 * M + 1 :].reshape(n_q, packing.n, 2, M)
-    n_over_d = nhat[:, None] / d
-    for k, p in enumerate(oracle._powers(packing.radii() / d, M)):
+    n_over_d, w = nhat[:, None] / d, packing.radii() / d
+    p = w
+    for k in range(M):
         fn = -(k + 1) * p * n_over_d
         inc[:, :, 0, k] = fn.real
         inc[:, :, 1, k] = -fn.imag
+        p = p * w
     return D @ coeffs[: D.shape[1]]
 
 
@@ -289,12 +270,17 @@ class TestOperatorReuse:
         expected = np.diag(math.pi * np.array([0, 1, 2, 3, 1, 2, 3.0]))
         assert np.allclose(lam, expected, rtol=0.0, atol=1e-12)
 
-    def test_basis_columns_match_reference_loop(self):
+    def test_evaluate_is_the_reference_columns_times_the_coefficients(self):
         M = 12
+        sol = solve_dirichlet(self.RING, self.MIXED, M)
         t = np.linspace(0.0, 2.0 * math.pi, 4 * M, endpoint=False)
-        zc = np.concatenate([np.exp(1j * t), 0.5 * np.exp(1j * (t + 0.1))])
-        assert np.array_equal(oracle._basis_columns(zc, self.RING, M),
-                              reference_basis_columns(zc, self.RING, M))
+        zc = np.stack([np.exp(1j * t), 0.5 * np.exp(1j * (t + 0.1))])  # shape (2, 4M)
+        coeffs = np.concatenate([sol.domain_cos, sol.domain_sin,
+                                 np.stack([sol.inclusion_cos, sol.inclusion_sin], 1).ravel()])
+        expected = reference_basis_columns(zc.ravel(), self.RING, M) @ coeffs
+        u = sol.evaluate(np.stack([zc.real, zc.imag], -1))
+        assert u.shape == zc.shape
+        assert np.max(np.abs(u.ravel() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestRingFactor:
@@ -453,9 +439,9 @@ class TestRingFactor:
     def test_solve_path_samples_nothing(self, monkeypatch):
         # Every table of the operator, the residual included, is in closed form.
         def refuse(*args):
-            raise AssertionError("a basis column was sampled")
+            raise AssertionError("the field was sampled")
 
-        monkeypatch.setattr(oracle, "_basis_columns", refuse)
+        monkeypatch.setattr(oracle.SpectralSolution, "evaluate", refuse)
         for p, M in [(equal_gap_ring(12, 0.05), 32), (moved(RING8, 5, dr=-0.01), 16)]:
             oracle._operator.cache_clear()
             assert oracle._operator(p, M).dtn.shape == (2 * M + 1,) * 2
@@ -625,8 +611,10 @@ class TestGapQuadrature:
         assert all(-2.0 <= o <= 0.0 for o in offs)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            gap_energy_quadrature(1.0, 1.0, 0.0)
+        for args in [(1.0, 1.0, 0.0), (math.inf, 1.0, 0.1), (1.0, math.nan, 0.1),
+                     (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)]:
+            with pytest.raises(DomainError, match="positive and finite"):
+                gap_energy_quadrature(*args)
 
 
 class TestMaxPrinciple:
@@ -646,6 +634,20 @@ class TestMaxPrinciple:
         assert rep.passed
         assert rep.psi_min == pytest.approx(-1.0, abs=1e-6)
         assert rep.u_max <= 1.0 + rep.tol
+
+    def test_memory(self, ring8):
+        # The field by Horner's rule holds O(points x n), not the 9.0 MB collocation block.
+        psi = FourierPotential.single_cos(2)
+        sol = solve_dirichlet(ring8, psi, M=16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = max_principle_check(sol, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak <= 4e6
 
     def test_underresolved_solution_reports_fields(self):
         p = ring_packing(4, 0.6, 0.1, 1.0)
