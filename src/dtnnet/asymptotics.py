@@ -146,19 +146,39 @@ def reference_energy(psi: FourierPotential) -> float:
 def _poly(x: np.ndarray) -> np.ndarray:
     """sqrt(x / pi) Li_{1/2}(e^{-x}) elementwise, with its limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
     nonzero = x != 0.0  # negative x reaches polylog_half, which rejects it before the sqrt
-    out[nonzero] = polylog_half(x[nonzero]) * np.sqrt(x[nonzero] / math.pi)
+    poly = polylog_half(x[nonzero]) * np.sqrt(x[nonzero] / math.pi)
+    out = np.ones_like(x)  # made after the polylog, whose working arrays set a sweep's peak
+    out[nonzero] = poly
     return out
+
+
+def _resonance_columns(analysis: GeometryAnalysis, ks) -> np.ndarray:
+    """r[i, m]: the sigma-free resonance of mode ks[m] in the gap behind boundary
+    inclusion i (``GeometryAnalysis._resonance_factor``); zero at k = 0."""
+    k = np.asarray(ks, dtype=float)
+    x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
+    return 0.25 * (_poly(x) - np.exp(-2.0 * k * analysis._damping_rates[:, None]))
 
 
 def _resonance_table(analysis: GeometryAnalysis, sigmas, ks) -> np.ndarray:
     """R[i, m]: anomalous energy of mode ks[m] in the gap behind boundary
     inclusion i, with gap conductivity sigmas[i]; zero at k = 0."""
-    k = np.asarray(ks, dtype=float)
-    x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
-    damp = np.exp(-2.0 * k * analysis._damping_rates[:, None])
-    return 0.25 * np.reshape(sigmas, (-1, 1)) * (_poly(x) - damp)
+    return np.reshape(sigmas, (-1, 1)) * _resonance_columns(analysis, ks)
+
+
+def _resonance_factor(analysis: GeometryAnalysis, K: int) -> np.ndarray:
+    """r (N_b, K+1): the first K+1 columns of the table the analysis keeps. A larger
+    K grows it to k = 0..max(K, 2 K_kept), so each packing evaluates the polylog
+    O(log K_max) times and keeps O(N_b K_max) numbers. No element depends on the
+    others computed with it, so the table is the same whatever K asked for it first."""
+    table = analysis._resonance_factor
+    kept = table.shape[1] - 1
+    if kept < K:
+        new = np.arange(kept + 1, max(K, 2 * kept) + 1)
+        table = np.concatenate([table, _resonance_columns(analysis, new)], axis=1)
+        object.__setattr__(analysis, "_resonance_factor", table)  # replaces the cached value
+    return table[:, : K + 1]
 
 
 def resonance_mode(k: int, analysis: GeometryAnalysis, network: Network) -> float:
@@ -174,7 +194,7 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     imaginary part S the cross blocks.
     """
     k = np.arange(K + 1)
-    r = _resonance_table(analysis, network.boundary_sigmas, k)
+    r = network.boundary_sigmas[:, None] * _resonance_factor(analysis, K)
     km_min, km_diff = np.minimum.outer(k, k), np.subtract.outer(k, k).astype(float)
     R, S = np.zeros((2 * K + 1, 2 * K + 1)), np.zeros((K + 1, K + 1))
     C = R[: K + 1, : K + 1]  # a view: the cos-cos block

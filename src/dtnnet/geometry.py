@@ -74,6 +74,14 @@ class GeometryAnalysis:
         return np.sqrt(2.0 * radii * self.boundary_gaps) / self.packing.L
 
     @cached_property
+    def _resonance_factor(self) -> np.ndarray:
+        """r_i(k) = (sqrt(x/pi) Li_{1/2}(e^{-x}) - e^{-2k mu_i}) / 4, x = 2k delta_i / L, for
+        k = 0..K_max (N_b, K_max + 1), the sigma-free resonance of each boundary disk.
+        It starts at k = 0, where r_i = 0; ``asymptotics``, which holds the polylog,
+        grows it in place of this value when a resonance needs a larger K."""
+        return np.zeros((self.boundary_count, 1))
+
+    @cached_property
     def _scales(self) -> tuple[float, float]:
         """(delta_char, R_char): the geometric-mean gap and the arithmetic-mean radius."""
         gaps = np.concatenate([self.gap_widths, self.boundary_gaps])
@@ -187,8 +195,13 @@ def classify_boundary(packing: Packing) -> GeometryAnalysis:
     inv = np.empty(packing.n, dtype=np.intp)
     inv[order] = np.arange(packing.n)
     # Rings listed by angle are already in this order: they keep their packing and its arrays.
-    new_packing = packing if np.array_equal(order, np.arange(packing.n)) else replace(
-        packing, inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
+    new_packing = packing
+    if not np.array_equal(order, np.arange(packing.n)):
+        new_packing = replace(packing,
+                              inclusions=tuple(packing.inclusions[o] for o in order.tolist()))
+        xyr = packing._xyr[order]  # the rows the new packing would convert from its disks
+        xyr.flags.writeable = False
+        object.__setattr__(new_packing, "_xyr", xyr)  # fills its cached_property
     # Every neighbor pair (i < j), renumbered, in lexicographic order (no ridge repeats).
     edges = np.sort(inv[pairs], axis=1)
     edges = edges[np.lexsort(edges.T[::-1])]

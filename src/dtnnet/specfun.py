@@ -43,13 +43,30 @@ def compute_zeta_constants() -> ZetaConstants:
 
 
 def _polylog_half_series(x: np.ndarray) -> np.ndarray:
-    """Direct series sum_{n>=1} e^{-n x} / sqrt(n), truncated at 1e-17 for the
-    smallest x; past its own cutoff an element's terms are below 1e-17 e^{-x}."""
-    n_max = max(8, int(math.ceil(-math.log(SERIES_TERM_CUTOFF) / x.min(initial=np.inf))) + 1)
-    total = np.zeros_like(x)
-    for n in range(1, n_max + 1):
-        total += np.exp(-n * x) / math.sqrt(n)
-    return total
+    """Direct series sum_{n>=1} q^n / sqrt(n), q = e^{-x}, each element summed to its
+    own cutoff max(8, ceil(-ln(1e-17) / x) + 1), past which its terms are below
+    1e-17 e^{-x}. The powers q^n are a running product, and the elements run from
+    the smallest x, so those still summing at term n are a prefix; an element's
+    sum does not depend on the rest of the batch."""
+    order = np.argsort(x, kind="stable")
+    q = np.exp(-x[order])
+    n_max = np.maximum(8, np.ceil(-math.log(SERIES_TERM_CUTOFF) / x[order]).astype(int) + 1)
+    # The last element of each cutoff, from the smallest cutoff up (n_max does not
+    # increase along order): it and the elements before it reach that cutoff.
+    last = np.flatnonzero(np.diff(n_max, append=0))[::-1]
+    cutoffs = n_max[last]
+    del n_max  # the loop's working set is q, power and total
+    total, power = np.zeros_like(q), q.copy()
+    start = 1
+    for stop, m in zip(cutoffs.tolist(), (last + 1).tolist()):
+        t, p, q_m = total[:m], power[:m], q[:m]  # the elements that sum terms start..stop
+        for n in range(start, stop + 1):
+            t += p / math.sqrt(n)
+            p *= q_m
+        start = stop + 1
+    out = np.empty_like(total)
+    out[order] = total
+    return out
 
 
 def _polylog_half_expansion(x: np.ndarray) -> np.ndarray:

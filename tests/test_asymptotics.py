@@ -199,15 +199,54 @@ def reference_resonance_matrix(analysis, network, K):
     return np.block([[C, -S[:, 1:]], [S[1:], C[1:, 1:]]])
 
 
-@pytest.mark.parametrize("packing", [ring_packing(8, 0.85, 0.1, 1.0), grid_packing(0.1, 0.02),
-                                     random_packing(20, 0.08, 0.01, 1.0, seed=1)],
-                         ids=["ring8", "grid61", "random20"])
+THREE_PACKINGS = pytest.mark.parametrize(
+    "packing", [ring_packing(8, 0.85, 0.1, 1.0), grid_packing(0.1, 0.02),
+                random_packing(20, 0.08, 0.01, 1.0, seed=1)], ids=["ring8", "grid61", "random20"])
+
+
+@THREE_PACKINGS
 def test_resonance_matrix_is_the_block_assembly(packing):
+    for order in ((1, 4, 33, 128), (128, 33, 4, 1)):
+        a = analyze(packing)  # one analysis per order: its resonance table grows or is read
+        net = build_network(a)
+        for K in order:
+            assert np.array_equal(asymptotics._resonance_matrix(a, net, K),
+                                  reference_resonance_matrix(a, net, K))
+
+
+@THREE_PACKINGS
+def test_the_kept_resonance_table_does_not_depend_on_how_it_grew(packing):
+    step_by_step, at_once = analyze(packing), analyze(packing)
+    for K in (1, 2, 5, 9, 17, 40, 128):
+        asymptotics._resonance_factor(step_by_step, K)
+    asymptotics._resonance_factor(at_once, 128)
+    for a in (step_by_step, at_once):
+        assert 129 <= a._resonance_factor.shape[1] <= 2 * 128 + 1  # O(N_b K_max) numbers
+        assert np.array_equal(a._resonance_factor[:, :129],
+                              asymptotics._resonance_columns(a, np.arange(129)))
+    net = build_network(at_once)
+    for K in (3, 128):
+        assert np.array_equal(dtn_asymptotic(K, step_by_step, net),
+                              dtn_asymptotic(K, at_once, net))
+
+
+def test_one_polylog_evaluation_per_analysis(monkeypatch):
+    packing = grid_packing(0.1, 0.02)
     a = analyze(packing)
     net = build_network(a)
-    for K in (1, 4, 33, 128):
-        assert np.array_equal(asymptotics._resonance_matrix(a, net, K),
-                              reference_resonance_matrix(a, net, K))
+    psis, expected = [], []
+    for K in (4, 2, 4, 1):
+        rng = np.random.default_rng(K)
+        psis.append(FourierPotential(rng.normal(size=K + 1), np.r_[0.0, rng.normal(size=K)]))
+        c = asymptotics._mode_vector(psis[-1], K)
+        expected.append(float(c @ reference_resonance_matrix(a, net, K) @ c))
+    calls = []
+    monkeypatch.setattr(asymptotics, "polylog_half", lambda x: calls.append(x) or polylog_half(x))
+    for n_analyses in (1, 2):
+        a = analyze(packing)
+        net = build_network(a)
+        assert [total_energy(psi, a, net).R_res for psi in psis] == expected
+        assert len(calls) == n_analyses
 
 
 class TestRegimeClassify:

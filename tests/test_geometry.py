@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -223,6 +224,30 @@ class TestClassifyBoundary:
         a = analyze(p)
         assert a.packing is not p
         assert a.packing == ring8
+
+    @pytest.mark.parametrize("case", ["ring8-clockwise", "grid61", "random20"])
+    def test_a_renumbered_packing_keeps_its_array(self, ring8, case, monkeypatch):
+        disks = {"ring8-clockwise": ring8.inclusions[::-1],
+                 "grid61": grid_packing(0.1, 0.02).inclusions,
+                 "random20": random_packing(20, 0.08, 0.01, 1.0, seed=1).inclusions}[case]
+        p = Packing(1.0, disks)  # a fresh packing: its array is not converted yet
+        converted = []
+        real = Packing._xyr
+
+        def counted(self):
+            converted.append(self)
+            return real.func(self)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(Packing, "_xyr")
+        monkeypatch.setattr(Packing, "_xyr", spy)
+        new = analyze(p).packing
+        assert new is not p and converted == [p]  # the renumbered packing converted nothing
+        monkeypatch.undo()
+        fresh = Packing(new.L, new.inclusions)._xyr
+        assert np.array_equal(new._xyr, fresh) and new._xyr.dtype == fresh.dtype
+        assert not new._xyr.flags.writeable
+        assert new.centers().base is new.radii().base is new._xyr
 
 
 class TestOnePass:

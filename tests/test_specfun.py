@@ -6,6 +6,8 @@ import pytest
 
 from dtnnet import specfun
 from dtnnet.errors import DomainError
+from dtnnet.generators import grid_packing
+from dtnnet.geometry import analyze
 from dtnnet.specfun import compute_zeta_constants, polylog_half
 
 
@@ -71,7 +73,7 @@ class TestPolylogHalf:
         assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
         scalar = np.array([polylog_half(float(x)) for x in xs])
         assert isinstance(polylog_half(float(xs[0])), float)
-        assert np.all(np.abs(vals - scalar) <= 1e-15 * np.abs(scalar))
+        assert np.array_equal(vals, scalar)
         assert np.array_equal(polylog_half(xs.reshape(7, 9)), vals.reshape(7, 9))
 
     @pytest.mark.parametrize("xs", [np.linspace(0.5, 40.0, 17), np.logspace(-4, -0.31, 17),
@@ -95,6 +97,20 @@ class TestPolylogHalf:
         assert calls == [name for name, part in (("_polylog_half_series", series),
                                                  ("_polylog_half_expansion", ~series))
                          if part.any()]
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.02), (0.02, 0.004), (0.01, 0.002)],
+                             ids=["n61", "n1789", "n7291"])
+    def test_series_matches_the_per_term_exp_series(self, grid):
+        # The series arguments of a 128-mode sweep table, x = 2 k delta_i / L, k = 1..128,
+        # against the series with e^{-n x} from one exp per term, all summed to the cutoff
+        # of the smallest x.
+        a = analyze(grid_packing(*grid))
+        x = (2.0 * np.arange(1.0, 129.0) * a.boundary_gaps[:, None] / a.packing.L).ravel()
+        x = x[x >= specfun.CROSSOVER]
+        n = np.arange(1, int(math.ceil(-math.log(specfun.SERIES_TERM_CUTOFF) / x.min())) + 2)
+        expected = sum(np.exp(-k * x) / math.sqrt(k) for k in n.tolist())
+        got = specfun._polylog_half_series(x)
+        assert np.all(np.abs(got - expected) <= 5e-16 * expected)
 
     def test_array_rejects_any_bad_element(self):
         for bad in (0.0, -1.0, float("nan")):
