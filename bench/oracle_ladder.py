@@ -16,28 +16,28 @@ an operator already factored. For the same three psi, ``bound`` is the
 boundary residual and ``sampled_max`` the largest error at 4096 equally spaced
 points of every circle, summed from the operator's coefficients. One more build
 under ``tracemalloc`` gives its traced peak. One more cold build times its
-stages: the factor, the tail table and the flux projection, each a function of
-``dtnnet.oracle`` wrapped with a timer for that build, and the rest. Inside the factor it also
-times the assembly of the blocks (``_block``), the LAPACK ``gesv`` and ``gecon`` calls
-and the back-transform of their solutions (``_unblock``); ``factor_rest`` is the rest of
-the factor (the blocks' 1-norms, and assembly and back-transform where the factor does
-them in its own body). Wherever the build makes it, it times the closed-form coefficient
-table (``_binomial_table``). A part the imported dtnnet does not call or define reads 0
-(an operator without ``_tail_table`` spends its residual table's time in the rest). The
-record gives
-the bytes of the arrays the operator keeps, and of its tail tables alone (None
-without them). The rungs are rings with equal gaps t R between neighbours and
-to the outer circle (L = 1): the seven ``oracle_batch`` rings of ``perfbench``
-at their smallest gap, criterion 4's three 16-disk rings and criterion 5's
-4-disk ring; then a 20-disk random packing and the 61-disk grid at M = 16, 32
-and 48, which have no rotation symmetry, and a two-ring packing of rotation
-order 4. Each record gives the order g of the blocks the factor uses (g = 1:
-one dense solve). Last, criterion 5's one-psi solve, ``solve_dirichlet`` of
-cos 250 theta at M = 258 as the first call for its packing, which builds the
-solution of all 2M + 1 = 517 outer-trace modes. ``--skip`` leaves out a rung
-by name (``packing M=M``) and records it as skipped. The result is merged
-into ``--out`` under ``--label``, with the provenance fields of
-``sweep_ladder.py``.
+stages: the factor and the tail table, each a function of ``dtnnet.oracle``
+wrapped with a timer for that build, and the rest (the DtN matrix among it).
+Inside the factor it also times the assembly of the blocks (``_block``), the
+LAPACK ``gesv`` and ``gecon`` calls and the back-transform of their solutions
+(``_unblock``); ``factor_rest`` is the rest of the factor (the blocks' 1-norms,
+and assembly and back-transform where the factor does them in its own body).
+Wherever the build makes it, it times the closed-form coefficient table
+(``_binomial_table``). A part the imported dtnnet does not call or define reads
+0 (an operator without ``_tail_table`` spends its residual table's time in the
+rest). The record gives the bytes of the arrays the operator keeps, and of its
+tail tables alone (None without them). The rungs are rings with equal gaps t R
+between neighbours and to the outer circle (L = 1): the seven ``oracle_batch``
+rings of ``perfbench`` at their smallest gap, criterion 4's three 16-disk rings
+and criterion 5's 4-disk ring; then a 20-disk random packing and the 61-disk
+grid at M = 16, 32 and 48, which have no rotation symmetry, and a two-ring
+packing of rotation order 4. Each record gives the order g of the blocks the
+factor uses (g = 1: one dense solve). Last, criterion 5's one-psi solve,
+``solve_dirichlet`` of cos 250 theta at M = 258 as the first call for its
+packing, which builds the solution of all 2M + 1 = 517 outer-trace modes.
+``--skip`` leaves out a rung by name (``packing M=M``) and records it as
+skipped. The result is merged into ``--out`` under ``--label``, with the
+provenance fields of ``sweep_ladder.py``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ REPEATS = 3
 WARM_SOLVES = 50  # solve_dirichlet calls of each warm psi on the cached operator
 WARM_KS = (1, 2, 4)  # the cosines of perfbench's oracle_batch
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
-STAGES = {"factor": "_orbit_factor", "tail_table": "_tail_table",
-          "flux_projection": "_flux_projection"}
+STAGES = {"factor": "_orbit_factor", "tail_table": "_tail_table"}
 # Parts of the build: (module, function) pairs timed while it runs.
 FACTOR_PARTS = {"binomial_table": ((oracle, "_binomial_table"),), "assembly": ((oracle, "_block"),),
                 "back_transform": ((oracle, "_unblock"),)}

@@ -40,7 +40,7 @@ from .oracle import (
     quad_form_oracle,
     solve_dirichlet,
 )
-from .specfun import ZetaConstants, compute_zeta_constants, polylog_half
+from .specfun import polylog_half
 
 __all__ = [
     "Disk",
@@ -50,13 +50,11 @@ __all__ = [
     "Network",
     "Packing",
     "SpectralSolution",
-    "ZetaConstants",
     "analyze",
     "boundary_excitation",
     "build_network",
     "classify_boundary",
     "compute_adjacency",
-    "compute_zeta_constants",
     "cross_form_oracle",
     "dtn_matrix",
     "gap_energy_quadrature",

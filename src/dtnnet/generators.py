@@ -66,6 +66,8 @@ def random_packing(
     """Rejection-sampled packing with all gaps at least delta_min."""
     if not 0 < delta_min < math.inf:
         raise InfeasibleError(f"delta_min must be positive and finite, got {delta_min}")
+    if seed < 0:
+        raise InfeasibleError(f"seed must be non-negative, got {seed}")
     limit = L - disk_radius - delta_min
     if limit <= 0:
         raise InfeasibleError("disks do not fit inside the domain")

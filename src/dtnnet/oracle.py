@@ -7,9 +7,15 @@ each inclusion holds identically and no logarithmic terms are needed. The
 boundary conditions (given trace on the outer circle, unknown constants on the
 inclusions) are projected onto each circle's Fourier modes |m| <= M (Rayleigh's
 multipole method) in closed form: on every circle each harmonic has a binomial
-re-expansion (Greengard and Moura's translation operators), as has its flux onto
-the outer modes, the DtN matrix; nothing is sampled. The square system is solved
-by LU once per (packing, M) for every outer-trace mode; data up to M combine them.
+re-expansion (Greengard and Moura's translation operators); nothing is sampled.
+The square system is solved by LU once per (packing, M) for every outer-trace
+mode; data up to M combine them.
+
+The DtN matrix needs only the domain rows X_dom of the solutions: on |z| = L the
+domain part sum a_f (r/L)^f e^{ift} has flux pi f a_f, and the inclusion part, regular
+outside it, -pi f times its own coefficient, which the outer rows fix at psi_f - a_f
+for f <= M; so Lambda = sym(pi F (2 X_dom - I)), F the modes' frequencies. It rests on
+the outer rows holding to the solve's precision, which an iterative solve must bound.
 
 When a rotation by 2 pi/g maps disk k onto disk k + n/g (mod n) for every k, it
 maps each harmonic to a multiple of another, so a discrete Fourier transform over
@@ -39,7 +45,7 @@ import scipy.integrate
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .asymptotics import FourierPotential, _mode_vector, _slots
+from .asymptotics import FourierPotential, _frequencies, _mode_vector, _slots
 from .errors import DomainError, IllConditionedError
 from .geometry import Packing, validate_packing
 
@@ -339,9 +345,10 @@ def _solve(packing: Packing, M: int, factor) -> _Operator:
     if not (condition := factor(packing, M, g, T, X)) <= CONDITION_LIMIT:
         raise IllConditionedError(f"Galerkin system condition estimate {condition:.3g} "
                                   f"exceeds {CONDITION_LIMIT:.0e}")
-    form = _flux_projection(M, g, X, _tail_table(packing, M, g, T, X, cuts, outer_tail, disk_tail))
+    _tail_table(packing, M, g, T, X, cuts, outer_tail, disk_tail)
+    form = math.pi * _frequencies(M)[:, None] * (2.0 * X[: 2 * M + 1] - np.eye(2 * M + 1))
     dtn[...] = 0.5 * (form + form.T)
-    residue = _residues(np.arange(2 * M + 1), M, g, M + 1)
+    residue = _residues(np.arange(2 * M + 1), M, g)
     for a in (X, outer_tail, residue, disk_tail, dtn):
         a.flags.writeable = False
     return _Operator(X, outer_tail, residue, disk_tail, dtn, float(condition), g)
@@ -378,28 +385,28 @@ def _amplitudes(X: np.ndarray, M: int, g: int):
     return (Xf[0] + 1j * Xf[1]) / 2, (Xf[0] - 1j * Xf[1]) / 2
 
 
-def _residues(mode: np.ndarray, M: int, g: int, f0: int) -> np.ndarray:
-    """(f - f0) % g and, at g > 2, (-f - f0) % g for each mode (cos ft: f, sin ft: M + f):
-    the residues of f' - f0 at which a mode meets |z| = L."""
+def _residues(mode: np.ndarray, M: int, g: int) -> np.ndarray:
+    """(f - M - 1) % g and, at g > 2, (-f - M - 1) % g for each mode (cos ft: f, sin ft:
+    M + f): the residues of f' - M - 1 at which a mode meets |z| = L past M."""
     f = np.where(mode > M, mode - M, mode)
-    return (np.stack([f, -f], -1)[..., : 1 + (g > 2)] - f0) % g
+    return (np.stack([f, -f], -1)[..., : 1 + (g > 2)] - M - 1) % g
 
 
-def _outer_coefficients(alpha: np.ndarray, beta: np.ndarray, M: int, t: np.ndarray) -> np.ndarray:
-    """C[mode, s, i]: the inclusion part of each mode's solution on |z| = L is Re sum C
-    e^{if't} over f' = 1 + rho_s + g i, rho the mode's ``_residues`` from 1; t[r * M + m - 1, i,
-    rho] is t_mf' of representative r at f' = 1 + rho + g i (conjugated in place). In the
-    solution of e^{ift}, with disk r + kn/g's t_mf' w^{k(f'-m)} that of disk r, P_f' (of
-    e^{if't}) = g sum beta_rm conj(t_mf') if f' = f and N_f' (of e^{-if't}) = g sum
-    alpha_rm t_mf' if f' = -f (mod g) (``_amplitudes``); cos ft has C = P + conj(N), sin ft
-    C = -i(P - conj(N)). Residue rho meets the modes f = 1 + rho and f = -1 - rho (mod g)."""
+def _outer_coefficients(alpha: np.ndarray, beta: np.ndarray, M: int, tc: np.ndarray) -> np.ndarray:
+    """C[mode, s, i]: each mode's error on |z| = L is Re sum C e^{if't} over f' = M + 1 +
+    rho_s + g i, rho the mode's ``_residues``; tc[r * M + m - 1, i, rho] is conj(t_mf') of
+    representative r at f' = M + 1 + rho + g i. In the solution of e^{ift}, with disk r +
+    kn/g's t_mf' w^{k(f'-m)} that of disk r, P_f' (of e^{if't}) = g sum beta_rm conj(t_mf')
+    if f' = f and N_f' (of e^{-if't}) = g sum alpha_rm t_mf' if f' = -f (mod g)
+    (``_amplitudes``); cos ft has C = P + conj(N), sin ft C = -i(P - conj(N)). Residue rho
+    meets the modes f = M + 1 + rho and f = -M - 1 - rho (mod g)."""
     g, q, rho = alpha.shape[0], alpha.shape[2], np.arange(alpha.shape[0])
-    tc = np.conjugate(t, out=t).transpose(2, 0, 1)
-    PN = np.empty((q, g, 2, t.shape[1]), dtype=complex)
-    for s, a, j in ((0, beta, (1 + rho) % g), (1, alpha.conj(), (-1 - rho) % g)):
+    tc = tc.transpose(2, 0, 1)
+    PN = np.empty((q, g, 2, tc.shape[2]), dtype=complex)
+    for s, a, j in ((0, beta, (M + 1 + rho) % g), (1, alpha.conj(), (-M - 1 - rho) % g)):
         PN[:, j, s] = (a[j].transpose(0, 2, 1) @ tc).transpose(1, 0, 2)
     PN = g * PN.reshape(q * g, 2, -1)[: M + 1]  # modes f = 0..M
-    C = np.zeros((2 * M + 1, 1 + (g > 2), t.shape[1]), dtype=complex)
+    C = np.zeros((2 * M + 1, 1 + (g > 2), tc.shape[2]), dtype=complex)
     C[: M + 1, 0], C[M + 1 :, 0] = PN[:, 0], -1j * PN[1:, 0]
     C[: M + 1, -1] += PN[:, 1]
     C[M + 1 :, -1] += 1j * PN[1:, 1]
@@ -409,8 +416,8 @@ def _outer_coefficients(alpha: np.ndarray, beta: np.ndarray, M: int, t: np.ndarr
 def _tail_table(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray,
                 cuts: np.ndarray, outer_tail: np.ndarray, disk_tail: np.ndarray):
     """The error of each mode's solution X past M, on |z| = L and on the first n/g disks,
-    into the tails, up to the cuts; returns the ``_outer_coefficients`` C of f' = 1..M + Qg,
-    whose f' <= M give Lambda (``_flux_projection``).
+    into the tails, up to the cuts. Lambda = sym(pi F (2 X_dom - I)) needs none of it: the
+    outer rows fix the inclusion part's coefficients at f' <= M, the only ones it meets.
 
     On |z| = L a mode of frequency f has terms only at f' = f and f' = -f (mod g), so the
     outer tail keeps for each mode T[s, i] at f' = M + 1 + (+-f - M - 1) % g + g i, s = 0
@@ -426,22 +433,20 @@ def _tail_table(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray,
     of disk k on disk r'. The error of cos ft, the real part, is Re sum T e^{ia tau} with
     T = P + conj(N); that of sin ft, the imaginary part, has T = -i(P - conj(N)).
     """
-    nr, L, Q = packing.n // g, packing.L, outer_tail.shape[2] - (-M // g)
+    nr, L, Q = packing.n // g, packing.L, outer_tail.shape[2]
     m, f, w = np.arange(1, M + 1), np.arange(M + 1), np.exp(2j * math.pi * np.arange(g) / g)
     c, radii = packing.centers() @ np.array([1.0, 1j]), packing.radii()
-    # |z| = L: t_mf', f' = 1..Qg, is (R/L) T[m-1, f'-1] up to M, and past it the one
-    # before times (c/L)(f' - 1)/(f' - m).
-    fp = np.arange(M + 1, Q * g + 1)
-    t = np.empty((nr, M, Q * g), dtype=complex)
-    t[..., :M] = radii[:nr, None, None] / L * T[:, :M, :M]
-    np.multiply(c[:nr, None, None] / L, (fp - 1) / (fp - m[:, None]), out=t[..., M:])
-    np.cumprod(t[..., M - 1 :], -1, out=t[..., M - 1 :])
+    # |z| = L: t_mf', f' = M..M + Qg, is (R/L) T[m-1, M-1] at M, and past it the one
+    # before times (c/L)(f' - 1)/(f' - m). Conjugated whole: numpy copies the slice past M.
+    fp = np.arange(M + 1, M + Q * g + 1)
+    t = np.empty((nr, M, Q * g + 1), dtype=complex)
+    t[..., 0] = radii[:nr, None] / L * T[:, :M, M - 1]
+    np.multiply(c[:nr, None, None] / L, (fp - 1) / (fp - m[:, None]), out=t[..., 1:])
+    np.cumprod(t, -1, out=t)
     alpha, beta = _amplitudes(X, M, g)
-    C = _outer_coefficients(alpha, beta, M, t.reshape(nr * M, Q, g))
-    del t
-    # Past M from i = (M - 1 - rho) // g + 1 on; the rest gives Lambda (``_flux_projection``).
-    i = (M - 1 - _residues(np.arange(2 * M + 1), M, g, 1)) // g + 1
-    outer_tail[...] = np.take_along_axis(C, i[..., None] + np.arange(outer_tail.shape[2]), 2)
+    tc = np.conjugate(t, out=t)[..., 1:].reshape(nr * M, Q, g)
+    outer_tail[...] = _outer_coefficients(alpha, beta, M, tc)
+    del t, tc
     # Disk r': P and conj(N), a band of a at a time; disk k = r + jn/g's w^{jm} is in its
     # x = w^j R_k/d.
     alpha, beta = (a.transpose(2, 0, 1).reshape(a.shape[2] * g, nr, M)[: M + 1]
@@ -463,28 +468,6 @@ def _tail_table(packing: Packing, M: int, g: int, T: np.ndarray, X: np.ndarray,
                 np.matmul(a.reshape(M + 1, -1), D.reshape(k.size * M, -1), out=out)
             cols = slice(a0 - M - 1, a1 - M)
             disk_tail[: M + 1, r2, cols], disk_tail[M + 1 :, r2, cols] = P + N, -1j * (P - N)[1:]
-    return C
-
-
-def _flux_projection(M: int, g: int, X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """G X, G[a, j] = L * integral of mode a times d/dr of basis column j on |x| = L, from
-    the ``_outer_coefficients`` C of each mode's solution X.
-
-    Domain harmonics (r/L)^f cos/sin(f theta) give pi f on their own mode. On |z| = L
-    the binomial series (R/(z - c))^m = sum_f t_mf (L/z)^f, f >= m, so a mode's inclusion
-    part Re sum C_f e^{ift} has L d/dr -f times it: -pi f Re C_f on cos ft and pi f Im C_f
-    on sin ft; only f <= M meets the modes, and the row of cos 0 is zero.
-    """
-    mode, Q = np.arange(2 * M + 1), -(-M // g)
-    dense = np.zeros((2 * M + 1, g, Q), dtype=complex)  # C at every f' = 1 + rho + g i
-    for s, rho in enumerate(_residues(mode, M, g, 1).T):
-        dense[mode, rho] += C[:, s, :Q]
-    C = dense.transpose(2, 1, 0).reshape(Q * g, 2 * M + 1)[:M]
-    flux = math.pi * np.arange(1, M + 1)[:, None]
-    form = np.zeros((2 * M + 1, 2 * M + 1))
-    form[1 : M + 1] = flux * (X[1 : M + 1] - C.real)
-    form[M + 1 :] = flux * (X[M + 1 : 2 * M + 1] + C.imag)
-    return form
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ each other. All arithmetic is 64-bit floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,21 +24,15 @@ CROSSOVER = 0.5
 SERIES_TERM_CUTOFF = 1e-17
 
 
-@dataclass(frozen=True)
-class ZetaConstants:
-    zeta_half: float
-    zeta_minus_half: float
-    zeta_half_minus_j: tuple[float, ...]  # zeta(1/2 - j) for j = 0..8
-
-
 @lru_cache(maxsize=1)
-def compute_zeta_constants() -> ZetaConstants:
-    """zeta(1/2 - j) for j = 0..8 from ``scipy.special.zeta``, within 2e-15 relative."""
-    values = scipy.special.zeta(0.5 - np.arange(EXPANSION_ORDER + 1)).tolist()
-    zc = ZetaConstants(values[0], values[1], tuple(values))
-    assert zc.zeta_half < 0.0
-    assert zc.zeta_minus_half < 0.0
-    return zc
+def _zeta_table() -> np.ndarray:
+    """zeta(1/2 - j) for j = 0..8 from ``scipy.special.zeta``, within 2e-15 relative,
+    read-only."""
+    zeta = scipy.special.zeta(0.5 - np.arange(EXPANSION_ORDER + 1))
+    assert zeta[0] < 0.0
+    assert zeta[1] < 0.0
+    zeta.flags.writeable = False
+    return zeta
 
 
 def _polylog_half_series(x: np.ndarray) -> np.ndarray:
@@ -70,11 +63,10 @@ def _polylog_half_series(x: np.ndarray) -> np.ndarray:
 
 
 def _polylog_half_expansion(x: np.ndarray) -> np.ndarray:
-    zc = compute_zeta_constants()
     total = np.sqrt(math.pi / x)
     term = np.ones_like(x)  # (-x)^j / j!
-    for j in range(EXPANSION_ORDER + 1):
-        total += zc.zeta_half_minus_j[j] * term
+    for j, zeta in enumerate(_zeta_table()):
+        total += zeta * term
         term *= -x / (j + 1)
     return total
 

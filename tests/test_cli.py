@@ -102,6 +102,16 @@ class TestGen:
         assert code == 2
         assert json.loads(err)["error"] == "InfeasibleError"
 
+    def test_negative_seed_exit_2_and_no_file(self, capsys, tmp_path):
+        path = tmp_path / "random.json"
+        code, out, err = run(capsys, "gen", "random", "--n", "3", "--seed", "-1",
+                             "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "InfeasibleError",
+                                   "message": "seed must be non-negative, got -1"}
+        assert not path.exists()
+
     def test_infinite_grid_domain_exit_2_and_no_file(self, capsys, tmp_path):
         path = tmp_path / "grid.json"
         code, out, err = run(capsys, "gen", "grid", "--domain-radius", "inf",

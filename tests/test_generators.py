@@ -29,13 +29,14 @@ def no_sampling(seed):
         (lambda: random_packing(3, 0.1, -1.0), "must be positive and finite, got -1.0"),
         (lambda: random_packing(3, 0.1, math.nan), "must be positive and finite, got nan"),
         (lambda: random_packing(3, 0.1, math.inf), "must be positive and finite, got inf"),
+        (lambda: random_packing(3, 0.1, 0.01, seed=-1), "seed must be non-negative, got -1"),
         # Three disks 0.97 apart need a circle of radius 0.56 for their centres; 0.51 is left.
         (lambda: random_packing(3, 0.48, 0.01, seed=1), "could not place 3 disks"),
     ],
     ids=["ring-empty", "ring-outside", "ring-overlap", "grid-zero-gap", "grid-negative-radius",
          "grid-nan-gap", "grid-too-large", "grid-infinite-domain", "random-too-large",
          "random-zero-gap", "random-negative-gap", "random-nan-gap", "random-infinite-gap",
-         "random-no-room"],
+         "random-negative-seed", "random-no-room"],
 )
 def test_infeasible_requests_raise(monkeypatch, make, message):
     if "could not place" not in message:  # every other request is refused before drawing

@@ -234,7 +234,7 @@ class TestOperatorReuse:
         assert q_split == pytest.approx(q_sum, rel=1e-10)
 
     def test_top_frequency_uses_its_own_rule(self):
-        # K = M meets the same closed-form flux projection as lower frequencies.
+        # K = M reads its row of Lambda from the domain coefficients as lower frequencies do.
         psi = FourierPotential.single_cos(12)
         q = quad_form_oracle(self.RING, psi, 12)
         assert cross_form_oracle(self.RING, psi, psi, 12) == pytest.approx(q, rel=1e-12)
@@ -257,10 +257,13 @@ class TestOperatorReuse:
             reference = 0.5 * float(c @ lam @ c)
             assert solve_dirichlet(p, psi, M).energy == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("p, M", [(equal_gap_ring(16, 0.08), 24), (RING, 12)],
-                             ids=["ring16-gap0.08", "ring8"])
+    @pytest.mark.parametrize("p, M", [(equal_gap_ring(16, 0.08), 24), (RING, 12),
+                                      (random_packing(20, 0.08, 0.01, seed=1), 16),
+                                      (two_ring_packing(), 16)],
+                             ids=["ring16-gap0.08", "ring8", "random-20-M16", "two-rings-M16"])
     def test_dtn_matches_a_fine_flux_rule(self, p, M):
-        # A 16M-node trapezoid rule is 9.1e-12 and 5.7e-12 of max|Lambda| off here.
+        # A 16M-node trapezoid rule is 1.0e-13, 1.9e-10, 1.8e-10 and 1.4e-15 of max|Lambda|
+        # off here; g = 16, 8, 1 and 4.
         reference = reference_dtn(p, M, 128 * M)
         lam = oracle._operator(p, M).dtn
         assert np.max(np.abs(lam - reference)) <= 1e-13 * np.max(np.abs(reference))

@@ -8,7 +8,7 @@ from dtnnet import specfun
 from dtnnet.errors import DomainError
 from dtnnet.generators import grid_packing
 from dtnnet.geometry import analyze
-from dtnnet.specfun import compute_zeta_constants, polylog_half
+from dtnnet.specfun import polylog_half
 
 
 def zeta_eta_oracle(s: float, terms: int = 48) -> float:
@@ -31,19 +31,22 @@ def polylog_direct(x: float) -> float:
 
 class TestZetaConstants:
     def test_matches_eta_oracle(self):
-        zc = compute_zeta_constants()
-        for j, val in enumerate(zc.zeta_half_minus_j):
+        for j, val in enumerate(specfun._zeta_table()):
             assert val == pytest.approx(zeta_eta_oracle(0.5 - j), abs=1e-12)
 
     def test_frozen_values(self):
-        zc = compute_zeta_constants()
-        assert zc.zeta_half == pytest.approx(-1.460354508809587, abs=1e-12)
-        assert zc.zeta_minus_half == pytest.approx(-0.207886224977355, abs=1e-12)
+        zeta = specfun._zeta_table()
+        assert zeta[0] == pytest.approx(-1.460354508809587, abs=1e-12)
+        assert zeta[1] == pytest.approx(-0.207886224977355, abs=1e-12)
 
     def test_signs(self):
-        zc = compute_zeta_constants()
-        assert zc.zeta_half < 0
-        assert zc.zeta_minus_half < 0
+        zeta = specfun._zeta_table()
+        assert zeta[0] < 0
+        assert zeta[1] < 0
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            specfun._zeta_table()[0] = 0.0
 
 
 class TestPolylogHalf:
@@ -56,10 +59,10 @@ class TestPolylogHalf:
         assert polylog_half(1.0) == pytest.approx(expected, abs=1e-9)
 
     def test_small_argument_expansion(self):
-        zc = compute_zeta_constants()
+        zeta = specfun._zeta_table()
         eps = 0.01
         x = 2.0 * eps
-        lead = math.sqrt(math.pi / x) + zc.zeta_half - x * zc.zeta_minus_half
+        lead = math.sqrt(math.pi / x) + zeta[0] - x * zeta[1]
         assert abs(polylog_half(x) - lead) <= eps**1.5
 
     def test_rejects_bad_arguments(self):
@@ -134,11 +137,11 @@ class TestPolylogHalf:
             )
 
     def test_expansion_error_slope(self):
-        zc = compute_zeta_constants()
+        zeta = specfun._zeta_table()
         xs = np.logspace(-4, -1, 40)
         errs = []
         for x in xs:
-            lead = math.sqrt(math.pi / x) + zc.zeta_half - x * zc.zeta_minus_half
+            lead = math.sqrt(math.pi / x) + zeta[0] - x * zeta[1]
             errs.append(abs(polylog_direct(float(x)) - lead))
         slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
         assert slope >= 1.4
