@@ -35,6 +35,9 @@ packing of rotation order 4. Each record gives the order g of the blocks the
 factor uses (g = 1: one dense solve). Last, criterion 5's one-psi solve,
 ``solve_dirichlet`` of cos 250 theta at M = 258 as the first call for its
 packing, which builds the solution of all 2M + 1 = 517 outer-trace modes.
+Before the first timed rung the process builds that rung's operator again and
+again, unrecorded, for ``WARM_UP_S`` seconds: after an idle pause, builds that
+call the threaded BLAS ran about 7 times slower for their first second.
 ``--skip`` leaves out a rung by name (``packing M=M``) and records it as
 skipped. The result is merged into ``--out`` under ``--label``, with the
 provenance fields of ``sweep_ladder.py``.
@@ -66,6 +69,7 @@ RINGS = {
 REPEATS = 3
 WARM_SOLVES = 50  # solve_dirichlet calls of each warm psi on the cached operator
 WARM_KS = (1, 2, 4)  # the cosines of perfbench's oracle_batch
+WARM_UP_S = 2.0  # unrecorded builds before the first rung
 # Build stage: the dtnnet.oracle function that does it (looked up when called).
 STAGES = {"factor": "_orbit_factor", "tail_table": "_tail_table"}
 # Parts of the build: (module, function) pairs timed while it runs.
@@ -236,6 +240,11 @@ def main() -> None:
              for group, rings in RINGS.items() for n, t, M in rings]
     specs += [("other packings", name, make, M, repeats, {})
               for name, make, M, repeats in OTHERS]
+    _, _, make, M, _, _ = specs[0]
+    packing, start = make(), time.perf_counter()
+    while time.perf_counter() - start < WARM_UP_S:
+        oracle._operator.cache_clear()
+        oracle._operator(packing, M)
     rungs, skipped = [], []
     for group, name, make, M, repeats, fields in specs:
         if f"{name} M={M}" in args.skip:

@@ -12,8 +12,9 @@ on a fresh ``Packing`` of the same disks, so that no array a packing keeps
 carries over from an earlier call; on the analysed grid ``build_network``,
 and on each new network the first ``total_energy`` (cos theta), which builds
 what the network keeps for every later energy, then ``cosine_sweep`` of
-k = 1..100, ``total_energy`` of each cos k theta, k = 1..128, one call each
-(the op mix of perfbench's ``mode_sweep``), ``dtn_matrix``,
+k = 1..100, ``total_energy`` of each cos k theta, k = 1..128, one call each,
+and of 128 psi of K <= 4 with normal coefficients from ``LOW_K_SEED`` (the two
+halves of the op mix of perfbench's ``mode_sweep``), ``dtn_matrix``,
 ``interior_gap_energy`` of cos theta on the boundary inclusions and
 ``total_energy_decomposed(5)`` on that warm network.
 The result is merged into ``--out`` under ``--label``, so two checkouts
@@ -44,6 +45,7 @@ from dtnnet.asymptotics import FourierPotential
 
 LADDER = {61: (0.1, 0.02), 265: (0.05, 0.01), 1789: (0.02, 0.004), 7291: (0.01, 0.002)}
 REPEATS = 5
+LOW_K_SEED = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -108,12 +110,20 @@ def time_analyze(packing) -> float:
 def time_network(analysis) -> dict:
     """Median seconds of a network build, of the first energy on the new
     network, then of a warm 100-mode cosine sweep, 128 single-cosine energies,
-    dtn_matrix, interior gap energy and k = 5 energy decomposition on it."""
+    128 energies of K <= 4, dtn_matrix, interior gap energy and k = 5 energy
+    decomposition on it."""
     stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_energies_s": [],
-              "warm_dtn_matrix_s": [], "interior_gap_energy_s": [], "decomposed_s": []}
+              "warm_low_k_energies_s": [], "warm_dtn_matrix_s": [],
+              "interior_gap_energy_s": [], "decomposed_s": []}
     builds = []
     u_gamma = np.cos(analysis.boundary_angles)
     cosines = [FourierPotential.single_cos(k) for k in range(1, 129)]
+    rng = np.random.default_rng(LOW_K_SEED)
+    low_k = []
+    for K in rng.integers(1, 5, size=128).tolist():
+        cos, sin = rng.standard_normal((2, K + 1))
+        sin[0] = 0.0
+        low_k.append(FourierPotential(cos, sin))
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         net = network.build_network(analysis)
@@ -122,6 +132,7 @@ def time_network(analysis) -> dict:
                 lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
                 lambda: list(asymptotics.cosine_sweep(np.arange(1, 101), analysis, net)),
                 lambda: [asymptotics.total_energy(psi, analysis, net) for psi in cosines],
+                lambda: [asymptotics.total_energy(psi, analysis, net) for psi in low_k],
                 lambda: network.dtn_matrix(net),
                 lambda: network.interior_gap_energy(net, u_gamma),
                 lambda: asymptotics.total_energy_decomposed(5, analysis, net))):
@@ -173,6 +184,7 @@ def main() -> None:
               f"build_network {g['build_network_s']:.4f} s  "
               f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
               f"warm energies {g['warm_energies_s']:.4f} s  "
+              f"warm low-k energies {g['warm_low_k_energies_s']:.4f} s  "
               f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "
               f"interior gap energy {g['interior_gap_energy_s']:.4f} s  "
               f"decomposed {g['decomposed_s']:.4f} s")

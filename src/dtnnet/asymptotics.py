@@ -192,17 +192,38 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     adds W_i e^{i(k-m) theta_i}, W_i(k, m) = e^{-|k-m| mu_i} r_i(min(k, m)),
     whose real part C fills the cos-cos and sin-sin blocks and whose
     imaginary part S the cross blocks.
+
+    The inclusions are taken b = max(1, N_b // (K+1)) at a time, so a block's
+    temporaries hold b (K+1)^2 numbers, no more than r or C, and one inclusion
+    once K + 1 > N_b / 2. Each entry of C and S adds its inclusions one after
+    another, in order, so R is the same to the bit whatever b: a block's terms
+    are summed by a running sum that starts from the sum so far.
     """
-    k = np.arange(K + 1)
+    k = np.arange(K + 1.0)
     r = network.boundary_sigmas[:, None] * _resonance_factor(analysis, K)
-    km_min, km_diff = np.minimum.outer(k, k), np.subtract.outer(k, k).astype(float)
-    R, S = np.zeros((2 * K + 1, 2 * K + 1)), np.zeros((K + 1, K + 1))
-    C = R[: K + 1, : K + 1]  # a view: the cos-cos block
-    for i, (mu, theta) in enumerate(zip(analysis._damping_rates, analysis.boundary_angles)):
-        W = np.exp(-np.abs(km_diff) * mu) * r[i, km_min]
-        C += W * np.cos(km_diff * theta)
-        S += W * np.sin(km_diff * theta)
-    R[: K + 1, K + 1 :], R[K + 1 :, : K + 1], R[K + 1 :, K + 1 :] = -S[:, 1:], S[1:], C[1:, 1:]
+    k_is_min, k_minus_m = np.less_equal.outer(k, k), np.subtract.outer(k, k)
+    damping = -np.abs(k_minus_m)
+    mu, theta = (x[:, None, None] for x in (analysis._damping_rates, analysis.boundary_angles))
+    C, S = np.zeros((2, K + 1, K + 1))
+    b = max(1, len(r) // (K + 1))
+    for lo in range(0, len(r), b):
+        block = slice(lo, lo + b)
+        W = np.exp(damping * mu[block])
+        W *= np.where(k_is_min, r[block, :, None], r[block, None, :])
+        angle = theta[block] * k_minus_m
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        for total, term in ((C, cos), (S, angle)):
+            term *= W
+            if b == 1:
+                total += term[0]
+            else:
+                term[0] += total
+                np.add.reduce(term, axis=0, out=total)
+        del W, angle, cos, term  # the next block's temporaries replace these
+    R = np.empty((2 * K + 1, 2 * K + 1))
+    R[: K + 1, : K + 1], R[K + 1 :, : K + 1], R[K + 1 :, K + 1 :] = C, S[1:], C[1:, 1:]
+    np.negative(S[:, 1:], out=R[: K + 1, K + 1 :])
     return R
 
 

@@ -63,12 +63,14 @@ def _polylog_half_series(x: np.ndarray) -> np.ndarray:
 
 
 def _polylog_half_expansion(x: np.ndarray) -> np.ndarray:
-    total = np.sqrt(math.pi / x)
-    term = np.ones_like(x)  # (-x)^j / j!
-    for j, zeta in enumerate(_zeta_table()):
-        total += zeta * term
-        term *= -x / (j + 1)
-    return total
+    """The expansion at the 1-D x: its terms (-x)^j / j! by a running product and
+    their sum by a running sum from sqrt(pi/x), each in the order of j."""
+    terms = np.empty((EXPANSION_ORDER + 2, *x.shape))
+    terms[1], terms[2:] = 1.0, -x / np.arange(1.0, EXPANSION_ORDER + 1).reshape(-1, 1)
+    np.cumprod(terms[1:], axis=0, out=terms[1:])
+    terms[1:] *= _zeta_table()[:, None]
+    terms[0] = np.sqrt(math.pi / x)
+    return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 def polylog_half(x):

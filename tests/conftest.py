@@ -1,3 +1,4 @@
+import functools
 import math
 import tempfile
 
@@ -163,20 +164,29 @@ def reference_lstsq_factor(packing, M, g, T, X):
     return float(sv.max() / sv.min())
 
 
+@functools.cache
 def reference_operator(packing, M, factor=reference_dense_factor):
-    """The oracle's operator with a reference factor."""
+    """The oracle's operator with a reference factor, built once per test run for each
+    (packing, M, factor); its arrays are read-only."""
     return oracle._solve(packing, M, factor)
 
 
-def reference_residual(packing, M, X):
-    """Collocation error of each mode (columns) of the solution X at 8M shifted points
-    on the outer circle, then at 8M points on each inclusion."""
+@functools.cache
+def reference_residual(packing, M, factor=None):
+    """Collocation error of each mode (columns) of the solution of the oracle's operator
+    (factor None) or of reference_operator(packing, M, factor), at 8M shifted points on
+    the outer circle, then at 8M points on each inclusion. Computed once per test run
+    for each (packing, M, factor), read-only."""
+    op = oracle._operator(packing, M) if factor is None else reference_operator(packing, M, factor)
+    X = op.coeffs
     n_chk, n_basis = 8 * M, (2 * M + 1) + 2 * M * packing.n
     t = np.linspace(0.0, 2.0 * math.pi, n_chk, endpoint=False)
     t_outer = t + 0.5 * math.pi / n_chk
     targets = [_modes(t_outer, M), *X[n_basis:]]
-    return np.concatenate([reference_basis_columns(z, packing, M) @ X[:n_basis] - y for z, y in
-                           zip(circle_points(packing, t_outer, t), targets)])
+    residual = np.concatenate([reference_basis_columns(z, packing, M) @ X[:n_basis] - y
+                               for z, y in zip(circle_points(packing, t_outer, t), targets)])
+    residual.flags.writeable = False
+    return residual
 
 
 def dense_outer_tail(op):

@@ -206,7 +206,11 @@ THREE_PACKINGS = pytest.mark.parametrize(
 
 @THREE_PACKINGS
 def test_resonance_matrix_is_the_block_assembly(packing):
-    for order in ((1, 4, 33, 128), (128, 33, 4, 1)):
+    # N_b = 8, 24 and 10, summed b = max(1, N_b // (K+1)) inclusions at a time. K = 2
+    # leaves random20 a last block of one (b = 3); K + 1 = N_b / 2 at K = 3 on ring8 and
+    # K = 11 on grid61 (b = 2); every block is one inclusion from K = 4 on ring8, 23 on
+    # grid61 and 6 on random20.
+    for order in ((1, 2, 3, 4, 6, 9, 11, 23, 33, 128), (128, 33, 23, 11, 9, 6, 4, 3, 2, 1)):
         a = analyze(packing)  # one analysis per order: its resonance table grows or is read
         net = build_network(a)
         for K in order:
