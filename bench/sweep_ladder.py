@@ -1,7 +1,12 @@
 """Time `dtnnet sweep --k-from 1 --k-to 100` in process on the grid ladder.
 
-    PYTHONPATH=src python bench/sweep_ladder.py --label change
-    PYTHONPATH=<other checkout>/src python bench/sweep_ladder.py --label parent
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python bench/sweep_ladder.py --label change
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<other checkout>/src \
+        python bench/sweep_ladder.py --label parent
+
+On a shared 2-core machine, two BLAS threads spread the 1789-disk rung's
+``dtnnet sweep`` calls over 48-148 ms in one process, and one thread over
+38-62 ms, so compare two checkouts with the same, recorded, thread count.
 
 Each run times ``dtnnet.cli.main`` on the hexagonal grids of 61, 265, 1789
 and 7291 disks (L = 1, gap/R = 0.2): the first call, then five more, and
@@ -12,11 +17,18 @@ on a fresh ``Packing`` of the same disks, so that no array a packing keeps
 carries over from an earlier call; on the analysed grid ``build_network``,
 and on each new network the first ``total_energy`` (cos theta), which builds
 what the network keeps for every later energy, then ``cosine_sweep`` of
-k = 1..100, ``total_energy`` of each cos k theta, k = 1..128, one call each,
+k = 1..100 and of k = 0..20000 (``warm_wide_sweep_s``, 157 blocks of 128
+modes),
+``total_energy`` of each cos k theta, k = 1..128, one call each,
 and of 128 psi of K <= 4 with normal coefficients from ``LOW_K_SEED`` (the two
 halves of the op mix of perfbench's ``mode_sweep``), ``dtn_matrix``,
 ``interior_gap_energy`` of cos theta on the boundary inclusions and
 ``total_energy_decomposed(5)`` on that warm network.
+Before the first rung the process runs the sweep of every rung in turn,
+unrecorded, for at least ``WARM_UP_S`` seconds, so that each first call reads
+the code rather than a machine waking from an idle pause: on a 2-core machine,
+with only the smallest rung warmed, the 1789-disk rung's first call still took
+1.1 s, where later calls took 0.04-0.1 s.
 The result is merged into ``--out`` under ``--label``, so two checkouts
 measured one after the other share one file. It records the thread variables,
 the Python, numpy and scipy versions, and the git commit of the dtnnet that
@@ -46,6 +58,8 @@ from dtnnet.asymptotics import FourierPotential
 LADDER = {61: (0.1, 0.02), 265: (0.05, 0.01), 1789: (0.02, 0.004), 7291: (0.01, 0.002)}
 REPEATS = 5
 LOW_K_SEED = 5
+WIDE_SWEEP_K = 20000  # warm_wide_sweep_s sweeps k = 0..WIDE_SWEEP_K
+WARM_UP_S = 2.0  # unrecorded sweeps of all rungs before the first is timed
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -71,19 +85,27 @@ def _source(pkg_dir: str) -> dict:
     }
 
 
-def time_grid(n: int, workdir: str) -> dict:
+def rung(n: int, workdir: str) -> tuple[geometry.Packing, list[str]]:
+    """The n-disk grid, saved in workdir, and the ``dtnnet sweep`` arguments on it."""
     packing = generators.grid_packing(*LADDER[n])
     assert packing.n == n, (packing.n, n)
     path = os.path.join(workdir, f"grid{n}.json")
     geometry.save_packing(packing, path)
-    argv = ["sweep", "--packing", path, "--k-from", "1", "--k-to", "100",
-            "--out", os.path.join(workdir, f"grid{n}.csv")]
-    times = []
-    for _ in range(REPEATS + 1):
-        t0 = time.perf_counter()
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"sweep failed on the {n}-disk grid")
-        times.append(time.perf_counter() - t0)
+    return packing, ["sweep", "--packing", path, "--k-from", "1", "--k-to", "100",
+                     "--out", os.path.join(workdir, f"grid{n}.csv")]
+
+
+def sweep(argv: list[str]) -> float:
+    """Seconds of one ``dtnnet sweep`` through ``cli.main``."""
+    t0 = time.perf_counter()
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"sweep failed: {argv}")
+    return time.perf_counter() - t0
+
+
+def time_grid(n: int, workdir: str) -> dict:
+    packing, argv = rung(n, workdir)
+    times = [sweep(argv) for _ in range(REPEATS + 1)]
     return {
         "n": n,
         "n_b": geometry.analyze(packing).boundary_count,
@@ -109,10 +131,11 @@ def time_analyze(packing) -> float:
 
 def time_network(analysis) -> dict:
     """Median seconds of a network build, of the first energy on the new
-    network, then of a warm 100-mode cosine sweep, 128 single-cosine energies,
-    128 energies of K <= 4, dtn_matrix, interior gap energy and k = 5 energy
-    decomposition on it."""
-    stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_energies_s": [],
+    network, then of a warm 100-mode and a warm k = 0..WIDE_SWEEP_K cosine sweep,
+    128 single-cosine energies, 128 energies of K <= 4, dtn_matrix, interior gap
+    energy and k = 5 energy decomposition on it."""
+    stages = {"first_energy_s": [], "warm_sweep_s": [], "warm_wide_sweep_s": [],
+              "warm_energies_s": [],
               "warm_low_k_energies_s": [], "warm_dtn_matrix_s": [],
               "interior_gap_energy_s": [], "decomposed_s": []}
     builds = []
@@ -131,6 +154,8 @@ def time_network(analysis) -> dict:
         for times, call in zip(stages.values(), (
                 lambda: asymptotics.total_energy(FourierPotential.single_cos(1), analysis, net),
                 lambda: list(asymptotics.cosine_sweep(np.arange(1, 101), analysis, net)),
+                lambda: list(asymptotics.cosine_sweep(np.arange(WIDE_SWEEP_K + 1), analysis,
+                                                      net)),
                 lambda: [asymptotics.total_energy(psi, analysis, net) for psi in cosines],
                 lambda: [asymptotics.total_energy(psi, analysis, net) for psi in low_k],
                 lambda: network.dtn_matrix(net),
@@ -174,6 +199,10 @@ def main() -> None:
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as workdir:
+        argvs, start = [rung(n, workdir)[1] for n in LADDER], time.perf_counter()
+        while time.perf_counter() - start < WARM_UP_S:
+            for argv in argvs:
+                sweep(argv)
         grids = [time_grid(n, workdir) for n in LADDER]
     merge_run(args.out, "dtnnet sweep --k-from 1 --k-to 100 (in process)", args.label,
               {**provenance(), "grids": grids})
@@ -183,6 +212,7 @@ def main() -> None:
               f"analyze {g['analyze_s']:.4f} s  "
               f"build_network {g['build_network_s']:.4f} s  "
               f"first energy {g['first_energy_s']:.4f} s  warm sweep {g['warm_sweep_s']:.4f} s  "
+              f"warm wide sweep {g['warm_wide_sweep_s']:.4f} s  "
               f"warm energies {g['warm_energies_s']:.4f} s  "
               f"warm low-k energies {g['warm_low_k_energies_s']:.4f} s  "
               f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "

@@ -154,35 +154,29 @@ def _poly(x: np.ndarray) -> np.ndarray:
 
 
 def _resonance_columns(analysis: GeometryAnalysis, ks) -> np.ndarray:
-    """r[i, m]: the sigma-free resonance of mode ks[m] in the gap behind boundary
-    inclusion i (``GeometryAnalysis._resonance_factor``); zero at k = 0."""
+    """r[i, m] = (sqrt(x/pi) Li_{1/2}(e^{-x}) - e^{-2k mu_i}) / 4, x = 2k delta_i / L, k = ks[m]:
+    the sigma-free resonance of mode k in the gap behind boundary inclusion i."""
     k = np.asarray(ks, dtype=float)
     x = 2.0 * k * analysis.boundary_gaps[:, None] / analysis.packing.L
     return 0.25 * (_poly(x) - np.exp(-2.0 * k * analysis._damping_rates[:, None]))
 
 
-def _resonance_table(analysis: GeometryAnalysis, sigmas, ks) -> np.ndarray:
-    """R[i, m]: anomalous energy of mode ks[m] in the gap behind boundary
-    inclusion i, with gap conductivity sigmas[i]; zero at k = 0."""
-    return np.reshape(sigmas, (-1, 1)) * _resonance_columns(analysis, ks)
-
-
 def _resonance_factor(analysis: GeometryAnalysis, K: int) -> np.ndarray:
-    """r (N_b, K+1): the first K+1 columns of the table the analysis keeps. A larger
-    K grows it to k = 0..max(K, 2 K_kept), so each packing evaluates the polylog
-    O(log K_max) times and keeps O(N_b K_max) numbers. No element depends on the
+    """r (N_b, K+1): the first K+1 columns of the table the analysis keeps, from the k = 0
+    zeros. A larger K grows it to k = 0..max(K, 2 K_kept), so each packing evaluates the
+    polylog O(log K_max) times and keeps O(N_b K_max) numbers. No element depends on the
     others computed with it, so the table is the same whatever K asked for it first."""
-    table = analysis._resonance_factor
+    table = getattr(analysis, "_resonance_factor", np.zeros((analysis.boundary_count, 1)))
     kept = table.shape[1] - 1
     if kept < K:
         new = np.arange(kept + 1, max(K, 2 * kept) + 1)
         table = np.concatenate([table, _resonance_columns(analysis, new)], axis=1)
-        object.__setattr__(analysis, "_resonance_factor", table)  # replaces the cached value
+        object.__setattr__(analysis, "_resonance_factor", table)  # the analysis is frozen
     return table[:, : K + 1]
 
 
 def resonance_mode(k: int, analysis: GeometryAnalysis, network: Network) -> float:
-    return float(np.sum(_resonance_table(analysis, network.boundary_sigmas, [k])))
+    return float(np.sum(network.boundary_sigmas[:, None] * _resonance_columns(analysis, [k])))
 
 
 def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> np.ndarray:
@@ -269,7 +263,8 @@ def cosine_sweep(
             B = np.cos(np.multiply.outer(analysis.boundary_angles, kb)) * _damping(analysis, kb)
             G = energy_factor(network, B)
             e_net = 0.5 * np.einsum("ij,ij->j", G, G)
-            r_res = _resonance_table(analysis, network.boundary_sigmas, kb).sum(axis=0)
+            r_res = np.sum(network.boundary_sigmas[:, None] * _resonance_columns(analysis, kb),
+                           axis=0)
             modes = [_classify(int(k), analysis._scales, analysis.packing.L) for k in kb]
         total = e_net + e_ref + r_res
         yield from ((m.k, m.epsilon, m.eta, m.regime, *map(float, row))

@@ -74,14 +74,6 @@ class GeometryAnalysis:
         return np.sqrt(2.0 * radii * self.boundary_gaps) / self.packing.L
 
     @cached_property
-    def _resonance_factor(self) -> np.ndarray:
-        """r_i(k) = (sqrt(x/pi) Li_{1/2}(e^{-x}) - e^{-2k mu_i}) / 4, x = 2k delta_i / L, for
-        k = 0..K_max (N_b, K_max + 1), the sigma-free resonance of each boundary disk.
-        It starts at k = 0, where r_i = 0; ``asymptotics``, which holds the polylog,
-        grows it in place of this value when a resonance needs a larger K."""
-        return np.zeros((self.boundary_count, 1))
-
-    @cached_property
     def _scales(self) -> tuple[float, float]:
         """(delta_char, R_char): the geometric-mean gap and the arithmetic-mean radius."""
         gaps = np.concatenate([self.gap_widths, self.boundary_gaps])

@@ -108,7 +108,7 @@ class TestReferenceEnergy:
 class TestResonance:
     def test_zero_mode(self, ring8):
         a = analyze(ring8)
-        assert asymptotics._resonance_table(a, 10.0, [0])[0, 0] == 0.0
+        assert 10.0 * asymptotics._resonance_columns(a, [0])[0, 0] == 0.0
 
     def test_negative_mode_rejected(self, ring8):
         a = analyze(ring8)
@@ -126,7 +126,7 @@ class TestResonance:
             math.sqrt(x / math.pi) * polylog_half(x)
             - math.exp(-2.0 * k * math.sqrt(2.0 * 0.1 * delta) / a.packing.L)
         )
-        got = asymptotics._resonance_table(a, sig, [k])[i, 0]
+        got = sig * asymptotics._resonance_columns(a, [k])[i, 0]
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_small_in_regime_one(self, ring8):
@@ -135,7 +135,7 @@ class TestResonance:
         for k in range(1, 6):
             sig = float(net.boundary_sigmas[0])
             eps = k * float(a.boundary_gaps[0]) / a.packing.L
-            assert abs(asymptotics._resonance_table(a, sig, [k])[0, 0]) <= sig * math.sqrt(eps)
+            assert abs(sig * asymptotics._resonance_columns(a, [k])[0, 0]) <= sig * math.sqrt(eps)
 
     def test_single_mode_collapse(self, ring8):
         a = analyze(ring8)
@@ -187,7 +187,7 @@ def reference_resonance_matrix(analysis, network, K):
     """The resonance matrix assembled from its four blocks by np.block, with the damping
     rates mu_i = sqrt(2 R_i delta_i) / L computed here."""
     k = np.arange(K + 1)
-    r = asymptotics._resonance_table(analysis, network.boundary_sigmas, k)
+    r = network.boundary_sigmas[:, None] * asymptotics._resonance_columns(analysis, k)
     radii = analysis.packing.radii()[: analysis.boundary_count]
     mus = np.sqrt(2.0 * radii * analysis.boundary_gaps) / analysis.packing.L
     km_min, km_diff = np.minimum.outer(k, k), np.subtract.outer(k, k).astype(float)

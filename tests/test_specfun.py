@@ -71,13 +71,17 @@ class TestPolylogHalf:
                 polylog_half(bad)
 
     def test_array_matches_scalar_calls(self):
-        xs = np.concatenate([np.logspace(-4, math.log10(50.0), 60), [0.5 - 1e-13, 0.5, 0.5 + 1e-13]])
-        vals = polylog_half(xs)
-        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
-        scalar = np.array([polylog_half(float(x)) for x in xs])
+        # The second batch holds the edges of the series' half-ulp argument: 0.5 sets the
+        # batch's cutoff, and q = e^{-x} is subnormal at 745 and zero at 800.
+        mixed = np.concatenate([np.logspace(-4, math.log10(50.0), 60),
+                                [0.5 - 1e-13, 0.5, 0.5 + 1e-13]])
+        for xs in (mixed, np.array([0.5, 700.0, 745.0, 800.0])):
+            vals = polylog_half(xs)
+            assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+            scalar = np.array([polylog_half(float(x)) for x in xs])
+            assert np.array_equal(vals, scalar)
         assert isinstance(polylog_half(float(xs[0])), float)
-        assert np.array_equal(vals, scalar)
-        assert np.array_equal(polylog_half(xs.reshape(7, 9)), vals.reshape(7, 9))
+        assert np.array_equal(polylog_half(mixed.reshape(7, 9)), polylog_half(mixed).reshape(7, 9))
 
     @pytest.mark.parametrize("xs", [np.linspace(0.5, 40.0, 17), np.logspace(-4, -0.31, 17),
                                     np.logspace(-4, 1.6, 17), np.array(3.0), np.array(0.2)],
@@ -135,6 +139,13 @@ class TestPolylogHalf:
             assert polylog_half(float(x)) == pytest.approx(
                 polylog_direct(float(x)), abs=1e-9
             )
+
+    def test_matches_mpmath_below_the_crossover(self):
+        # Where the expansion's truncation error is largest, just below x = 0.5.
+        xs = np.linspace(0.3, 0.5, 41)[:-1]
+        with mpmath.workdps(30):
+            expected = np.array([float(mpmath.polylog(0.5, mpmath.exp(-x))) for x in xs])
+        assert np.all(np.abs(polylog_half(xs) - expected) <= 2e-15 * expected)
 
     def test_expansion_error_slope(self):
         zeta = specfun._zeta_table()
