@@ -23,7 +23,11 @@ modes),
 and of 128 psi of K <= 4 with normal coefficients from ``LOW_K_SEED`` (the two
 halves of the op mix of perfbench's ``mode_sweep``), ``dtn_matrix``,
 ``interior_gap_energy`` of cos theta on the boundary inclusions and
-``total_energy_decomposed(5)`` on that warm network.
+``total_energy_decomposed(5)`` on that warm network. After these, ``kept_bytes``
+records what the warm packing keeps: the network's Lambda_net, its Cholesky
+factor and grounding indices (``network``), the analysis's Li_{1/2} resonance
+table (``resonance_table``) and the resonance matrix the network keeps
+(``resonance_matrix``, 0 where the imported dtnnet keeps none).
 Before the first rung the process runs the sweep of every rung in turn,
 unrecorded, for at least ``WARM_UP_S`` seconds, so that each first call reads
 the code rather than a machine waking from an idle pause: on a 2-core machine,
@@ -164,7 +168,11 @@ def time_network(analysis) -> dict:
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
-    return {k: statistics.median(v) for k, v in {"build_network_s": builds, **stages}.items()}
+    kept = {"network": net._boundary_map,
+            "resonance_table": [analysis._resonance_factor],
+            "resonance_matrix": getattr(net, "_resonance_matrix", (None,))[1:]}
+    return {**{k: statistics.median(v) for k, v in {"build_network_s": builds, **stages}.items()},
+            "kept_bytes": {k: sum(a.nbytes for a in v) for k, v in kept.items()}}
 
 
 def provenance() -> dict:
@@ -217,7 +225,7 @@ def main() -> None:
               f"warm low-k energies {g['warm_low_k_energies_s']:.4f} s  "
               f"warm dtn_matrix {g['warm_dtn_matrix_s']:.4f} s  "
               f"interior gap energy {g['interior_gap_energy_s']:.4f} s  "
-              f"decomposed {g['decomposed_s']:.4f} s")
+              f"decomposed {g['decomposed_s']:.4f} s  kept bytes {g['kept_bytes']}")
 
 
 if __name__ == "__main__":

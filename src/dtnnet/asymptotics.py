@@ -192,7 +192,16 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     once K + 1 > N_b / 2. Each entry of C and S adds its inclusions one after
     another, in order, so R is the same to the bit whatever b: a block's terms
     are summed by a running sum that starts from the sum so far.
+
+    So no entry depends on K. The network keeps the last R it built that holds
+    no more numbers than the analysis's resonance table, read-only, with the
+    analysis it was built from; with that analysis a smaller K reads its
+    submatrix, the same to the bit.
     """
+    kept_by, kept = getattr(network, "_resonance_matrix", (None, ()))
+    if kept_by is analysis and len(kept) > 2 * K:
+        slots = _slots(K, len(kept) // 2)
+        return kept[np.ix_(slots, slots)]
     k = np.arange(K + 1.0)
     r = network.boundary_sigmas[:, None] * _resonance_factor(analysis, K)
     k_is_min, k_minus_m = np.less_equal.outer(k, k), np.subtract.outer(k, k)
@@ -218,6 +227,9 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     R = np.empty((2 * K + 1, 2 * K + 1))
     R[: K + 1, : K + 1], R[K + 1 :, : K + 1], R[K + 1 :, K + 1 :] = C, S[1:], C[1:, 1:]
     np.negative(S[:, 1:], out=R[: K + 1, K + 1 :])
+    if R.size <= getattr(analysis, "_resonance_factor", R).size:  # no table at K = 0
+        R.flags.writeable = False
+        object.__setattr__(network, "_resonance_matrix", (analysis, R))  # frozen too
     return R
 
 

@@ -209,7 +209,8 @@ def test_resonance_matrix_is_the_block_assembly(packing):
     # N_b = 8, 24 and 10, summed b = max(1, N_b // (K+1)) inclusions at a time. K = 2
     # leaves random20 a last block of one (b = 3); K + 1 = N_b / 2 at K = 3 on ring8 and
     # K = 11 on grid61 (b = 2); every block is one inclusion from K = 4 on ring8, 23 on
-    # grid61 and 6 on random20.
+    # grid61 and 6 on random20. The ascending order builds every K; the descending one
+    # keeps R(11) on ring8 and random20 and R(23) on grid61, and reads the smaller K there.
     for order in ((1, 2, 3, 4, 6, 9, 11, 23, 33, 128), (128, 33, 23, 11, 9, 6, 4, 3, 2, 1)):
         a = analyze(packing)  # one analysis per order: its resonance table grows or is read
         net = build_network(a)
@@ -232,6 +233,85 @@ def test_the_kept_resonance_table_does_not_depend_on_how_it_grew(packing):
     for K in (3, 128):
         assert np.array_equal(dtn_asymptotic(K, step_by_step, net),
                               dtn_asymptotic(K, at_once, net))
+
+
+def fresh_values(packing, K, analysed=None):
+    """R_res and resonance_general of a K-mode psi and dtn_asymptotic(K), from a new
+    network of packing and a new analysis of ``analysed`` (by default packing)."""
+    a = analyze(packing if analysed is None else analysed)
+    return kept_values(a, build_network(analyze(packing)), K)
+
+
+def kept_values(analysis, network, K):
+    rng = np.random.default_rng(K)
+    psi = FourierPotential(rng.normal(size=K + 1), np.r_[0.0, rng.normal(size=K)])
+    return (total_energy(psi, analysis, network).R_res,
+            resonance_general(psi, analysis, network), dtn_asymptotic(K, analysis, network))
+
+
+def assert_same_values(got, expected):
+    assert got[:2] == expected[:2]
+    assert np.array_equal(got[2], expected[2])
+
+
+KEPT_KS = (0, 1, 2, 4, 7, 11, 15, 16, 23, 27, 28, 40, 128)
+
+
+@THREE_PACKINGS
+def test_the_kept_resonance_matrix_gives_the_fresh_values_in_any_order(packing):
+    expected = {K: fresh_values(packing, K) for K in KEPT_KS}
+    shuffled = np.random.default_rng(3).permutation(KEPT_KS).tolist()
+    for order in (KEPT_KS, KEPT_KS[::-1], shuffled + [4, 0, 27, 4, 128, 1, 1]):
+        a = analyze(packing)
+        net = build_network(a)
+        for K in order:
+            assert_same_values(kept_values(a, net, K), expected[K])
+
+
+@THREE_PACKINGS
+def test_a_network_with_another_analysis_builds_its_own_resonance_matrix(packing):
+    rng = np.random.default_rng(7)
+    jittered = Packing(packing.L, tuple(Disk(d.x + dx, d.y + dy, d.r) for d, (dx, dy) in
+                                        zip(packing.inclusions,
+                                            rng.uniform(-1e-3, 1e-3, (packing.n, 2)))))
+    a, b = analyze(packing), analyze(jittered)
+    assert b.boundary_count == a.boundary_count
+    net = build_network(a)
+    for K in (4, 2, 9, 0):
+        mine = fresh_values(packing, K)
+        assert_same_values(kept_values(a, net, K), mine)
+        other = kept_values(b, net, K)
+        assert_same_values(other, fresh_values(packing, K, analysed=jittered))
+        assert K == 0 or not np.array_equal(other[2], mine[2])  # the jitter moves R
+        assert_same_values(kept_values(a, net, K), mine)
+
+
+def test_the_kept_resonance_matrix_holds_no_more_numbers_than_the_table():
+    a = analyze(grid_packing(0.1, 0.02))
+    net = build_network(a)
+    total_energy(FourierPotential.single_cos(128), a, net)  # N_b = 24: the table is 24 x 129
+    kept_values(a, net, 28)  # 57^2 = 3249 > 3096 numbers
+    assert not hasattr(net, "_resonance_matrix")
+    kept_values(a, net, 27)  # 55^2 = 3025
+    kept_by, kept = net._resonance_matrix
+    assert kept_by is a and kept.shape == (55, 55)
+    assert kept.size <= a._resonance_factor.size
+
+
+def test_the_kept_resonance_matrix_cannot_be_written():
+    packing = grid_packing(0.1, 0.02)
+    a = analyze(packing)
+    net = build_network(a)
+    expected = fresh_values(packing, 4)
+    assert_same_values(kept_values(a, net, 4), expected)
+    kept = net._resonance_matrix[1]
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1.0
+    dtn_asymptotic(4, a, net)[:] = 1e3
+    dtn_asymptotic(2, a, net)[:] = 1e3  # a submatrix of the kept R
+    asymptotics._resonance_matrix(a, net, 3)[:] = 1e3
+    assert_same_values(kept_values(a, net, 4), expected)
 
 
 def test_one_polylog_evaluation_per_analysis(monkeypatch):

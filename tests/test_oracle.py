@@ -679,6 +679,21 @@ class TestConvergence:
         rel_shift = abs(energies[-1] - energies[-2]) / energies[-1]
         assert rel_shift <= 1e-4
 
+    def test_adding_a_disk_never_lowers_the_energy(self):
+        """A perfectly conducting disk added to the matrix cannot lower the energy of the
+        same boundary data (Rayleigh), checked on ring8 against the same ring less disk 3,
+        which has no rotation symmetry. Within the residual: from M = 16 to 32 each of
+        these six energies moved by less than its M = 16 residual (at most 0.83 of it),
+        so the two residuals at M = 32 (at most 4.4e-3) bound both energies' errors, and
+        the gain E_8 - E_7 (0.037, 0.113, 0.272) must exceed their sum."""
+        p8 = ring_packing(8, 0.85, 0.1)
+        p7 = Packing(p8.L, p8.inclusions[:3] + p8.inclusions[4:])
+        for k in (1, 2, 4):
+            psi = FourierPotential.single_cos(k)
+            s8, s7 = solve_dirichlet(p8, psi, 32), solve_dirichlet(p7, psi, 32)
+            assert s8.energy >= s7.energy, k
+            assert s8.energy - s7.energy > s8.boundary_residual + s7.boundary_residual, k
+
 
 class TestBidisperseRing:
     """The ``generalized`` network against the oracle at unequal radii."""
