@@ -24,9 +24,10 @@ and of 128 psi of K <= 4 with normal coefficients from ``LOW_K_SEED`` (the two
 halves of the op mix of perfbench's ``mode_sweep``), ``dtn_matrix``,
 ``interior_gap_energy`` of cos theta on the boundary inclusions and
 ``total_energy_decomposed(5)`` on that warm network. After these, ``kept_bytes``
-records what the warm packing keeps: the network's Lambda_net, its Cholesky
-factor and grounding indices (``network``), the analysis's Li_{1/2} resonance
-table (``resonance_table``) and the resonance matrix the network keeps
+records what the warm packing keeps: the network's boundary map (``network``:
+the Cholesky factor T of its grounded Lambda_net, the grounding indices, and
+Lambda_net itself where the imported dtnnet keeps it), the analysis's Li_{1/2}
+resonance table (``resonance_table``) and the resonance matrix the network keeps
 (``resonance_matrix``, 0 where the imported dtnnet keeps none).
 Before the first rung the process runs the sweep of every rung in turn,
 unrecorded, for at least ``WARM_UP_S`` seconds, so that each first call reads

@@ -262,42 +262,38 @@ def cosine_sweep(
     """Rows (k, epsilon, eta, regime, E_net, E_ref, R_res, total, quad_form) of
     the single modes cos(k theta), k in ks: the diagonal of Lambda_asym, from
     the network's energy factor on each block of the cosine columns of B and
-    the column sums of the resonance table. Each block's rows are yielded
-    before the next block is computed."""
+    the column sums of the resonance table, with the ``regime_classify`` of
+    each k. Each block's rows are yielded before the next block is computed."""
     ks = np.asarray(ks)
     for lo in range(0, len(ks), _SWEEP_BLOCK):
         kb = ks[lo : lo + _SWEEP_BLOCK]
         e_ref = 0.5 * math.pi * kb
+        modes = [regime_classify(int(k), analysis) for k in kb]
         if analysis is None or network is None:
             e_net = r_res = np.zeros(len(kb))
-            modes = [ModeRegime(int(k), 0.0, 0.0, 2) for k in kb]
         else:
             B = np.cos(np.multiply.outer(analysis.boundary_angles, kb)) * _damping(analysis, kb)
             G = energy_factor(network, B)
             e_net = 0.5 * np.einsum("ij,ij->j", G, G)
             r_res = np.sum(network.boundary_sigmas[:, None] * _resonance_columns(analysis, kb),
                            axis=0)
-            modes = [_classify(int(k), analysis._scales, analysis.packing.L) for k in kb]
         total = e_net + e_ref + r_res
         yield from ((m.k, m.epsilon, m.eta, m.regime, *map(float, row))
                     for m, *row in zip(modes, e_net, e_ref, r_res, total, 2.0 * total))
 
 
-def _classify(k: int, scales: tuple[float, float], L: float) -> ModeRegime:
-    delta_char, r_char = scales
-    eps = k * delta_char / L
-    eta = k * r_char / L
-    if eps >= 1.0:
-        regime = 2
-    elif eta <= 1.0:
-        regime = 1
-    else:
-        regime = 3
+def regime_classify(k: int, analysis: GeometryAnalysis | None) -> ModeRegime:
+    """The regime of mode k from eps = k delta/L and eta = k r/L at the packing's
+    characteristic gap delta and radius r: 2 (boundary layer) where eps >= 1, else
+    1 (network) where eta <= 1, else 3 (resonant). The empty packing (analysis
+    None) has eps = eta = 0 and regime 2: the reference energy is all there is."""
+    if analysis is None:
+        return ModeRegime(k, 0.0, 0.0, 2)
+    delta_char, r_char = analysis._scales
+    eps = k * delta_char / analysis.packing.L
+    eta = k * r_char / analysis.packing.L
+    regime = 2 if eps >= 1.0 else 1 if eta <= 1.0 else 3
     return ModeRegime(k=k, epsilon=eps, eta=eta, regime=regime)
-
-
-def regime_classify(k: int, analysis: GeometryAnalysis) -> ModeRegime:
-    return _classify(k, analysis._scales, analysis.packing.L)
 
 
 def total_energy(
@@ -308,18 +304,14 @@ def total_energy(
     """Full three-term energy and the DtN quadratic form.
 
     Passing ``analysis=None`` (no inclusions) keeps only the reference term.
+    ``per_mode`` holds the ``regime_classify`` of every k = 0..K.
     """
     e_ref = reference_energy(psi)
     if analysis is None or network is None:
         e_net, r_res = 0.0, 0.0
-        per_mode: tuple[ModeRegime, ...] = ()
     else:
         e_net = net_energy(network, boundary_excitation(psi, analysis))
         r_res = resonance_general(psi, analysis, network)
-        scales = analysis._scales
-        per_mode = tuple(
-            _classify(k, scales, analysis.packing.L) for k in range(psi.K + 1)
-        )
     total = e_net + e_ref + r_res
     return EnergyBreakdown(
         E_net=e_net,
@@ -327,7 +319,7 @@ def total_energy(
         R_res=r_res,
         total=total,
         quad_form=2.0 * total,
-        per_mode=per_mode,
+        per_mode=tuple(regime_classify(k, analysis) for k in range(psi.K + 1)),
     )
 
 
@@ -384,8 +376,8 @@ def total_energy_decomposed(
 
     The discrepancy is the documented exponential mismatch
     sum_i (sigma_i/4)(e^{-kappa_i} - e^{-2 kappa_i}). The minimizer and the
-    interior gap energy both come from the network's cached Lambda_net, so
-    nothing is factored.
+    interior gap energy both come from ``dtn_matrix``, formed from the factor T
+    the network keeps, so the Kirchhoff matrix is not factored again.
     """
     psi = FourierPotential.single_cos(k)
     # The joint quadratic in all inclusion potentials is the network energy with the

@@ -38,21 +38,20 @@ class Network:
         return self.interior_nodes.shape[0]
 
     @cached_property
-    def _boundary_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Lambda_net, the upper Cholesky factor R of Lambda_net on the boundary
-        nodes that are not grounds, those nodes and their grounds: read-only.
+    def _boundary_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The upper Cholesky factor T of Lambda_net on the boundary nodes that are
+        not grounds, those nodes and their grounds: read-only.
 
-        One factorization of A and one n_b-column solve give Lambda_net (neither
-        A nor its factor is kept). Grounding each component at one node leaves
-        Lambda_net positive definite on the other nodes, and with zero row sums
-        Psi^T Lambda_net Psi = |R (Psi[nodes] - Psi[grounds])|^2.
+        One factorization of A and one n_b-column solve give Lambda_net, which is
+        factored and dropped, as are A and its LU factor. Grounding each component
+        at one node leaves Lambda_net positive definite on the other nodes, and with
+        zero row sums Psi^T Lambda_net Psi = |T (Psi[nodes] - Psi[grounds])|^2.
         """
         sig = self.boundary_sigmas
         _, ground, X = _kirchhoff_solve(self, np.eye(self.n, self.boundary_count) * sig)
         lam = np.diag(sig) - sig[:, None] * X[: self.boundary_count]
         nodes = np.flatnonzero(ground != np.arange(self.boundary_count))
-        R = np.linalg.cholesky(lam[nodes[:, None], nodes]).T
-        out = lam, R, nodes, ground[nodes]
+        out = np.linalg.cholesky(lam[nodes[:, None], nodes]).T, nodes, ground[nodes]
         for a in out:
             a.flags.writeable = False
         return out
@@ -155,11 +154,11 @@ def solve_kirchhoff(network: Network, psi: np.ndarray) -> KirchhoffSolution:
 
 
 def energy_factor(network: Network, Psi: np.ndarray) -> np.ndarray:
-    """G = R (Psi[nodes] - Psi[grounds]) for boundary data Psi (n_b, ...), with
+    """G = T (Psi[nodes] - Psi[grounds]) for boundary data Psi (n_b, ...), with
     G^T G = Psi^T Lambda_net Psi: symmetric and PSD by construction, and exactly
     zero on constants. Column a alone has |G_a|^2 = 2 E(Psi_a)."""
-    _, R, nodes, grounds = network._boundary_map
-    return R @ (Psi[nodes] - Psi[grounds])
+    T, nodes, grounds = network._boundary_map
+    return T @ (Psi[nodes] - Psi[grounds])
 
 
 def net_energy(network: Network, psi: np.ndarray) -> float:
@@ -168,13 +167,11 @@ def net_energy(network: Network, psi: np.ndarray) -> float:
 
 
 def dtn_matrix(network: Network) -> np.ndarray:
-    """Schur complement of the full network Laplacian onto the boundary nodes,
-    computed once per network.
-
-    Boundary node i couples only to inclusion i, so the coupling block is
-    diag(sigma_b) padded with zeros, and one multi-column solve gives it.
-    """
-    return network._boundary_map[0].copy()
+    """Lambda_net, the Schur complement of the full network Laplacian onto the
+    boundary nodes, as G^T G with G the energy factor of the unit columns: formed
+    from the network's factor T on each call, exactly symmetric and PSD."""
+    G = energy_factor(network, np.eye(network.boundary_count))
+    return G.T @ G
 
 
 def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
@@ -183,12 +180,13 @@ def interior_gap_energy(network: Network, U_gamma: np.ndarray) -> float:
 
     With D = diag(sigma_b), Lambda_net = D - D (S + D)^{-1} D, so S + D =
     D (D - Lambda_net)^{-1} D and the energy is (1/2)[(DU)^T (D - Lambda_net)^{-1}
-    (DU) - U^T D U]: one dense positive-definite n_b x n_b solve on the cached
-    Lambda_net, no sparse factorization. The difference loses ~sigma_b/|S| ulps."""
+    (DU) - U^T D U]: one dense positive-definite n_b x n_b solve on ``dtn_matrix``,
+    no sparse factorization. The difference loses ~sigma_b/|S| ulps."""
     U_gamma = _checked_psi(network, U_gamma)
-    lam, sig = network._boundary_map[0], network.boundary_sigmas
+    sig = network.boundary_sigmas
     f = sig * U_gamma
-    return 0.5 * float(f @ scipy.linalg.solve(np.diag(sig) - lam, f, assume_a="pos") - f @ U_gamma)
+    return 0.5 * float(f @ scipy.linalg.solve(np.diag(sig) - dtn_matrix(network), f,
+                                              assume_a="pos") - f @ U_gamma)
 
 
 def network_to_dict(network: Network) -> dict:

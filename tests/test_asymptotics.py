@@ -346,6 +346,32 @@ class TestRegimeClassify:
         assert info.epsilon == pytest.approx(0.03, rel=1e-12)
         assert info.eta == pytest.approx(3.0, rel=1e-12)
 
+    def test_empty_packing_is_regime_two_in_energies_and_sweeps(self):
+        K = 6
+        per_mode = total_energy(FourierPotential.single_cos(K), None, None).per_mode
+        assert per_mode == tuple(regime_classify(k, None) for k in range(K + 1))
+        rows = list(cosine_sweep(np.arange(K + 1), None, None))
+        assert [(m.k, m.epsilon, m.eta, m.regime) for m in per_mode] == [r[:4] for r in rows]
+        assert {m.regime for m in per_mode} == {2}
+
+    @pytest.mark.parametrize("with_packing", [True, False], ids=["ring8", "empty"])
+    def test_every_mode_is_classified_by_the_one_rule(self, ring8, monkeypatch, with_packing):
+        a = analyze(ring8) if with_packing else None
+        net = build_network(a) if with_packing else None
+        calls = []
+        real = asymptotics.regime_classify
+
+        def spy(k, analysis):
+            calls.append(k)
+            return real(k, analysis)
+
+        monkeypatch.setattr(asymptotics, "regime_classify", spy)
+        bd = total_energy(FourierPotential(np.ones(5), np.r_[0.0, np.ones(4)]), a, net)
+        assert calls == list(range(5)) and len(bd.per_mode) == 5
+        calls.clear()
+        list(cosine_sweep(np.arange(3, 300), a, net))
+        assert calls == list(range(3, 300))
+
 
 class TestTotalEnergy:
     def test_breakdown_consistency(self, ring8):

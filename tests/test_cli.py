@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dtnnet import generators
 from dtnnet.asymptotics import dtn_asymptotic
 from dtnnet.cli import build_parser, main
 from dtnnet.generators import grid_packing
@@ -151,6 +152,8 @@ class TestAnalyze:
         assert obj["quad_form"] == pytest.approx(3.0 * math.pi, rel=1e-12)
         assert obj["E_net"] == 0.0
         assert obj["excitation"] == []
+        assert obj["per_mode"] == [{"k": k, "epsilon": 0.0, "eta": 0.0, "regime": 2}
+                                   for k in range(4)]
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -264,6 +267,18 @@ class TestDegenerateInputs:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("kind", ["ring", "grid"])
+    def test_generator_beyond_physical_memory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                     kind):
+        # Physical memory read as 1 KB: the default ring and grid need more.
+        monkeypatch.setattr(generators, "_physical_memory", lambda: 1024)
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, "gen", kind, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MemoryError"
+        assert not path.exists()
 
     @pytest.mark.parametrize("command", [["analyze"], ["validate", "--oracle-m", "8"]],
                              ids=["analyze", "validate"])

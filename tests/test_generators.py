@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from dtnnet import generators
 from dtnnet.errors import InfeasibleError, ParseError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk
@@ -93,3 +94,26 @@ GRIDS = [(0.1, 0.02, 1.0), (0.05, 0.01, 1.0), (0.02, 0.004, 1.0), (0.01, 0.002, 
 @pytest.mark.parametrize("disk_radius, gap, L", GRIDS)
 def test_grid_mask_keeps_the_disks_of_the_candidate_loop(disk_radius, gap, L):
     assert grid_packing(disk_radius, gap, L).inclusions == grid_by_loops(disk_radius, gap, L)
+
+
+# The 61-disk grid's bounding box has 13 x 11 sites.
+@pytest.mark.parametrize("make, count", [(lambda: ring_packing(8, 0.85, 0.1), 8),
+                                         (lambda: grid_packing(0.1, 0.02), 143)],
+                         ids=["ring", "grid"])
+def test_request_beyond_physical_memory_raises_before_allocating(monkeypatch, make, count):
+    need = count * generators._BYTES_PER_DISK
+    monkeypatch.setattr(generators, "_physical_memory", lambda: need)
+    make()  # exactly the memory it needs: allowed
+    monkeypatch.setattr(generators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(MemoryError, match=f"^{count} disks need about {need} bytes"):
+        make()
+
+
+def test_memory_check_is_skipped_without_sysconf(monkeypatch):
+    def no_names(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(generators.os, "sysconf", no_names)
+    assert generators._physical_memory() is None
+    assert ring_packing(8, 0.85, 0.1).n == 8

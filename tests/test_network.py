@@ -153,6 +153,18 @@ class TestDtnMatrixProperties:
         ones = np.ones(random_net.boundary_count)
         assert np.linalg.norm(lam @ ones) <= 1e-10 * scale
 
+    def test_exactly_symmetric_with_zero_row_sums(self, random_net):
+        self.check_gram_form(dtn_matrix(random_net))
+
+    def test_exactly_symmetric_with_zero_row_sums_on_the_grid(self):
+        self.check_gram_form(dtn_matrix(build_network(analyze(grid_packing(0.1, 0.02)))))
+
+    @staticmethod
+    def check_gram_form(lam):
+        # G^T G is symmetric to the bit; its row sums are rounding of G's exact zero on 1.
+        assert np.array_equal(lam, lam.T)
+        assert np.abs(lam.sum(axis=1)).max() <= 1e-14 * np.abs(lam).max()
+
     def test_quadratic_form_matches_energy(self, random_net):
         lam = dtn_matrix(random_net)
         rng = np.random.default_rng(7)
@@ -327,16 +339,19 @@ class TestFactorization:
                   for v in (value if isinstance(value, tuple) else (value,))]
         assert not any(isinstance(v, scipy.sparse.linalg.SuperLU) for v in cached)
         assert not any(scipy.sparse.issparse(v) for v in cached)  # nor the Kirchhoff matrix
-        # The boundary map keeps n_b x n_b numbers, not the n-node factor.
-        lam, R = net._boundary_map[:2]
-        assert lam.shape == (net.boundary_count,) * 2
-        assert R.shape == (net.boundary_count - 1,) * 2
+        # The boundary map is T, of order n_b less one ground per component, and
+        # the two index arrays of the grounding: no n_b x n_b matrix.
+        T, nodes, grounds = net._boundary_map
+        assert T.shape == (net.boundary_count - 1,) * 2
+        assert nodes.shape == grounds.shape == (net.boundary_count - 1,)
+        assert nodes.dtype.kind == grounds.dtype.kind == "i"
 
     def test_split_network_is_grounded_per_component(self):
         # delta_max_edge drops the only gap edge: two boundary disks, no path between them.
         a = analyze(two_disk_packing(delta=0.1), delta_max_edge=0.05)
         net = build_network(a, mode="identical")
         assert net.gap_edges.shape == (0, 2)
+        assert net._boundary_map[0].shape == (0, 0)  # n_b less one ground per component
         lam = dtn_matrix(net)
         assert np.allclose(lam, 0.0, atol=1e-12 * net.boundary_sigmas.max())
         assert net_energy(net, np.array([1.0, -3.0])) == 0.0
