@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_memory
 from .geometry import GeometryAnalysis
 from .network import (
     Network, _checked_psi, dtn_matrix, energy_factor, interior_gap_energy, net_energy,
 )
 from .specfun import polylog_half
+
+# Bytes the build of R costs per mode pair: tracemalloc read 65.0-65.2 per (K+1)^2 at
+# K = 2000 on 1-24 boundary inclusions (a 261.1 MB peak on the 61-disk grid's 24).
+_BYTES_PER_MODE_PAIR = 66
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,15 @@ def _resonance_matrix(analysis: GeometryAnalysis, network: Network, K: int) -> n
     So no entry depends on K. The network keeps the last R it built that holds
     no more numbers than the analysis's resonance table, read-only, with the
     analysis it was built from; with that analysis a smaller K reads its
-    submatrix, the same to the bit.
+    submatrix, the same to the bit. A build that needs more than physical memory
+    at _BYTES_PER_MODE_PAIR is refused with MemoryError before it allocates.
     """
     kept_by, kept = getattr(network, "_resonance_matrix", (None, ()))
     if kept_by is analysis and len(kept) > 2 * K:
         slots = _slots(K, len(kept) // 2)
         return kept[np.ix_(slots, slots)]
+    _check_memory((K + 1) ** 2 * _BYTES_PER_MODE_PAIR,
+                  f"the {(K + 1) ** 2} mode pairs of the resonance matrix")
     k = np.arange(K + 1.0)
     r = network.boundary_sigmas[:, None] * _resonance_factor(analysis, K)
     k_is_min, k_minus_m = np.less_equal.outer(k, k), np.subtract.outer(k, k)
@@ -237,8 +245,9 @@ def resonance_general(
     psi: FourierPotential, analysis: GeometryAnalysis, network: Network
 ) -> float:
     """Resonance of a general potential: damped double sum over mode pairs."""
+    R = _resonance_matrix(analysis, network, psi.K)  # refuses first an R too large
     c = _mode_vector(psi, psi.K)
-    return float(c @ _resonance_matrix(analysis, network, psi.K) @ c)
+    return float(c @ R @ c)
 
 
 def dtn_asymptotic(
@@ -246,10 +255,12 @@ def dtn_asymptotic(
 ) -> np.ndarray:
     """Lambda_asym on the modes cos 0..K, sin 1..K: c^T Lambda_asym c is the
     asymptotic quad_form 2 (E_net + E_ref + R_res) of psi = c."""
-    lam = np.diag(math.pi * _frequencies(K))
-    if analysis is not None and network is not None:
-        G = energy_factor(network, _excitation_matrix(analysis, K))
-        lam += G.T @ G + 2.0 * _resonance_matrix(analysis, network, K)
+    if analysis is None or network is None:
+        return np.diag(math.pi * _frequencies(K))
+    lam = 2.0 * _resonance_matrix(analysis, network, K)  # refuses first an R too large
+    G = energy_factor(network, _excitation_matrix(analysis, K))
+    lam += G.T @ G
+    lam[np.diag_indices(2 * K + 1)] += math.pi * _frequencies(K)
     return lam
 
 
@@ -306,12 +317,12 @@ def total_energy(
     Passing ``analysis=None`` (no inclusions) keeps only the reference term.
     ``per_mode`` holds the ``regime_classify`` of every k = 0..K.
     """
-    e_ref = reference_energy(psi)
     if analysis is None or network is None:
         e_net, r_res = 0.0, 0.0
-    else:
-        e_net = net_energy(network, boundary_excitation(psi, analysis))
+    else:  # the resonance first: it refuses a psi whose R is too large to build
         r_res = resonance_general(psi, analysis, network)
+        e_net = net_energy(network, boundary_excitation(psi, analysis))
+    e_ref = reference_energy(psi)
     total = e_net + e_ref + r_res
     return EnergyBreakdown(
         E_net=e_net,

@@ -1,7 +1,8 @@
 """Command-line front end: packing generation, analysis, sweeps, validation.
 
-Exit codes: 0 success, 2 usage, input or allocation error, 3 numerical failure.
-Errors go to stderr as one JSON object per failure.
+Exit codes: 0 success, 2 usage, input or allocation error, 3 numerical failure:
+an error's type holds its ``exit_code``. Each error goes to stderr as one JSON
+object whose ``error`` kind is the type's name.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -18,24 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import asymptotics, generators, geometry, network, oracle
-from .errors import (
-    DomainError,
-    DtnError,
-    EmptyPackingError,
-    IllConditionedError,
-    InfeasibleError,
-    OutsideDomainError,
-    OverlapError,
-    ParseError,
-)
+from .errors import DomainError, DtnError, EmptyPackingError, IllConditionedError, ParseError
 
 FLOAT_FMT = "%.17g"
-
-
-def _emit_error(exc: DtnError | MemoryError) -> None:
-    kind = exc.kind if isinstance(exc, DtnError) else "MemoryError"
-    json.dump({"error": kind, "message": str(exc)}, sys.stderr)
-    sys.stderr.write("\n")
 
 
 def _parse_mode_args(values: list[str] | None, label: str) -> dict[int, float]:
@@ -47,7 +32,7 @@ def _parse_mode_args(values: list[str] | None, label: str) -> dict[int, float]:
             a = float(val)
         except ValueError as exc:
             raise ParseError(f"bad --{label} argument {item!r}: expected k=a") from exc
-        if k < 0 or not math.isfinite(a):
+        if k < 0:
             raise ParseError(f"bad --{label} argument {item!r}")
         out[k] = out.get(k, 0.0) + a
     return out
@@ -56,18 +41,16 @@ def _parse_mode_args(values: list[str] | None, label: str) -> dict[int, float]:
 def _build_potential(args) -> asymptotics.FourierPotential:
     cos_map = _parse_mode_args(args.cos, "cos")
     sin_map = _parse_mode_args(args.sin, "sin")
-    if 0 in sin_map and sin_map[0] != 0.0:
-        raise ParseError("sin coefficient at k = 0 must be zero")
     if not cos_map and not sin_map:
         raise ParseError("no potential given: pass --cos k=a and/or --sin k=a")
     K = max(list(cos_map) + list(sin_map))
-    c = np.zeros(K + 1)
-    s = np.zeros(K + 1)
-    for k, a in cos_map.items():
-        c[k] = a
-    for k, a in sin_map.items():
-        s[k] = a
-    return asymptotics.FourierPotential(c, s)
+    try:  # ValueError: a K past numpy's largest array, or coefficients psi refuses
+        c, s = np.zeros(K + 1), np.zeros(K + 1)
+        for coeffs, modes in ((c, cos_map), (s, sin_map)):
+            coeffs[list(modes)] = list(modes.values())
+        return asymptotics.FourierPotential(c, s)
+    except ValueError as exc:
+        raise ParseError(f"bad potential: {exc}") from exc
 
 
 def _load_geometry(path: str, mode: str, delta_max_edge: float | None):
@@ -292,15 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(all="ignore"):  # a non-finite JSON result is refused as a whole
             return args.func(args)
-    except (
-        ParseError, EmptyPackingError, InfeasibleError, OverlapError, OutsideDomainError,
-        MemoryError,  # numpy raises it for a request too large to allocate
-    ) as exc:
-        _emit_error(exc)
-        return 2
-    except DtnError as exc:
-        _emit_error(exc)
-        return 3
+    except (DtnError, MemoryError) as exc:  # numpy's is a subclass, reported as its base
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": kind, "message": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

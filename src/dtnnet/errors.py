@@ -1,24 +1,28 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the physical-memory check.
 
-Every error carries a short machine-readable ``kind`` so the CLI can emit
-structured JSON on the error stream.
+The class name of an error is the machine-readable kind the CLI writes as JSON
+on the error stream, and its ``exit_code`` the status ``dtnnet`` exits with: 2
+for a refused input, 3 for a numerical failure.
 """
+
+import math
+import os
 
 
 class DtnError(Exception):
-    kind = "Error"
+    exit_code = 3
 
 
 class ParseError(DtnError):
-    kind = "ParseError"
+    exit_code = 2
 
 
 class EmptyPackingError(DtnError):
-    kind = "EmptyPackingError"
+    exit_code = 2
 
 
 class OverlapError(DtnError):
-    kind = "OverlapError"
+    exit_code = 2
 
     def __init__(self, i: int, j: int, message: str | None = None):
         self.i = i
@@ -27,7 +31,7 @@ class OverlapError(DtnError):
 
 
 class OutsideDomainError(DtnError):
-    kind = "OutsideDomainError"
+    exit_code = 2
 
     def __init__(self, i: int, message: str | None = None):
         self.i = i
@@ -35,24 +39,42 @@ class OutsideDomainError(DtnError):
 
 
 class DegenerateAngleError(DtnError):
-    kind = "DegenerateAngleError"
+    pass
 
 
 class ModeError(DtnError):
-    kind = "ModeError"
+    exit_code = 2
 
 
 class SingularSystemError(DtnError):
-    kind = "SingularSystemError"
+    pass
 
 
 class DomainError(DtnError):
-    kind = "DomainError"
+    pass
 
 
 class IllConditionedError(DtnError):
-    kind = "IllConditionedError"
+    pass
 
 
 class InfeasibleError(DtnError):
-    kind = "InfeasibleError"
+    exit_code = 2
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory from os.sysconf, or None where it lacks the names."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(nbytes: float, what: str) -> None:
+    """MemoryError, before anything is allocated, if what needs nbytes, infinite or
+    more than physical memory: the kernel may grant such a request and then kill the
+    process. A cgroup limit below physical memory is not seen."""
+    memory = _physical_memory()
+    if nbytes == math.inf or (memory is not None and nbytes > memory):
+        limit = "any address space" if memory is None else f"the {memory} bytes of physical memory"
+        raise MemoryError(f"{what} need about {nbytes:.0f} bytes, more than {limit}")

@@ -3,35 +3,16 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, _check_memory
 from .geometry import Disk, Packing, validate_packing
 
 _MAX_TRIES = 20000  # candidate centres random_packing draws before giving up
 # Bytes one disk costs through `dtnnet gen`: tracemalloc read a peak of 8.10 MB for
 # `gen grid --disk-radius 0.01 --gap 0.002` (7291 disks), 1111 bytes a disk.
 _BYTES_PER_DISK = 1111
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory from os.sysconf, or None where it lacks the names."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(count: int) -> None:
-    """MemoryError, before anything is allocated, if count disks at _BYTES_PER_DISK
-    exceed physical memory: the kernel may grant such a request and then kill the
-    process. A cgroup limit below physical memory is not seen."""
-    memory = _physical_memory()
-    if memory is not None and count * _BYTES_PER_DISK > memory:
-        raise MemoryError(f"{count} disks need about {count * _BYTES_PER_DISK} bytes, "
-                          f"more than the {memory} bytes of physical memory")
 
 
 def ring_packing(
@@ -42,7 +23,7 @@ def ring_packing(
     phase: float = 0.0,
 ) -> Packing:
     """n equal disks equally spaced on a circle of radius ring_radius. MemoryError if
-    n disks would not fit in physical memory (``_check_memory``)."""
+    n disks at _BYTES_PER_DISK would not fit in physical memory (``_check_memory``)."""
     if n < 1:
         raise InfeasibleError("ring needs at least one disk")
     if ring_radius + disk_radius >= L:
@@ -51,7 +32,7 @@ def ring_packing(
         chord = 2.0 * ring_radius * math.sin(math.pi / n)
         if chord <= 2.0 * disk_radius:
             raise InfeasibleError("ring neighbors overlap")
-    _check_memory(n)
+    _check_memory(n * _BYTES_PER_DISK, f"{n} disks")
     angles = phase + 2.0 * math.pi * np.arange(n) / n
     disks = tuple(
         Disk(ring_radius * math.cos(a), ring_radius * math.sin(a), disk_radius)
@@ -62,8 +43,8 @@ def ring_packing(
 
 def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
     """Hexagonal patch with uniform gap, clipped to keep a boundary gap >= gap.
-    MemoryError if the sites of its bounding box, as many disks, would not fit in
-    physical memory (``_check_memory``)."""
+    MemoryError if the sites of its bounding box, as many disks at _BYTES_PER_DISK,
+    would not fit in physical memory (``_check_memory``)."""
     if not (gap > 0 and disk_radius > 0):
         raise InfeasibleError("gap and radius must be positive")
     pitch = 2.0 * disk_radius + gap
@@ -72,9 +53,12 @@ def grid_packing(disk_radius: float, gap: float, L: float = 1.0) -> Packing:
         raise InfeasibleError("disks do not fit inside the domain")
     if limit == math.inf:
         raise InfeasibleError(f"a grid patch needs a finite domain radius, got {L}")
-    n_rows = int(math.ceil(limit / (pitch * math.sqrt(3.0) / 2.0))) + 1
-    n_cols = int(math.ceil(limit / pitch)) + 1
-    _check_memory((2 * n_rows + 1) * (2 * n_cols + 1))
+    # The site count in floating point: a subnormal pitch makes it infinite.
+    n_rows, n_cols = (float(np.ceil(limit / step)) + 1.0
+                      for step in (pitch * math.sqrt(3.0) / 2.0, pitch))
+    sites = (2.0 * n_rows + 1.0) * (2.0 * n_cols + 1.0)
+    _check_memory(sites * _BYTES_PER_DISK, f"{sites:.0f} disks")
+    n_rows, n_cols = int(n_rows), int(n_cols)
     row = np.arange(-n_rows, n_rows + 1)[:, None]
     x = np.arange(-n_cols, n_cols + 1) * pitch + np.where(row % 2, 0.5 * pitch, 0.0)
     y = np.broadcast_to(row * pitch * math.sqrt(3.0) / 2.0, x.shape)

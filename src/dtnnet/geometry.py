@@ -109,8 +109,10 @@ def validate_packing(packing: Packing) -> Packing:
     if outside.size:
         raise OutsideDomainError(int(outside[0]))
     # Only disk pairs (i < j) whose centers lie within 2 R_max can touch; the 0.1 %
-    # margin keeps pairs at exactly that distance despite rounding in the KD-tree.
-    pairs = cKDTree(centers).query_pairs(1.001 * 2.0 * radii.max(), output_type="ndarray")
+    # margin keeps pairs at exactly that distance despite rounding in the KD-tree,
+    # whose squared distances, in units of L, neither overflow nor underflow.
+    pairs = cKDTree(centers / packing.L).query_pairs(1.001 * 2.0 * radii.max() / packing.L,
+                                                     output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     d = np.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
     touching = pairs[d - radii[i] - radii[j] <= 0.0].tolist()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import equal_gap_ring
 
+from dtnnet import errors
 from dtnnet.errors import DomainError, SingularSystemError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk, GeometryAnalysis, Packing, analyze
@@ -331,6 +332,42 @@ def test_one_polylog_evaluation_per_analysis(monkeypatch):
         net = build_network(a)
         assert [total_energy(psi, a, net).R_res for psi in psis] == expected
         assert len(calls) == n_analyses
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [total_energy, resonance_general, lambda psi, a, net: dtn_asymptotic(psi.K, a, net)],
+    ids=["total_energy", "resonance_general", "dtn_asymptotic"],
+)
+def test_a_resonance_matrix_beyond_physical_memory_is_refused_before_allocating(
+    monkeypatch, ring8, energy
+):
+    # Physical memory read as 1 MiB: the R of K = 2000 needs about 264 MB.
+    a = analyze(ring8)
+    net = build_network(a)
+    psi = FourierPotential.single_cos(2000)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="^the 4004001 mode pairs of the resonance"):
+            energy(psi, a, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_kept_resonance_matrix_is_read_without_the_memory_check(monkeypatch):
+    a = analyze(grid_packing(0.1, 0.02))
+    net = build_network(a)
+    psi = FourierPotential(np.ones(5), np.r_[0.0, np.ones(4)])
+    expected = total_energy(psi, a, net), dtn_asymptotic(4, a, net)  # N_b = 24: R is kept
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 0)
+    assert total_energy(psi, a, net) == expected[0]
+    assert np.array_equal(dtn_asymptotic(4, a, net), expected[1])
+    resonance_general(FourierPotential.single_cos(3), a, net)  # a submatrix of the kept R
+    with pytest.raises(MemoryError):
+        total_energy(FourierPotential.single_cos(5), a, net)
 
 
 class TestRegimeClassify:

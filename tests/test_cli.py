@@ -3,16 +3,21 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtnnet import generators
+from dtnnet import errors, generators
 from dtnnet.asymptotics import dtn_asymptotic
 from dtnnet.cli import build_parser, main
-from dtnnet.generators import grid_packing
+from dtnnet.generators import grid_packing, ring_packing
 from dtnnet.geometry import analyze, load_packing, save_packing
 from dtnnet.network import build_network
 
@@ -121,6 +126,17 @@ class TestGen:
         assert out == ""
         assert json.loads(err) == {"error": "InfeasibleError",
                                    "message": "a grid patch needs a finite domain radius, got inf"}
+        assert not path.exists()
+
+    def test_subnormal_grid_pitch_exit_2_and_no_file(self, capsys, tmp_path):
+        # limit / pitch overflows to inf: the site count is refused before any int().
+        path = tmp_path / "grid.json"
+        code, out, err = run(capsys, "gen", "grid", "--disk-radius", "1e-320",
+                             "--gap", "1e-320", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "MemoryError"
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["ring", "random"])
@@ -268,17 +284,64 @@ class TestDegenerateInputs:
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
 
+    @pytest.mark.parametrize("k", ["2000000000000000000", "100000000000000000000"])
+    def test_mode_past_the_largest_array_exit_2(self, ring_file, capsys, k):
+        # numpy refuses such a coefficient array by its size, before allocating it.
+        code, out, err = run(capsys, "analyze", "--packing", ring_file, "--cos", f"{k}=1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     @pytest.mark.parametrize("kind", ["ring", "grid"])
     def test_generator_beyond_physical_memory_exit_2(self, tmp_path, capsys, monkeypatch,
                                                      kind):
         # Physical memory read as 1 KB: the default ring and grid need more.
-        monkeypatch.setattr(generators, "_physical_memory", lambda: 1024)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 1024)
         path = tmp_path / "out.json"
         code, out, err = run(capsys, "gen", kind, "--out", str(path))
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
         assert not path.exists()
+
+    def test_resonance_matrix_beyond_physical_memory_exit_2(self, ring_file, capsys,
+                                                             monkeypatch):
+        # Physical memory read as 1 MiB: the R of K = 2000 needs about 264 MB.
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 1 << 20)
+        code, out, err = run(capsys, "analyze", "--packing", ring_file, "--cos", "2000=1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MemoryError"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze", "--cos", "1=1e308", "--cos", "1=1e308"],
+         ["analyze", "--sin", "2=1e308", "--sin", "2=1e308"],
+         ["validate", "--cos", "1=1e308", "--cos", "1=1e308", "--oracle-m", "8"]],
+        ids=["analyze-cos", "analyze-sin", "validate"],
+    )
+    def test_coefficients_summing_to_infinity_exit_2_and_nothing_written(
+        self, ring_file, tmp_path, capsys, command
+    ):
+        # Each argument is finite, their sum is not.
+        path = tmp_path / "out.json"
+        for out_args in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, command[0], "--packing", ring_file, *command[1:],
+                                 *out_args)
+            assert code == 2
+            assert out == ""
+            assert json.loads(err) == {"error": "ParseError",
+                                       "message": "bad potential: coefficients must be finite"}
+        assert not path.exists()
+
+    def test_identical_mode_with_unequal_radii_exit_2(self, tmp_path, capsys):
+        path = write_packing(tmp_path, "bidisperse.json", {
+            "L": 1, "inclusions": [{"x": 0.5, "y": 0, "r": 0.1}, {"x": -0.5, "y": 0, "r": 0.2}]})
+        code, out, err = run(capsys, "analyze", "--packing", path, "--cos", "1=1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ModeError",
+                                   "message": "identical mode requires equal radii"}
 
     @pytest.mark.parametrize("command", [["analyze"], ["validate", "--oracle-m", "8"]],
                              ids=["analyze", "validate"])
@@ -492,3 +555,88 @@ class TestValidate:
         assert len(obj["trend"]) == 2
         for item in obj["trend"]:
             assert item["relative_error"] >= 0.0
+
+
+# The exit code of each error kind the CLI can write: every DtnError subclass's own,
+# and 2 for MemoryError.
+EXIT_CODES = {cls.__name__: cls.exit_code for cls in errors.DtnError.__subclasses__()}
+EXIT_CODES["MemoryError"] = 2
+
+
+def test_readme_table_lists_every_error_kind_with_its_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.findall(r"^\| `(\w+)` \| (\d) \|", readme, flags=re.MULTILINE)
+    assert {kind: int(code) for kind, code in table} == EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def ring8_file(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cli") / "ring8.json")
+    save_packing(ring_packing(8, 0.85, 0.1), path)
+    return path
+
+
+FLAG_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320",
+                               "1e-300", "1e300", "1e308", "-1", "1"])
+GEN_FLAGS = {
+    "ring": ["--n", "--ring-radius", "--disk-radius", "--domain-radius"],
+    "grid": ["--disk-radius", "--gap", "--domain-radius"],
+    "random": ["--n", "--disk-radius", "--delta-min", "--domain-radius", "--seed"],
+}
+
+
+def integers(top):
+    return st.integers(-1, top).map(str)
+
+
+@st.composite
+def requests(draw, packing):
+    """One dtnnet command line: each float flag from FLAG_VALUES, each integer at most
+    50 (gen), 64 (sweep, a mode of psi) or 16 (--oracle-m); a --cos or --sin may repeat."""
+    command = draw(st.sampled_from(["gen", "analyze", "dtn", "sweep", "validate"]))
+    if command == "gen":
+        kind = draw(st.sampled_from(sorted(GEN_FLAGS)))
+        argv = ["gen", kind]
+        for flag in GEN_FLAGS[kind]:  # a flag left out keeps its default
+            value = draw(st.none() | (integers(50) if flag in ("--n", "--seed") else FLAG_VALUES))
+            argv += [] if value is None else [f"{flag}={value}"]
+        return argv
+    argv = [command, "--packing", packing, "--mode",
+            draw(st.sampled_from(["identical", "generalized"]))]
+    if draw(st.booleans()):
+        argv += [f"--delta-max-edge={draw(FLAG_VALUES)}"]
+    if command in ("analyze", "validate"):
+        for _ in range(draw(st.integers(0, 3))):
+            flag = draw(st.sampled_from(["--cos", "--sin"]))
+            argv += [f"{flag}={draw(st.integers(0, 64))}={draw(FLAG_VALUES)}"] * draw(
+                st.integers(1, 2))
+    if command == "sweep":
+        argv += [f"--k-from={draw(integers(64))}",
+                 f"--k-to={draw(integers(64) | FLAG_VALUES)}"]  # argparse refuses a float
+    if command == "validate":
+        argv += [f"--oracle-m={draw(integers(16))}"]
+    return argv
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_no_command_line_ends_in_a_traceback(ring8_file, data):
+    argv = data.draw(requests(ring8_file))
+    out, err = io.StringIO(), io.StringIO()
+    # Physical memory read as 400 disks: a larger grid is refused before it allocates,
+    # and the R of K <= 64 still fits.
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(errors, "_physical_memory", lambda: 400 * generators._BYTES_PER_DISK)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            assert exc.code == 2
+            return
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    kind = json.loads(lines[0])["error"]
+    assert EXIT_CODES[kind] == code

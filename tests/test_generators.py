@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dtnnet import generators
+from dtnnet import errors, generators
 from dtnnet.errors import InfeasibleError, ParseError
 from dtnnet.generators import grid_packing, random_packing, ring_packing
 from dtnnet.geometry import Disk
@@ -102,9 +102,9 @@ def test_grid_mask_keeps_the_disks_of_the_candidate_loop(disk_radius, gap, L):
                          ids=["ring", "grid"])
 def test_request_beyond_physical_memory_raises_before_allocating(monkeypatch, make, count):
     need = count * generators._BYTES_PER_DISK
-    monkeypatch.setattr(generators, "_physical_memory", lambda: need)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need)
     make()  # exactly the memory it needs: allowed
-    monkeypatch.setattr(generators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated"))
     with pytest.raises(MemoryError, match=f"^{count} disks need about {need} bytes"):
         make()
@@ -114,6 +114,9 @@ def test_memory_check_is_skipped_without_sysconf(monkeypatch):
     def no_names(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
-    monkeypatch.setattr(generators.os, "sysconf", no_names)
-    assert generators._physical_memory() is None
+    monkeypatch.setattr(errors.os, "sysconf", no_names)
+    assert errors._physical_memory() is None
     assert ring_packing(8, 0.85, 0.1).n == 8
+    # A subnormal pitch: the site count is infinite, refused whatever the memory.
+    with pytest.raises(MemoryError, match="^inf disks need about inf bytes, more than any"):
+        grid_packing(1e-320, 1e-320)
